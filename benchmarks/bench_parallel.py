@@ -1,4 +1,4 @@
-"""Engine v2 scaling: warm persistent pool vs per-call pool, cache hit vs miss.
+"""Parallel-engine scaling: warm persistent pool, cache hit vs miss.
 
 Not a paper figure: this regression-guards the orchestration layer the
 same way ``bench_hotpath.py`` guards the per-GEMM fast path. Three
@@ -6,10 +6,12 @@ questions are measured on the same operands, with bit-identity asserted
 between every configuration:
 
 * **Pool scaling** — batched FP32 GEMM at ``workers ∈ {1, 2, 4}``
-  through the v1 per-call engine (``fresh_pool=True``: executor spawned
-  and torn down inside the call) and through the warm persistent pool.
-  Acceptance: at ``workers=4`` the warm pool is ≥ 1.3× the per-call
-  engine on this machine.
+  through the warm persistent pool, bit-identical to ``workers=1``.
+  ``percall_s`` is the committed time of the deleted per-call engine
+  (an executor spawned and torn down inside each call): a frozen
+  historical value (rows marked ``"historical": true``), so
+  ``warm_speedup`` compares today's ``warm_s`` against it and has no
+  floor.
 * **Cache** — a first (cold) ``run_all()`` vs a second in the same
   process. Acceptance: the cached sweep is ≥ 10× faster, and
   ``use_cache=False`` reproduces the cold results bit-identically.
@@ -41,7 +43,7 @@ from repro import parallel
 from repro.cache import DEFAULT_CACHE
 from repro.eval.runner import render_report, run_all
 from repro.gemm.batched import batched_mxu_sgemm
-from repro.mxu.parallel_bitlevel import resolve_bitlevel_chunk, sharded_bitlevel_gemm
+from repro.mxu.parallel_bitlevel import DEFAULT_BITLEVEL_CHUNK, sharded_bitlevel_gemm
 from repro.types.formats import FP32
 from repro.types.quantize import quantize
 
@@ -53,6 +55,14 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 #: operand pickling are a visible fraction of the call.
 BATCH, N = (6, 24) if SMOKE else (16, 48)
 WORKER_GRID = [1, 2, 4]
+
+#: Committed best-of-3 times of the deleted per-call pool engine at the
+#: full shape above, by worker count.
+HISTORICAL_PERCALL_S = {
+    1: 0.01488745299866423,
+    2: 0.03636609800014412,
+    4: 0.05402307699841913,
+}
 
 #: Square bit-level GEMM size for the strong-scaling sweep — big enough
 #: that the chain kernel dominates the pool/transport overhead.
@@ -104,9 +114,6 @@ def test_pool_scaling(benchmark):
     reference = batched_mxu_sgemm(a, b, workers=1)
 
     for w in WORKER_GRID:
-        percall_s, got_cold = _best_of(
-            lambda w=w: batched_mxu_sgemm(a, b, workers=w, fresh_pool=True)
-        )
         parallel.shutdown()
         batched_mxu_sgemm(a, b, workers=w)  # prime the persistent pool
         spawns_before = parallel.pool_info()["spawns"]
@@ -114,8 +121,8 @@ def test_pool_scaling(benchmark):
         assert parallel.pool_info()["spawns"] == spawns_before, (
             f"warm timing at workers={w} respawned the pool"
         )
-        assert got_cold.tobytes() == reference.tobytes()
         assert got_warm.tobytes() == reference.tobytes()
+        percall_s = HISTORICAL_PERCALL_S[w]
         _DATA["pool"].append(
             {
                 "workers": w,
@@ -123,6 +130,7 @@ def test_pool_scaling(benchmark):
                 "percall_s": percall_s,
                 "warm_s": warm_s,
                 "warm_speedup": percall_s / warm_s,
+                "historical": True,
             }
         )
 
@@ -131,13 +139,6 @@ def test_pool_scaling(benchmark):
         batched_mxu_sgemm, args=(a, b), kwargs={"workers": 4}, rounds=3, iterations=1
     )
     assert got.tobytes() == reference.tobytes()
-
-    at4 = next(r for r in _DATA["pool"] if r["workers"] == 4)
-    if not SMOKE:
-        assert at4["warm_speedup"] >= 1.3, (
-            f"warm pool only {at4['warm_speedup']:.2f}x over the per-call engine "
-            f"at workers=4 (required >= 1.3x)"
-        )
 
 
 def test_bitlevel_strong_scaling(benchmark):
@@ -167,7 +168,7 @@ def test_bitlevel_strong_scaling(benchmark):
                 "workers": w,
                 "shape": f"{n}x{n}x{n}",
                 "engine": "bitlevel:vector",
-                "chunk": resolve_bitlevel_chunk(),
+                "chunk": DEFAULT_BITLEVEL_CHUNK,
                 "wall_s": wall_s,
                 "vs_serial": serial_s / wall_s,
             }

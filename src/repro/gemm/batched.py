@@ -11,12 +11,12 @@ Execution builds one :class:`~repro.gemm.plan.GemmPlan` over the whole
 batch (operands split once, not once per K-chunk) and can fan the batch
 axis out across worker processes (``workers=N`` or ``REPRO_WORKERS``).
 Each matrix's reduction is anchored independently, so results are
-bit-identical for every worker count and to the legacy per-chunk path.
+bit-identical for every worker count and to a per-matrix, per-K-chunk
+loop of MMAs.
 
-The fan-out rides the v2 engine: the worker pool persists across calls
-(no spawn cost per batch) and operand slices above the shared-memory
-threshold travel zero-copy instead of through pickle. ``fresh_pool=True``
-restores the v1 pool-per-call engine for comparison benchmarks.
+The fan-out rides the persistent worker pool of :mod:`repro.parallel`
+(no spawn cost per batch), and operand slices above the shared-memory
+threshold travel zero-copy instead of through pickle.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ def _batched(
     mode: MXUMode,
     mxu: M3XU | None,
     workers: int | None = None,
-    fresh_pool: bool = False,
     abft: bool | None = None,
     timeout: float | None = None,
     retries: int | None = None,
@@ -104,7 +103,6 @@ def _batched(
             [(a[lo:hi], b[lo:hi], mode, unit) for lo, hi in ranges],
             workers=n_workers,
             chunk_size=1,
-            fresh_pool=fresh_pool,
             timeout=timeout,
             retries=retries,
         )
@@ -139,26 +137,11 @@ def _verify_batch(
     return out
 
 
-def _batched_legacy(
-    a: np.ndarray, b: np.ndarray, mode: MXUMode, mxu: M3XU | None = None
-) -> np.ndarray:
-    """Pre-plan reference loop (kept for cross-validation and benchmarks)."""
-    unit = mxu or M3XU()
-    _check_batched(a, b)
-    k = a.shape[2]
-    chunk = unit.config.tile(mode).k
-    acc = _init_acc(a, b, mode)
-    for k0 in range(0, k, chunk):
-        acc = unit.mma(a[:, :, k0 : k0 + chunk], b[:, k0 : k0 + chunk, :], acc, mode)
-    return acc
-
-
 def batched_mxu_sgemm(
     a: np.ndarray,
     b: np.ndarray,
     mxu: M3XU | None = None,
     workers: int | None = None,
-    fresh_pool: bool = False,
     abft: bool | None = None,
     timeout: float | None = None,
     retries: int | None = None,
@@ -174,8 +157,7 @@ def batched_mxu_sgemm(
     """
     a = quantize(np.asarray(a, dtype=np.float64), FP32)
     b = quantize(np.asarray(b, dtype=np.float64), FP32)
-    return _batched(a, b, MXUMode.FP32, mxu, workers, fresh_pool, abft,
-                    timeout, retries)
+    return _batched(a, b, MXUMode.FP32, mxu, workers, abft, timeout, retries)
 
 
 def batched_mxu_cgemm(
@@ -183,7 +165,6 @@ def batched_mxu_cgemm(
     b: np.ndarray,
     mxu: M3XU | None = None,
     workers: int | None = None,
-    fresh_pool: bool = False,
     abft: bool | None = None,
     timeout: float | None = None,
     retries: int | None = None,
@@ -194,8 +175,7 @@ def batched_mxu_cgemm(
     in :func:`batched_mxu_sgemm`)."""
     a = quantize_complex(np.asarray(a, dtype=np.complex128), FP32)
     b = quantize_complex(np.asarray(b, dtype=np.complex128), FP32)
-    return _batched(a, b, MXUMode.FP32C, mxu, workers, fresh_pool, abft,
-                    timeout, retries)
+    return _batched(a, b, MXUMode.FP32C, mxu, workers, abft, timeout, retries)
 
 
 def strided_batch_view(x: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -80,23 +80,16 @@ def split_gemm(
     acc = np.broadcast_to(
         quantize(np.asarray(c, dtype=np.float64), FP32), (a.shape[0], b.shape[1])
     ).copy()
-    if driver.use_plan and hasattr(driver.mxu, "mma_parts"):
-        # Each split term participates in two of the GEMMs; resolve every
-        # operand decomposition once and share it across the plans.
-        k_chunk = int(driver.k_chunk)
-        sa0, sa1 = (OperandSplit.build(x, mode) for x in (a0, a1))
-        sb0, sb1 = (OperandSplit.build(x, mode) for x in (b0, b1))
-        pairs = ([(sa1, sb1)] if n_gemms == 4 else []) + [
-            (sa0, sb1), (sa1, sb0), (sa0, sb0)
-        ]
-        for sa, sb in pairs:
-            acc = driver.run_plan(GemmPlan(sa, sb, k_chunk), acc)
-        return acc
-    if n_gemms == 4:
-        acc = driver.run(a1, b1, acc)
-    acc = driver.run(a0, b1, acc)
-    acc = driver.run(a1, b0, acc)
-    acc = driver.run(a0, b0, acc)
+    # Each split term participates in two of the GEMMs; resolve every
+    # operand decomposition once and share it across the plans.
+    k_chunk = int(driver.k_chunk)
+    sa0, sa1 = (OperandSplit.build(x, mode) for x in (a0, a1))
+    sb0, sb1 = (OperandSplit.build(x, mode) for x in (b0, b1))
+    pairs = ([(sa1, sb1)] if n_gemms == 4 else []) + [
+        (sa0, sb1), (sa1, sb0), (sa0, sb0)
+    ]
+    for sa, sb in pairs:
+        acc = driver.run_plan(GemmPlan(sa, sb, k_chunk), acc)
     return acc
 
 

@@ -7,17 +7,16 @@ point — the numerically significant part of mapping GEMM onto an MXU.
 The M/N dimensions are purely data-parallel across dot-product units and
 are therefore processed whole (tiling them would not change a single bit).
 
-By default the driver builds a :class:`~repro.gemm.plan.GemmPlan` so each
-operand is quantised and decomposed exactly once per GEMM instead of once
-per K-chunk (bit-identical; see :mod:`repro.gemm.plan`). ``use_plan=False``
-restores the legacy per-chunk path, also used for MXU models that do not
-expose the ``mma_parts`` entry point.
+The driver builds a :class:`~repro.gemm.plan.GemmPlan` so each operand is
+quantised and decomposed exactly once per GEMM instead of once per K-chunk
+(bit-identical; see :mod:`repro.gemm.plan`) and feeds the pre-split slices
+to the MXU model's ``mma_parts`` entry point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Mapping, Protocol
 
 import numpy as np
 
@@ -41,10 +40,19 @@ __all__ = ["MXULike", "TiledGEMM", "mxu_sgemm", "mxu_cgemm", "tensorcore_gemm"]
 
 
 class MXULike(Protocol):
-    """Anything exposing the MMA contract of the functional MXU models."""
+    """Anything exposing the plan-driven MMA contract of the functional
+    MXU models (:meth:`repro.mxu.m3xu.M3XU.mma_parts`)."""
 
-    def mma(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float, mode: MXUMode
+    def mma_parts(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        a_parts: Mapping[str, np.ndarray],
+        b_parts: Mapping[str, np.ndarray],
+        c: np.ndarray | float,
+        mode: MXUMode,
+        *,
+        c_quantized: bool = False,
     ) -> np.ndarray: ...
 
 
@@ -61,9 +69,6 @@ class TiledGEMM:
     k_chunk:
         K elements consumed per MMA instruction. Defaults to the MXU's
         instruction tile K for the mode.
-    use_plan:
-        Resolve operand splits once per GEMM (default). ``False`` forces
-        the legacy per-chunk quantise+split path (bit-identical, slower).
     abft:
         Guard every :meth:`run` with ABFT row/column checksums
         (:mod:`repro.resilience.abft`). ``None`` (default) defers to the
@@ -86,21 +91,15 @@ class TiledGEMM:
         to ``REPRO_WORKERS``; every worker count is bit-identical to
         serial. Ignored by value-level models and fault-injecting
         wrappers, which keep the per-MMA path.
-    bitlevel_chunk:
-        Output-column block size for the sharded bit-level path
-        (``None`` defers to ``REPRO_BITLEVEL_CHUNK``); a pure
-        performance knob, never a rounding boundary.
     """
 
     mxu: MXULike
     mode: MXUMode
     k_chunk: int | None = None
-    use_plan: bool = True
     abft: bool | None = None
     abft_config: AbftConfig | None = None
     fused: bool = True
     workers: int | None = None
-    bitlevel_chunk: int | None = None
     #: The last guarded run's :class:`~repro.resilience.abft.AbftReport`
     #: (``None`` when the guard is off or :meth:`run` has not executed).
     abft_report: AbftReport | None = field(default=None, init=False, compare=False)
@@ -145,12 +144,9 @@ class TiledGEMM:
                 rounding=self.mxu.rounding,
                 k_chunk=int(self.k_chunk),
                 workers=self.workers,
-                chunk=self.bitlevel_chunk,
             )
-        if self.use_plan and hasattr(self.mxu, "mma_parts"):
-            plan = GemmPlan.build(a, b, self.mode, int(self.k_chunk))
-            return self.run_plan(plan, c)
-        return self._run_legacy(a, b, c)
+        plan = GemmPlan.build(a, b, self.mode, int(self.k_chunk))
+        return self.run_plan(plan, c)
 
     def _run_guarded(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float
@@ -173,7 +169,7 @@ class TiledGEMM:
         else:
             aq = quantize(np.asarray(a, dtype=np.float64), in_fmt)
             bq = quantize(np.asarray(b, dtype=np.float64), in_fmt)
-            # Matches _initial_acc/_run_legacy: C enters via FP32 registers.
+            # Matches _initial_acc: C enters via FP32 registers.
             c_arr = quantize(np.asarray(c, dtype=np.float64), FP32)
         roundoff = 2.0 ** -min(in_fmt.mantissa_bits, out_fmt.mantissa_bits)
         try:
@@ -197,7 +193,7 @@ class TiledGEMM:
             raise ValueError(f"plan mode {plan.mode} != driver mode {self.mode}")
         acc = self._initial_acc(c, plan.out_shape)
         for ch in plan.chunks():
-            acc = self.mxu.mma_parts(  # type: ignore[attr-defined]
+            acc = self.mxu.mma_parts(
                 ch.a, ch.b, ch.a_parts, ch.b_parts, acc, self.mode, c_quantized=True
             )
         return acc
@@ -212,36 +208,6 @@ class TiledGEMM:
         return np.broadcast_to(
             quantize(np.asarray(c, dtype=np.float64), FP32), out_shape
         ).copy()
-
-    def _run_legacy(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float
-    ) -> np.ndarray:
-        is_complex = self.mode is MXUMode.FP32C
-        if is_complex:
-            a = quantize_complex(np.asarray(a), FP32)
-            b = quantize_complex(np.asarray(b), FP32)
-            acc = np.broadcast_to(
-                quantize_complex(np.asarray(c, dtype=np.complex128), FP32),
-                (a.shape[0], b.shape[1]),
-            ).copy()
-        else:
-            a = np.asarray(a, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if self.mode is MXUMode.FP32:
-                # FP32 register operands: quantise on the way in.
-                a = quantize(a, FP32)
-                b = quantize(b, FP32)
-            acc = np.broadcast_to(
-                quantize(np.asarray(c, dtype=np.float64), FP32),
-                (a.shape[0], b.shape[1]),
-            ).copy()
-        k_total = a.shape[1]
-        if b.shape[0] != k_total:
-            raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
-        step = int(self.k_chunk)
-        for k0 in range(0, k_total, step):
-            acc = self.mxu.mma(a[:, k0 : k0 + step], b[k0 : k0 + step, :], acc, self.mode)
-        return acc
 
 
 def mxu_sgemm(

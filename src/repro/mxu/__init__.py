@@ -31,24 +31,20 @@ from .extension import DesignPoint, MultiStepScheme, composed_gemm, design_space
 from .isa import MMA_DESCRIPTORS, EmulationCosts, MmaDescriptor, emulation_costs
 from .m3xu import M3XU
 from .modes import MODE_INFO, MXUMode, Step, StepPlan, StepProduct, step_plan
-from .parallel_bitlevel import (
-    BITLEVEL_CHUNK_ENV,
-    resolve_bitlevel_chunk,
-    sharded_bitlevel_gemm,
-)
+from .parallel_bitlevel import sharded_bitlevel_gemm
 from .vectorized import (
     BITLEVEL_ENV,
     BitLevelMXU,
     NonFiniteOperandError,
     ProductFault,
+    chained_vector_fp32,
+    chained_vector_fp32c,
     fp32_bit_fields,
     product_slot_count,
     resolve_bitlevel_engine,
     scalar_mma_fp32,
     scalar_mma_fp32c,
     split_fp32_fields,
-    vector_mma_fp32,
-    vector_mma_fp32c,
 )
 
 __all__ = [
@@ -57,21 +53,19 @@ __all__ = [
     "bit_level_fp32_dot",
     "bit_level_fp32c_dot",
     "split_fp32_bits",
-    "BITLEVEL_CHUNK_ENV",
     "BITLEVEL_ENV",
     "BitLevelMXU",
-    "resolve_bitlevel_chunk",
     "sharded_bitlevel_gemm",
     "NonFiniteOperandError",
     "ProductFault",
+    "chained_vector_fp32",
+    "chained_vector_fp32c",
     "fp32_bit_fields",
     "product_slot_count",
     "resolve_bitlevel_engine",
     "scalar_mma_fp32",
     "scalar_mma_fp32c",
     "split_fp32_fields",
-    "vector_mma_fp32",
-    "vector_mma_fp32c",
     "MultiStepScheme",
     "composed_gemm",
     "design_space",

@@ -17,12 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
-from ..arith.accumulator import aligned_sum
 from ..types.formats import FP32
 from ..types.quantize import quantize
 from .config import AMPERE_MXU, MXUConfig
-from .dataflow import lane_products, resolve_parts
-from .fused import accumulate_mma, default_fastpath
+from .dataflow import resolve_parts
+from .fused import accumulate_mma
 from .modes import MXUMode
 
 __all__ = ["TensorCoreMXU"]
@@ -34,13 +33,10 @@ class TensorCoreMXU:
     Parameters
     ----------
     config:
-        Hardware configuration; defaults to the Ampere baseline.
-    fastpath:
-        Use the fused execution path of :mod:`repro.mxu.fused`
-        (bit-identical). ``None`` consults ``REPRO_FASTPATH``; ``False``
-        pins this instance to the legacy reference pipeline. The Ampere
-        27-bit window stays below the float64-proof threshold, so the fast
-        path here is the fused grouped reduction (no BLAS shortcut).
+        Hardware configuration; defaults to the Ampere baseline. The
+        Ampere 27-bit window stays below the float64-proof threshold, so
+        MMAs run the fused grouped reduction of :mod:`repro.mxu.fused`
+        (no BLAS shortcut).
 
     Notes
     -----
@@ -51,11 +47,8 @@ class TensorCoreMXU:
     so that the inter-instruction FP32 rounding is modelled faithfully.
     """
 
-    def __init__(
-        self, config: MXUConfig = AMPERE_MXU, fastpath: bool | None = None
-    ) -> None:
+    def __init__(self, config: MXUConfig = AMPERE_MXU) -> None:
         self.config = config
-        self.fastpath = default_fastpath() if fastpath is None else bool(fastpath)
 
     def supported_modes(self) -> frozenset[MXUMode]:
         return self.config.modes
@@ -78,8 +71,6 @@ class TensorCoreMXU:
         b = np.asarray(b, dtype=np.float64)
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
-        if not self.fastpath:
-            return self._mma_legacy(a, b, c, mode)
         return self.mma_parts(
             a, b, resolve_parts(a, mode), resolve_parts(b, mode), c, mode
         )
@@ -113,7 +104,6 @@ class TensorCoreMXU:
             self.config.acc_bits,
             self.config.acc_rounding,
             FP32,
-            fast=self.fastpath,
         )
 
     def _check_mode(self, mode: MXUMode) -> None:
@@ -122,21 +112,3 @@ class TensorCoreMXU:
                 f"{self.config.name} has no hardware support for {mode.value}; "
                 f"supported: {sorted(m.value for m in self.config.modes)}"
             )
-
-    # Legacy reference pipeline (pre-fusion); kept callable so the fused
-    # path can be cross-validated bit-for-bit and benchmarked against it.
-    def _mma_legacy(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float, mode: MXUMode
-    ) -> np.ndarray:
-        products = lane_products(a, b, mode)["real"]
-        c_arr = np.broadcast_to(
-            quantize(np.asarray(c, dtype=np.float64), FP32), products.shape[:-1]
-        )[..., None]
-        addends = np.concatenate([products, c_arr], axis=-1)
-        wide = aligned_sum(
-            addends,
-            axis=-1,
-            acc_bits=self.config.acc_bits,
-            mode=self.config.acc_rounding,
-        )
-        return quantize(wide, FP32)

@@ -266,10 +266,6 @@ class FaultyM3XU:
         return self.unit.config
 
     @property
-    def fastpath(self) -> bool:
-        return getattr(self.unit, "fastpath", False)
-
-    @property
     def bitlevel(self) -> bool:
         """Whether the wrapped unit runs the bit-level datapath."""
         return bool(getattr(self.unit, "bitlevel", False))

@@ -1,10 +1,11 @@
 """Fused MMA accumulation and the float64 (BLAS) fast path.
 
-The legacy MMA pipeline materialised every multiplier-lane product into
-one ``(..., M, N, parts*K + 1)`` addends tensor (``np.concatenate``) and
-ran the full alignment machinery (``frexp``/``ldexp``/``rint``) over it on
-every K-chunk. This module replaces that with two coordinated pieces,
-both bit-identical to the legacy results:
+The reference MMA materialises every multiplier-lane product into one
+``(..., M, N, parts*K + 1)`` addends tensor
+(:func:`~repro.mxu.dataflow.lane_products`) and runs the full alignment
+machinery (:func:`~repro.arith.accumulator.aligned_sum`) over it. This
+module computes the same result with two coordinated pieces, both
+bit-identical to that reference:
 
 1. **Fused windowed accumulation** — lane products are reduced
    group-by-group into one preallocated int64 accumulator
@@ -31,12 +32,11 @@ at most one window-LSB ``2**(2 - acc_bits) * bound``, and float64
 summation of ``t*K + 1`` terms obeys the standard ``(n*u)``-style bound;
 both are inflated 4x for slack. The equivalence property suite
 (``tests/properties/test_fastpath_equivalence.py``) asserts bit-identity
-against the legacy implementation across modes and edge inputs.
+against the materialised reference across modes and edge inputs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,25 +48,15 @@ from ..types.rounding import RoundingMode
 from .modes import MXUMode, step_plan
 
 __all__ = [
-    "FASTPATH_ENV",
     "FAST_MIN_ACC_BITS",
-    "default_fastpath",
     "grouped_lane_products",
     "accumulate_mma",
 ]
-
-#: Environment switch: set ``REPRO_FASTPATH=0`` to force the legacy path.
-FASTPATH_ENV = "REPRO_FASTPATH"
 
 #: Narrower accumulation windows (the baseline Tensor Core's ~27 bits)
 #: round nearly every reduction, so the float64 proof almost never fires;
 #: below this width the fused windowed path is used unconditionally.
 FAST_MIN_ACC_BITS = 40
-
-
-def default_fastpath() -> bool:
-    """Fast path default: on unless ``REPRO_FASTPATH=0``."""
-    return os.environ.get(FASTPATH_ENV, "1").strip() != "0"
 
 
 def grouped_lane_products(
@@ -121,7 +111,7 @@ def _fallback_windowed(
     the lane products of just those (m, n) pairs are gathered as
     ``(n_selected, K)`` panels and reduced through the same grouped
     windowed accumulation as the full-tensor path (which is invariant to
-    element order), so each value is bit-identical to what the legacy
+    element order), so each value is bit-identical to what the
     full-tensor reduction produces for that element.
     """
     lead, mi, ni = idx[:-2], idx[-2], idx[-1]
@@ -213,7 +203,6 @@ def accumulate_mma(
     acc_bits: int | None,
     rounding: RoundingMode,
     out_fmt: FloatFormat,
-    fast: bool,
 ) -> np.ndarray:
     """One accumulator's MMA output, rounded into *out_fmt*.
 
@@ -229,9 +218,9 @@ def accumulate_mma(
     c_q:
         The C operand, already quantised to *out_fmt*.
     acc_bits / rounding:
-        Accumulation window; ``None`` selects the float64 wide path.
-    fast:
-        Enables the BLAS fast path where the window is wide enough.
+        Accumulation window; ``None`` selects the float64 wide path. The
+        BLAS fast path runs where the window is wide enough to prove it
+        (:data:`FAST_MIN_ACC_BITS`).
     """
     a0, b0 = terms[0][0], terms[0][1]
     out_shape = np.broadcast_shapes(a0.shape[:-2], b0.shape[:-2]) + (
@@ -239,8 +228,7 @@ def accumulate_mma(
         b0.shape[-1],
     )
     use_fast = (
-        fast
-        and acc_bits is not None
+        acc_bits is not None
         and acc_bits >= FAST_MIN_ACC_BITS
         and a0.shape[-1] >= 1
         and a0.shape[:-2] == b0.shape[:-2]  # fallback gather needs equal batches
@@ -253,8 +241,8 @@ def accumulate_mma(
     groups = grouped_lane_products(a_parts, b_parts, mode, accumulator)
     c_b = np.broadcast_to(c_q, out_shape)[..., None]
     if acc_bits is None:
-        # FP64-mode accumulation registers are FP64; keep the legacy plain
-        # float64 sum (bit-identical ordering included).
+        # FP64-mode accumulation registers are FP64: a plain float64 sum
+        # in fixed lane order.
         # repro: allow[XF503] this .sum() IS the FP64-mode reference
         # semantics: fixed left-to-right float64 accumulation, bit-identical
         # to the scalar oracle — the windowed integer path has no FP64 mode.

@@ -18,12 +18,8 @@ modes, all built on the same 12-bit-significand multiplier lanes:
 * ``FP64`` — the Section IV-C sketch: 4 steps over 27-bit operand slices.
 
 One MMA = exact lane products -> wide aligned accumulation (48-bit model)
--> single rounding into the output register format.
-
-Execution takes the fused fast path of :mod:`repro.mxu.fused` by default
-(bit-identical, dramatically faster); construct ``M3XU(fastpath=False)``
-or set ``REPRO_FASTPATH=0`` to force the legacy reference pipeline, which
-is kept callable for cross-validation and benchmarking.
+-> single rounding into the output register format, executed by the fused
+accumulation of :mod:`repro.mxu.fused` (BLAS where provably equivalent).
 """
 
 from __future__ import annotations
@@ -32,12 +28,11 @@ from typing import Mapping
 
 import numpy as np
 
-from ..arith.accumulator import aligned_sum
 from ..types.formats import FP32, FP64, FloatFormat
 from ..types.quantize import quantize
 from .config import M3XU_CONFIG, MXUConfig
-from .dataflow import lane_products, resolve_parts
-from .fused import accumulate_mma, default_fastpath
+from .dataflow import resolve_parts
+from .fused import accumulate_mma
 from .modes import MXUMode, step_plan
 
 __all__ = ["M3XU"]
@@ -52,17 +47,10 @@ class M3XU:
         Hardware configuration (non-pipelined M3XU by default; the
         pipelined variant is numerically identical and differs only in the
         performance/synthesis models).
-    fastpath:
-        Use the fused/BLAS execution path (bit-identical to the legacy
-        pipeline). ``None`` consults ``REPRO_FASTPATH`` (default on);
-        ``False`` pins this instance to the legacy reference pipeline.
     """
 
-    def __init__(
-        self, config: MXUConfig = M3XU_CONFIG, fastpath: bool | None = None
-    ) -> None:
+    def __init__(self, config: MXUConfig = M3XU_CONFIG) -> None:
         self.config = config
-        self.fastpath = default_fastpath() if fastpath is None else bool(fastpath)
 
     # ------------------------------------------------------------------
     def supported_modes(self) -> frozenset[MXUMode]:
@@ -99,10 +87,6 @@ class M3XU:
             b = np.asarray(b, dtype=np.float64)
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
-        if not self.fastpath:
-            if mode is MXUMode.FP32C:
-                return self._mma_complex_legacy(a, b, c)
-            return self._mma_real_legacy(a, b, c, mode)
         return self.mma_parts(
             a, b, resolve_parts(a, mode), resolve_parts(b, mode), c, mode
         )
@@ -178,7 +162,6 @@ class M3XU:
             acc_bits,
             self.config.acc_rounding,
             out_fmt,
-            fast=self.fastpath,
         )
 
     def _mma_complex_parts(
@@ -212,37 +195,5 @@ class M3XU:
                 self.config.acc_bits,
                 self.config.acc_rounding,
                 FP32,
-                fast=self.fastpath,
             )
-        return out["real"] + 1j * out["imag"]
-
-    # ------------------------------------------------------------------
-    # Legacy reference pipeline (pre-fusion); kept callable so the fast
-    # path can be cross-validated bit-for-bit and benchmarked against it.
-    # ------------------------------------------------------------------
-    def _mma_real_legacy(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float, mode: MXUMode
-    ) -> np.ndarray:
-        out_fmt = self.output_format(mode)
-        products = lane_products(a, b, mode)["real"]
-        c_q = quantize(np.asarray(c, dtype=np.float64), out_fmt)
-        c_arr = np.broadcast_to(c_q, products.shape[:-1])[..., None]
-        addends = np.concatenate([products, c_arr], axis=-1)
-        acc_bits = None if mode is MXUMode.FP64 else self.config.acc_bits
-        wide = aligned_sum(addends, axis=-1, acc_bits=acc_bits)
-        return quantize(wide, out_fmt)
-
-    def _mma_complex_legacy(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray | complex
-    ) -> np.ndarray:
-        grouped = lane_products(a, b, MXUMode.FP32C)
-        c_arr = np.asarray(c, dtype=np.complex128)
-        out = {}
-        for part, c_part in (("real", c_arr.real), ("imag", c_arr.imag)):
-            products = grouped[part]
-            c_q = quantize(np.asarray(c_part, dtype=np.float64), FP32)
-            c_full = np.broadcast_to(c_q, products.shape[:-1])[..., None]
-            addends = np.concatenate([products, c_full], axis=-1)
-            wide = aligned_sum(addends, axis=-1, acc_bits=self.config.acc_bits)
-            out[part] = quantize(wide, FP32)
         return out["real"] + 1j * out["imag"]

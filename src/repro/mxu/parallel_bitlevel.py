@@ -1,8 +1,7 @@
 """Sharded bit-level GEMM: the vector engine composed with the pool.
 
-The bit-level datapath (:mod:`repro.mxu.vectorized`) evaluates one MMA
-tile at a time; a GEMM is a chain of such tiles along K with an FP32
-rounding point between chunks (:mod:`repro.gemm.tiled`). Because every
+A bit-level GEMM is a chain of MMA tiles along K with an FP32 rounding
+point between chunks (:mod:`repro.gemm.tiled`). Because every
 output column's K-chain is independent of every other column's — the
 slot-order accumulation discipline never mixes columns — the GEMM can be
 sharded into column blocks and each block's *entire* K-chain evaluated
@@ -10,18 +9,21 @@ independently, in any order, on any worker, and the concatenated result
 is bit-identical to the serial driver. This module does exactly that:
 
 * :func:`sharded_bitlevel_gemm` splits the N dimension into blocks of
-  ``REPRO_BITLEVEL_CHUNK`` columns (default 64 — also the cache-blocking
+  :data:`DEFAULT_BITLEVEL_CHUNK` columns (64 — also the cache-blocking
   sweet spot for the vector engine's slot buffers) and dispatches the
-  blocks through :func:`repro.parallel.parallel_map`, so operands ride
-  the shared-memory transport above ``REPRO_SHM_MIN_BYTES`` and the
-  persistent fork-safe pool provides the workers;
+  blocks through :func:`repro.parallel.parallel_map`, so large operands
+  ride the shared-memory transport and the persistent fork-safe pool
+  provides the workers;
 * worker count follows ``REPRO_WORKERS`` (or the explicit argument);
   ``workers<=1`` — and any call made from *inside* a pool worker — runs
   the same block loop serially in-process, so nested calls can never
   deadlock the pool;
 * every worker count produces the same bits: blocks are column-disjoint,
-  results are reassembled in submission order, and the per-block chain
-  is the unmodified engine code.
+  results are reassembled in submission order, and each block's chain is
+  the engine's own whole-chain kernel
+  (:func:`~repro.mxu.vectorized.chained_vector_fp32` /
+  :func:`~repro.mxu.vectorized.chained_vector_fp32c`) or, on the scalar
+  engine, its per-MMA loop.
 
 **Operand split cache + arena.** The A operand is shared by every column
 block, so with the split cache enabled (``REPRO_SPLIT_CACHE``, default
@@ -43,8 +45,6 @@ boundary (those remain the K-chunk seams of the tiled driver).
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Any
 
 import numpy as np
@@ -71,60 +71,22 @@ from .split_cache import (
     resolve_split_cache,
 )
 from .vectorized import (
-    _ENGINES,
+    _SCALAR_MMA,
     chained_vector_fp32,
+    chained_vector_fp32c,
     fp32_lane_fields,
     resolve_bitlevel_engine,
 )
 
 __all__ = [
-    "BITLEVEL_CHUNK_ENV",
     "DEFAULT_BITLEVEL_CHUNK",
-    "resolve_bitlevel_chunk",
     "sharded_bitlevel_gemm",
 ]
 
-#: Environment variable overriding the column block size.
-BITLEVEL_CHUNK_ENV = "REPRO_BITLEVEL_CHUNK"
-
-#: Default output-column block size. 64 columns keeps the vector engine's
-#: slot buffers (m x 64 x 17 float32 + int16) inside L2 while leaving
-#: enough blocks per GEMM to feed several workers.
+#: Output-column block size of a parallel run. 64 columns keeps the vector
+#: engine's slot buffers (m x 64 x slots, float32 + int16) inside L2 while
+#: leaving enough blocks per GEMM to feed several workers.
 DEFAULT_BITLEVEL_CHUNK = 64
-
-
-def resolve_bitlevel_chunk(chunk: int | None = None) -> int:
-    """Effective column block size for sharded bit-level GEMMs.
-
-    Explicit ``chunk`` wins; otherwise ``REPRO_BITLEVEL_CHUNK`` is
-    consulted; otherwise :data:`DEFAULT_BITLEVEL_CHUNK`. An explicit
-    value below 1 is rejected (the block size only affects speed, never
-    bits, so there is no "disable" setting — use the serial engines
-    directly if sharding is unwanted); a malformed or out-of-range
-    *environment* value warns and falls back to the default, mirroring
-    ``REPRO_WORKERS``.
-    """
-    if chunk is None:
-        raw = os.environ.get(BITLEVEL_CHUNK_ENV)
-        if raw is not None:
-            try:
-                env_chunk = int(raw)
-            except ValueError:
-                env_chunk = None
-            if env_chunk is None or env_chunk < 1:
-                warnings.warn(
-                    f"{BITLEVEL_CHUNK_ENV}={raw!r} is not a positive integer; "
-                    f"using the default ({DEFAULT_BITLEVEL_CHUNK})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                chunk = env_chunk
-    if chunk is None:
-        return DEFAULT_BITLEVEL_CHUNK
-    if chunk < 1:
-        raise ValueError("bit-level column chunk must be >= 1")
-    return int(chunk)
 
 
 def _resolve_a_entry(a_entry: Any) -> tuple[np.ndarray | None, tuple | None]:
@@ -160,8 +122,6 @@ def _chain_columns(payload: tuple) -> np.ndarray:
     rounding = RoundingMode(rounding_value)
     a, a_fields = _resolve_a_entry(a_entry)
     if engine == "vector" and mode is MXUMode.FP32:
-        # Fault-free FP32 chains take the batched whole-chain kernel
-        # (bit-identical to the per-MMA loop below; property-tested).
         return chained_vector_fp32(
             a,
             b_cols,
@@ -173,7 +133,12 @@ def _chain_columns(payload: tuple) -> np.ndarray:
         )
     if a is None:  # pragma: no cover - dispatcher never pairs these
         raise ValueError(f"engine {engine!r}/{mode.value} needs a dense A operand")
-    fn = _ENGINES[engine][mode]
+    if engine == "vector":
+        return chained_vector_fp32c(
+            a, b_cols, c_cols, k_chunk=k_chunk, acc_bits=acc_bits, rounding=rounding
+        )
+    # The scalar oracle runs the per-MMA chain it defines.
+    fn = _SCALAR_MMA[mode]
     acc = c_cols
     for k0 in range(0, a.shape[1], k_chunk):
         acc = fn(
@@ -263,8 +228,9 @@ def sharded_bitlevel_gemm(
         Worker count (defaults to ``REPRO_WORKERS``); ``<=1`` runs the
         block loop serially in-process.
     chunk:
-        Output-column block size (defaults to ``REPRO_BITLEVEL_CHUNK``) —
-        a pure performance knob, never a rounding boundary.
+        Output-column block size of a parallel run (defaults to
+        :data:`DEFAULT_BITLEVEL_CHUNK`) — a pure performance knob, never
+        a rounding boundary.
     """
     if mode not in (MXUMode.FP32, MXUMode.FP32C):
         raise ValueError(f"bit-level engines model fp32/fp32c only, not {mode.value}")
@@ -275,6 +241,8 @@ def sharded_bitlevel_gemm(
     step = int(k_chunk) if k_chunk is not None else M3XU_CONFIG.tile(mode).k
     if step < 1:
         raise ValueError("k_chunk must be >= 1")
+    if chunk is not None and chunk < 1:
+        raise ValueError("bit-level column chunk must be >= 1")
 
     if mode is MXUMode.FP32C:
         a64 = np.asarray(a, dtype=np.complex128)
@@ -316,7 +284,7 @@ def sharded_bitlevel_gemm(
     # Column blocks are the *parallel* grain; a serial run hands the whole
     # width to one chain so the kernel's internal cache blocking sets the
     # pace (bit-identical either way — columns never interact).
-    blk = n if resolve_workers(workers) <= 1 else resolve_bitlevel_chunk(chunk)
+    blk = n if resolve_workers(workers) <= 1 else int(chunk or DEFAULT_BITLEVEL_CHUNK)
 
     a_entry: Any
     handle: ArenaHandle | None = None

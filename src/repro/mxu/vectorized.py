@@ -15,10 +15,10 @@ tiles, bit-identically:
   single elementwise *float32* product over the ``(M, N, K)`` tile
   (exact: the pre-signed slices carry at most 12 bits each), written
   straight into a strided column view of one preallocated ``(M, N,
-  slots+1)`` buffer ordered exactly as the scalar loop visits the slots
-  (k-major, lane-minor; the last column holds the C operand).
-* **Shifted 48-bit accumulation** (Fig. 3b) — the packed slot sequence
-  feeds :func:`~repro.arith.accumulator.segmented_windowed_sum_f32`, the
+  slots)`` buffer ordered exactly as the scalar loop visits the slots
+  (k-major, lane-minor).
+* **Shifted 48-bit accumulation** (Fig. 3b) — the packed product slots
+  feed :func:`~repro.arith.accumulator.segmented_windowed_sum_f32`, the
   segmented exact reformulation of the
   :class:`~repro.mxu.bitlevel.BitAccumulator` discipline (masked-cummax
   anchor trajectory, exact per-segment sums via a float64 ``reduceat``,
@@ -31,11 +31,16 @@ tiles, bit-identically:
   reused for this: it rounds each addend against the final anchor, which
   diverges from the sequential discipline once the exponent span exceeds
   the 48-bit window, and the acceptance bar here is strict bit-identity
-  with the scalar oracle.
-* **Complex sign flips** (Eq. 9) — the imag*imag subtraction is a sign
-  mask XORed onto the product-sign tensor of the real accumulator.
+  with the scalar oracle. The C operand is the last slot of every MMA,
+  so it is folded in afterwards, one ``(M, N)`` plane per chunk
+  (:func:`_chain_c_merge`).
+* **Complex sign flips** (Eq. 9) — the imag*imag subtraction negates the
+  B-side slices of that pairing in the real accumulator.
 
-Engine selection: ``REPRO_BITLEVEL=vector`` (default) or ``scalar``
+The vector engine is one kernel per mode — :func:`chained_vector_fp32`
+and :func:`chained_vector_fp32c` — evaluating a whole K-chain of MMAs;
+a single MMA is the one-chunk chain. Engine selection:
+``REPRO_BITLEVEL=vector`` (default) or ``scalar``
 (:func:`resolve_bitlevel_engine`); the scalar functions here walk the
 same slot ordering through :class:`~repro.mxu.bitlevel.BitAccumulator`
 and are retained as the oracle the property suite compares against.
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -77,9 +82,8 @@ __all__ = [
     "product_slot_count",
     "PRODUCT_BITS",
     "fp32_lane_fields",
-    "vector_mma_fp32",
-    "vector_mma_fp32c",
     "chained_vector_fp32",
+    "chained_vector_fp32c",
     "scalar_mma_fp32",
     "scalar_mma_fp32c",
     "BitLevelMXU",
@@ -124,6 +128,15 @@ _COMPONENT_SCHEDULE = (
 
 _LANES_PER_PAIR = len(_LANE_SCHEDULE)  # product slots per (a, b) element pair
 PRODUCT_BITS = 24  # a 12x12-bit multiplier lane result
+
+#: One operand's multiplier-lane fields ``(hi, lo, exp)`` (:func:`fp32_lane_fields`).
+LaneFields = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: The chained kernel's batching: output columns x chunks per product
+#: reduction, sized to keep the slot buffers cache-resident. Neither
+#: changes a bit.
+_CHAIN_BLOCK = 64
+_CHAIN_GROUP = 2
 
 
 def resolve_bitlevel_engine(engine: str | None = None) -> str:
@@ -264,10 +277,10 @@ def _require_tile(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
 def _alloc_slots(m: int, n: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Preallocated packed ``(signed sig, lsb)`` slot buffers.
 
-    One ``(M, N, slots+1)`` allocation per tensor — the product lanes are
-    written straight into strided column views and the C operand into the
-    last column, so no ``stack``/``concatenate`` copies the slot tensors
-    a second time. Significands are *signed float32*: a 12x12-bit lane
+    One ``(M, N, slots)`` allocation per tensor — the product lanes are
+    written straight into strided column views, so no
+    ``stack``/``concatenate`` copies the slot tensors a second time.
+    Significands are *signed float32*: a 12x12-bit lane
     product is at most 24 bits, which float32 carries exactly together
     with its sign (the sign of an IEEE product is the XOR of the operand
     signs even for zeros, so no separate sign tensor is needed), and the
@@ -281,19 +294,23 @@ def _alloc_slots(m: int, n: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signed_parts(
-    sign: np.ndarray, hi: np.ndarray, lo: np.ndarray, negate: int = 0
+    sign: np.ndarray, hi: np.ndarray, lo: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The 12-bit slices as sign-carrying float32 (exact: < 2**12)."""
-    factor = np.int64(1) - (np.int64(2) * (sign ^ np.int64(negate)))
-    return (
-        (hi * factor).astype(np.float32),  # repro: allow[PS105]
-        (lo * factor).astype(np.float32),  # repro: allow[PS105]
-    )
+    """The 12-bit slices as float32 carrying the operand's sign (exact:
+    < 2**12). The sign bit is set even on a zero slice (``-0.0``), so
+    every lane product, zero or not, carries the sign the scalar datapath
+    gives it (the XOR of the operand signs) — the sign a product-stage
+    fault flipping a bit into a zero product must see."""
+    sign_bit = (sign << _FIELD_SHIFT_SIGN).astype(np.uint32)
+    hi32 = np.asarray(hi.astype(np.float32))  # repro: allow[PS105]
+    lo32 = np.asarray(lo.astype(np.float32))  # repro: allow[PS105]
+    for part in (hi32, lo32):
+        bits = part.view(np.uint32)
+        np.bitwise_or(bits, sign_bit, out=bits)
+    return hi32, lo32
 
 
-def fp32_lane_fields(
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fp32_lane_fields(x: np.ndarray) -> LaneFields:
     """One operand's multiplier-lane fields: ``(hi, lo, exp)``.
 
     ``hi``/``lo`` are the pre-signed float32 12-bit slices
@@ -311,8 +328,8 @@ def fp32_lane_fields(
 def _fill_lane_slots(
     sig: np.ndarray,
     lsb: np.ndarray,
-    a_fields: tuple[np.ndarray, np.ndarray, np.ndarray],
-    b_fields: tuple[np.ndarray, np.ndarray, np.ndarray],
+    a_fields: LaneFields,
+    b_fields: LaneFields,
     base: int,
     stride: int,
     negate: int = 0,
@@ -345,13 +362,6 @@ def _fill_lane_slots(
         np.add(pair_exp, np.int16(shift - 46), out=lsb[:, :, col])
 
 
-def _packed_c_slot(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The C operand as one packed slot: (signed float32 sig, LSB exp)."""
-    cs, csig, clsb = _c_slot(c)
-    packed = np.where(cs != 0, -csig, csig).astype(np.float32)  # repro: allow[PS105]
-    return packed, clsb.astype(np.int16)
-
-
 def _flip_product_bit(sig: np.ndarray, element: tuple[int, int], slot: int, bit: int) -> None:
     """XOR one bit of a packed slot's 24-bit product significand."""
     em, en = element
@@ -381,46 +391,6 @@ def _windowed_sum_packed(
         acc_bits=acc_bits,
         mode=rounding,
     )
-
-
-def vector_mma_fp32(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray | float = 0.0,
-    *,
-    acc_bits: int = 48,
-    rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
-    product_fault: ProductFault | None = None,
-) -> np.ndarray:
-    """One FP32 MMA tile through the vectorized bit-level datapath.
-
-    Bit-identical to running :func:`~repro.mxu.bitlevel.bit_level_fp32_dot`
-    per output element (asserted by the property suite). Operands must be
-    finite FP32-representable float64 arrays: A ``(M, K)``, B ``(K, N)``,
-    C scalar or ``(M, N)``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m_dim, k_dim, n_dim = _require_tile(a, b)
-    slots = _LANES_PER_PAIR * k_dim
-    sig, lsb = _alloc_slots(m_dim, n_dim, slots + 1)
-    _fill_lane_slots(
-        sig, lsb, fp32_lane_fields(a), fp32_lane_fields(b),
-        base=0, stride=_LANES_PER_PAIR,
-    )
-    if product_fault is not None:
-        _check_fault(product_fault, slots, (m_dim, n_dim))
-        _flip_product_bit(
-            sig, product_fault.element, product_fault.slot, product_fault.bit
-        )
-
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), (m_dim, n_dim))
-    csig, clsb = _packed_c_slot(c_arr)
-    sig[..., slots] = csig
-    lsb[..., slots] = clsb
-
-    value, window_lsb = _windowed_sum_packed(sig, lsb, acc_bits, rounding)
-    return int_window_to_float(value, window_lsb, FP32)
 
 
 def _chain_c_merge(
@@ -484,6 +454,113 @@ def _chain_c_merge(
     return int_window_to_float(value, window, FP32)
 
 
+def _k_window(
+    fields: LaneFields, k0: int, k1: int, pad: int, axis: int
+) -> LaneFields:
+    """Lane fields of the K range ``[k0, k1)``, zero-padded by *pad* along K.
+
+    *axis* is the K axis (1 for A fields, 0 for B fields). Zero products
+    are non-events in the window discipline, so a chunk padded to full
+    width is bit-identical to the short one; a zero's fields are
+    ``hi = lo = 0`` with effective exponent -126.
+    """
+    window = (slice(None), slice(k0, k1)) if axis == 1 else (slice(k0, k1), slice(None))
+    hi, lo, exp = (f[window] for f in fields)
+    if pad:
+        width = ((0, 0), (0, pad)) if axis == 1 else ((0, pad), (0, 0))
+        hi, lo = np.pad(hi, width), np.pad(lo, width)
+        exp = np.pad(exp, width, constant_values=-126)
+    return hi, lo, exp
+
+
+def _chain_partials(
+    a_comps: Sequence[LaneFields],
+    b_comps: Sequence[np.ndarray],
+    registers: Sequence[Sequence[tuple[int, int, int]]],
+    faults: Sequence[ProductFault | None],
+    k_chunk: int,
+    acc_bits: int,
+    rounding: RoundingMode,
+    block: int,
+    group: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every chunk's product-slot reduction, per accumulation register.
+
+    *a_comps* are the A operand components' lane fields over the whole K
+    range, *b_comps* the dense B components ``(K, N)``. Each register is a
+    list of ``(A component, B component, negate)`` pairings; they fill the
+    register's slot buffer at stride ``4 * len(pairings)`` — k-major, then
+    pairing, then lane, the scalar loop's visit order. *faults* holds each
+    register's product fault in register-local slot numbering; it is
+    flipped in the buffer of the column block and chunk group that hold
+    that slot. Returns, per register, the ``(value, anchor)`` int64 arrays
+    of shape ``(chunks, M, N)``: each chunk's windowed product sum and its
+    final anchor (``_ANCHOR_SENTINEL`` where all products were zero).
+    """
+    m_dim, k_total = a_comps[0][0].shape
+    n_dim = b_comps[0].shape[1]
+    n_chunks = -(-k_total // k_chunk)
+    # Chunk-major layout: the sequential merge loop walks whole (M, N)
+    # planes, so keep each plane contiguous.
+    out = [
+        (
+            np.empty((n_chunks, m_dim, n_dim), dtype=np.int64),
+            np.empty((n_chunks, m_dim, n_dim), dtype=np.int64),
+        )
+        for _ in registers
+    ]
+    for j0 in range(0, n_dim, block):
+        j1 = min(n_dim, j0 + block)
+        b_fields = [fp32_lane_fields(np.ascontiguousarray(x[:, j0:j1])) for x in b_comps]
+        for g0 in range(0, n_chunks, group):
+            n_g = min(group, n_chunks - g0)
+            kg0 = g0 * k_chunk
+            kg1 = min(k_total, (g0 + n_g) * k_chunk)
+            pad = n_g * k_chunk - (kg1 - kg0)
+            af_g = [_k_window(f, kg0, kg1, pad, axis=1) for f in a_comps]
+            bf_g = [_k_window(f, kg0, kg1, pad, axis=0) for f in b_fields]
+            for pairings, fault, (value_p, anchor_p) in zip(registers, faults, out):
+                stride = _LANES_PER_PAIR * len(pairings)
+                spc = stride * k_chunk  # product slots per chunk
+                sig, lsb = _alloc_slots(m_dim, j1 - j0, n_g * spc)
+                for i, (ia, ib, negate) in enumerate(pairings):
+                    _fill_lane_slots(
+                        sig, lsb, af_g[ia], bf_g[ib],
+                        base=i * _LANES_PER_PAIR, stride=stride, negate=negate,
+                    )
+                if fault is not None:
+                    col = fault.slot - kg0 * stride
+                    em, en = fault.element
+                    if 0 <= col < (kg1 - kg0) * stride and j0 <= en < j1:
+                        _flip_product_bit(sig, (em, en - j0), col, fault.bit)
+                vp, wp = _windowed_sum_packed(
+                    sig.reshape(m_dim, j1 - j0, n_g, spc),
+                    lsb.reshape(m_dim, j1 - j0, n_g, spc),
+                    acc_bits,
+                    rounding,
+                )
+                value_p[g0 : g0 + n_g, :, j0:j1] = vp.transpose(2, 0, 1)
+                # The f32 kernel's sentinel window maps back to the sentinel
+                # anchor exactly, so this recovers the product anchors.
+                anchor_p[g0 : g0 + n_g, :, j0:j1] = wp.transpose(2, 0, 1) + (acc_bits - 1)
+    return out
+
+
+def _chain_merge(
+    value_p: np.ndarray,
+    anchor_p: np.ndarray,
+    c: np.ndarray,
+    acc_bits: int,
+    rounding: RoundingMode,
+) -> np.ndarray:
+    """One register's sequential chain: fold C into chunk 0, round to FP32,
+    feed the result to chunk 1 as its C, and so on."""
+    acc = c
+    for j in range(value_p.shape[0]):
+        acc = _chain_c_merge(value_p[j], anchor_p[j], acc, acc_bits, rounding)
+    return acc
+
+
 def chained_vector_fp32(
     a: np.ndarray | None,
     b: np.ndarray,
@@ -492,13 +569,14 @@ def chained_vector_fp32(
     k_chunk: int = 4,
     acc_bits: int = 48,
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
-    block: int = 64,
-    group: int = 2,
-    a_fields: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    block: int = _CHAIN_BLOCK,
+    group: int = _CHAIN_GROUP,
+    a_fields: LaneFields | None = None,
+    product_fault: ProductFault | None = None,
 ) -> np.ndarray:
     """A whole FP32 K-chain of MMAs with one batched product reduction.
 
-    Bit-identical to chaining :func:`vector_mma_fp32` ``k_chunk`` columns
+    Bit-identical to chaining :func:`scalar_mma_fp32` ``k_chunk`` columns
     at a time (the property suite asserts it), but restructured around
     the observation that the C operand is the *last* slot of every
     chunk's accumulation order: the 16 product slots of a chunk depend
@@ -509,20 +587,18 @@ def chained_vector_fp32(
     chain (fold in C, round to FP32, feed the next chunk) touches one
     full-width ``(M, N)`` slot per chunk (:func:`_chain_c_merge`)
     instead of re-reducing all ``4*k_chunk + 1`` slots. ``block`` and
-    ``group`` are pure performance knobs; no setting changes a bit.
+    ``group`` are pure performance knobs; no setting changes a bit. A
+    single MMA is the one-chunk chain ``k_chunk = K``.
 
     The operand split that feeds the multiplier lanes is derived *once*
     per whole operand — A up front (or taken precomputed from
     ``a_fields``, the split cache's artefact, in which case ``a`` may be
     ``None``), B once per column block — and sliced per chunk group.
-    Splitting commutes with slicing elementwise, and a ragged tail's
-    zero-padding maps to field padding of ``hi = lo = 0``, ``exp =
-    -126`` — exactly what splitting a zero yields — so this is
-    bit-identical to splitting each group slice, which is what the
-    per-MMA path does.
+    Splitting commutes with slicing elementwise, so this is bit-identical
+    to splitting each chunk's slice.
 
-    No fault hook: campaign runs inject into per-MMA calls, which is why
-    the sharded driver only routes fault-free chains here.
+    ``product_fault`` flips one bit of one multiplier-lane product,
+    addressed by its slot over the whole chain (``k*4 + lane``).
     """
     if k_chunk < 1:
         raise ValueError("k_chunk must be >= 1")
@@ -543,101 +619,17 @@ def chained_vector_fp32(
                 f"K mismatch: A fields ({m_dim}, {k_total}) @ B{b.shape}"
             )
     c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), (m_dim, n_dim))
+    if product_fault is not None:
+        _check_fault(
+            product_fault, product_slot_count(MXUMode.FP32, k_total), (m_dim, n_dim)
+        )
     if k_total == 0 or n_dim == 0 or m_dim == 0:
         return c_arr.copy()
-    block = max(int(block), 1)
-    group = max(int(group), 1)
-    spc = _LANES_PER_PAIR * k_chunk  # product slots per chunk
-    n_chunks = -(-k_total // k_chunk)
-    # Chunk-major layout: the sequential merge loop walks whole (M, N)
-    # planes, so keep each plane contiguous.
-    value_p = np.empty((n_chunks, m_dim, n_dim), dtype=np.int64)
-    anchor_p = np.empty((n_chunks, m_dim, n_dim), dtype=np.int64)
-    for j0 in range(0, n_dim, block):
-        j1 = min(n_dim, j0 + block)
-        b_fields = fp32_lane_fields(np.ascontiguousarray(b[:, j0:j1]))
-        for g0 in range(0, n_chunks, group):
-            n_g = min(group, n_chunks - g0)
-            kg0 = g0 * k_chunk
-            kg1 = min(k_total, (g0 + n_g) * k_chunk)
-            af_g = tuple(f[:, kg0:kg1] for f in a_fields)
-            bf_g = tuple(f[kg0:kg1, :] for f in b_fields)
-            if kg1 - kg0 < n_g * k_chunk:
-                # Ragged tail: zero-pad to a whole chunk. Zero products
-                # are non-events in the window discipline, so a padded
-                # chunk is bit-identical to the short one; a zero's
-                # fields are hi = lo = 0 with effective exponent -126.
-                pad = n_g * k_chunk - (kg1 - kg0)
-                af_g = (
-                    np.pad(af_g[0], ((0, 0), (0, pad))),
-                    np.pad(af_g[1], ((0, 0), (0, pad))),
-                    np.pad(af_g[2], ((0, 0), (0, pad)), constant_values=-126),
-                )
-                bf_g = (
-                    np.pad(bf_g[0], ((0, pad), (0, 0))),
-                    np.pad(bf_g[1], ((0, pad), (0, 0))),
-                    np.pad(bf_g[2], ((0, pad), (0, 0)), constant_values=-126),
-                )
-            sig, lsb = _alloc_slots(m_dim, j1 - j0, n_g * spc)
-            _fill_lane_slots(sig, lsb, af_g, bf_g, base=0, stride=_LANES_PER_PAIR)
-            vp, wp = _windowed_sum_packed(
-                sig.reshape(m_dim, j1 - j0, n_g, spc),
-                lsb.reshape(m_dim, j1 - j0, n_g, spc),
-                acc_bits,
-                rounding,
-            )
-            value_p[g0 : g0 + n_g, :, j0:j1] = vp.transpose(2, 0, 1)
-            # The f32 kernel's sentinel window maps back to the sentinel
-            # anchor exactly, so this recovers the product anchors.
-            anchor_p[g0 : g0 + n_g, :, j0:j1] = wp.transpose(2, 0, 1) + (acc_bits - 1)
-    acc = c_arr
-    for j in range(n_chunks):
-        acc = _chain_c_merge(value_p[j], anchor_p[j], acc, acc_bits, rounding)
-    return acc
-
-
-def _fp32c_component_slots(
-    a: np.ndarray,
-    b: np.ndarray,
-    accumulator: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slot buffers ``(M, N, 8K + 1)`` for one FP32C accumulation register.
-
-    Columns 0..8K-1 hold the register's product slots in k-major,
-    component, lane order — the exact subsequence this register sees in
-    the scalar loop — written through strided views (stride 8, component
-    base 0 or 4); the final column is left for the C operand.
-    """
-    # Fields per component are derived once and shared by both pairings
-    # that consume them (each component feeds two of the four products).
-    comps = {
-        "real": (
-            fp32_lane_fields(np.ascontiguousarray(a.real)),
-            fp32_lane_fields(np.ascontiguousarray(b.real)),
-        ),
-        "imag": (
-            fp32_lane_fields(np.ascontiguousarray(a.imag)),
-            fp32_lane_fields(np.ascontiguousarray(b.imag)),
-        ),
-    }
-    m_dim, k_dim, n_dim = a.shape[0], a.shape[1], b.shape[1]
-    stride = 2 * _LANES_PER_PAIR
-    sig, lsb = _alloc_slots(m_dim, n_dim, stride * k_dim + 1)
-    local = 0
-    for ca, cb, negate, acc in _COMPONENT_SCHEDULE:
-        if acc != accumulator:
-            continue
-        _fill_lane_slots(
-            sig,
-            lsb,
-            comps[ca][0],
-            comps[cb][1],
-            base=local * _LANES_PER_PAIR,
-            stride=stride,
-            negate=negate,
-        )
-        local += 1
-    return sig, lsb
+    ((value_p, anchor_p),) = _chain_partials(
+        [a_fields], [b], [[(0, 0, 0)]], [product_fault],
+        k_chunk, acc_bits, rounding, max(int(block), 1), max(int(group), 1),
+    )
+    return _chain_merge(value_p, anchor_p, c_arr, acc_bits, rounding)
 
 
 def _fp32c_local_fault(
@@ -655,50 +647,67 @@ def _fp32c_local_fault(
     return ProductFault(slot=local, element=fault.element, bit=fault.bit)
 
 
-def vector_mma_fp32c(
+def chained_vector_fp32c(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray | complex = 0.0,
     *,
+    k_chunk: int = 2,
     acc_bits: int = 48,
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
     product_fault: ProductFault | None = None,
 ) -> np.ndarray:
-    """One FP32C MMA tile through the vectorized bit-level datapath.
+    """A whole FP32C K-chain of MMAs (Fig. 3(c)) through the chained kernel.
 
-    Fig. 3(c)'s 4-step schedule with the imag*imag sign flip as a mask;
-    bit-identical per element to
-    :func:`~repro.mxu.bitlevel.bit_level_fp32c_dot`.
+    Bit-identical to chaining :func:`scalar_mma_fp32c` ``k_chunk`` columns
+    at a time (the default, 2, is the M3XU FP32C instruction K). Each
+    accumulation register runs the
+    :func:`chained_vector_fp32` pipeline over its two component pairings
+    — rr and the sign-flipped ii for the real register, ri and ir for the
+    imaginary one — interleaved at stride 8 as the scalar loop visits
+    them, then folds its own C component chunk by chunk.
+    ``product_fault`` addresses the global FP32C slot (``k*16 +
+    component*4 + lane``).
     """
+    if k_chunk < 1:
+        raise ValueError("k_chunk must be >= 1")
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    m_dim, k_dim, n_dim = _require_tile(a, b)
+    m_dim, k_total, n_dim = _require_tile(a, b)
+    c_arr = np.broadcast_to(np.asarray(c, dtype=np.complex128), (m_dim, n_dim))
     if product_fault is not None:
         _check_fault(
-            product_fault,
-            product_slot_count(MXUMode.FP32C, k_dim),
-            (m_dim, n_dim),
+            product_fault, product_slot_count(MXUMode.FP32C, k_total), (m_dim, n_dim)
         )
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.complex128), (m_dim, n_dim))
-
-    out = {}
-    slots = 2 * _LANES_PER_PAIR * k_dim
-    for accumulator, c_part in (("real", c_arr.real), ("imag", c_arr.imag)):
-        sig, lsb = _fp32c_component_slots(a, b, accumulator)
-        if product_fault is not None:
-            local = _fp32c_local_fault(product_fault, accumulator)
-            if local is not None:
-                _flip_product_bit(sig, local.element, local.slot, local.bit)
-        csig, clsb = _packed_c_slot(np.ascontiguousarray(c_part))
-        sig[..., slots] = csig
-        lsb[..., slots] = clsb
-        value, window_lsb = _windowed_sum_packed(sig, lsb, acc_bits, rounding)
-        out[accumulator] = int_window_to_float(value, window_lsb, FP32)
+    if k_total == 0 or n_dim == 0 or m_dim == 0:
+        return c_arr.copy()
+    component = {"real": 0, "imag": 1}
+    registers = [
+        [
+            (component[ca], component[cb], negate)
+            for ca, cb, negate, reg in _COMPONENT_SCHEDULE
+            if reg == accumulator
+        ]
+        for accumulator in ("real", "imag")
+    ]
+    faults = [
+        None if product_fault is None else _fp32c_local_fault(product_fault, accumulator)
+        for accumulator in ("real", "imag")
+    ]
+    (re_v, re_a), (im_v, im_a) = _chain_partials(
+        [
+            fp32_lane_fields(np.ascontiguousarray(a.real)),
+            fp32_lane_fields(np.ascontiguousarray(a.imag)),
+        ],
+        [b.real, b.imag],
+        registers, faults,
+        k_chunk, acc_bits, rounding, _CHAIN_BLOCK, _CHAIN_GROUP,
+    )
     # Component-wise assembly: ``re + 1j*im`` would turn an overflowed
     # ±inf register into NaN via the complex multiply's 0*inf terms.
-    result = np.empty(out["real"].shape, dtype=np.complex128)
-    result.real = out["real"]
-    result.imag = out["imag"]
+    result = np.empty((m_dim, n_dim), dtype=np.complex128)
+    result.real = _chain_merge(re_v, re_a, c_arr.real, acc_bits, rounding)
+    result.imag = _chain_merge(im_v, im_a, c_arr.imag, acc_bits, rounding)
     return result
 
 
@@ -836,10 +845,7 @@ def scalar_mma_fp32c(
 # The MXU-shaped wrapper
 # ---------------------------------------------------------------------------
 
-_ENGINES = {
-    "vector": {MXUMode.FP32: vector_mma_fp32, MXUMode.FP32C: vector_mma_fp32c},
-    "scalar": {MXUMode.FP32: scalar_mma_fp32, MXUMode.FP32C: scalar_mma_fp32c},
-}
+_SCALAR_MMA = {MXUMode.FP32: scalar_mma_fp32, MXUMode.FP32C: scalar_mma_fp32c}
 
 
 class BitLevelMXU:
@@ -856,8 +862,6 @@ class BitLevelMXU:
 
     #: Marks bit-level capability for drivers and fault injectors.
     bitlevel = True
-    #: Never takes the BLAS shortcut; attribute kept for driver parity.
-    fastpath = False
 
     def __init__(
         self,
@@ -892,27 +896,13 @@ class BitLevelMXU:
         *,
         product_fault: ProductFault | None = None,
     ) -> np.ndarray:
-        if mode not in self.supported_modes():
-            raise ValueError(
-                f"bit-level engines model fp32/fp32c only, not {mode.value}"
-            )
         if mode is MXUMode.FP32C:
             aq = quantize_complex(np.asarray(a, dtype=np.complex128), FP32)
             bq = quantize_complex(np.asarray(b, dtype=np.complex128), FP32)
-            cq = quantize_complex(np.asarray(c, dtype=np.complex128), FP32)
         else:
             aq = quantize(np.asarray(a, dtype=np.float64), FP32)
             bq = quantize(np.asarray(b, dtype=np.float64), FP32)
-            cq = quantize(np.asarray(c, dtype=np.float64), FP32)
-        fn = _ENGINES[self.engine][mode]
-        return fn(
-            aq,
-            bq,
-            cq,
-            acc_bits=self.acc_bits,
-            rounding=self.rounding,
-            product_fault=product_fault,
-        )
+        return self.mma_parts(aq, bq, {}, {}, c, mode, product_fault=product_fault)
 
     def mma_parts(
         self,
@@ -926,30 +916,44 @@ class BitLevelMXU:
         c_quantized: bool = False,
         product_fault: ProductFault | None = None,
     ) -> np.ndarray:
-        """Plan-driven entry: dense slices are used, value parts ignored."""
+        """Plan-driven entry: dense slices are used, value parts ignored.
+
+        Runs the scalar oracle, or the chained vector kernel as the
+        one-chunk chain ``k_chunk = K``.
+        """
         if mode not in self.supported_modes():
             raise ValueError(
                 f"bit-level engines model fp32/fp32c only, not {mode.value}"
             )
         if mode is MXUMode.FP32C:
-            cq = (
-                np.asarray(c, dtype=np.complex128)
-                if c_quantized
-                else quantize_complex(np.asarray(c, dtype=np.complex128), FP32)
-            )
+            cq = np.asarray(c, dtype=np.complex128)
+            cq = cq if c_quantized else quantize_complex(cq, FP32)
         else:
-            cq = (
-                np.asarray(c, dtype=np.float64)
-                if c_quantized
-                else quantize(np.asarray(c, dtype=np.float64), FP32)
+            cq = np.asarray(c, dtype=np.float64)
+            cq = cq if c_quantized else quantize(cq, FP32)
+        a, b = np.asarray(a), np.asarray(b)
+        if self.engine == "scalar":
+            return _SCALAR_MMA[mode](
+                a, b, cq, acc_bits=self.acc_bits, rounding=self.rounding,
+                product_fault=product_fault,
             )
-        fn = _ENGINES[self.engine][mode]
-        return fn(
-            np.asarray(a),
-            np.asarray(b),
-            cq,
-            acc_bits=self.acc_bits,
-            rounding=self.rounding,
+        if a.ndim == 2 and b.ndim == 2 and a.shape[1] == 0 == b.shape[0]:
+            # An MMA over no products still rounds C through the window,
+            # whereas a chain of no MMAs returns C untouched: feed one
+            # zero product per element (a non-event) instead. That padded
+            # product is no slot a fault may name.
+            if product_fault is not None:
+                _check_fault(product_fault, 0, (a.shape[0], b.shape[1]))
+            a = np.zeros((a.shape[0], 1), dtype=a.dtype)
+            b = np.zeros((1, b.shape[1]), dtype=b.dtype)
+        k = max(a.shape[-1], 1)
+        if mode is MXUMode.FP32C:
+            return chained_vector_fp32c(
+                a, b, cq, k_chunk=k, acc_bits=self.acc_bits, rounding=self.rounding,
+                product_fault=product_fault,
+            )
+        return chained_vector_fp32(
+            a, b, cq, k_chunk=k, acc_bits=self.acc_bits, rounding=self.rounding,
             product_fault=product_fault,
         )
 

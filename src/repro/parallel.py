@@ -1,4 +1,4 @@
-"""Process-based parallel execution engine for the functional models (v2).
+"""Process-based parallel execution engine for the functional models.
 
 The emulation workloads are embarrassingly parallel at three natural
 grains: independent matrices of a batched GEMM, independent GEMM
@@ -19,8 +19,8 @@ relies on:
   callers that do not pass an explicit worker count (``0`` or a negative
   value selects ``os.cpu_count()``).
 
-Engine v2 adds two throughput features on top of that contract, neither
-of which changes a single output bit:
+Two throughput features sit on top of that contract, neither of which
+changes a single output bit:
 
 **Persistent worker pool.** The executor is created lazily on the first
 parallel call and reused by every subsequent one, so batched GEMM loops,
@@ -28,14 +28,12 @@ parallel call and reused by every subsequent one, so batched GEMM loops,
 per call. :func:`shutdown` releases it explicitly (also registered with
 ``atexit``); a process that forks after the pool exists gets a fresh pool
 of its own on first use (the inherited handle owns no worker processes).
-``parallel_map(..., fresh_pool=True)`` restores the v1 pool-per-call
-behaviour — kept for benchmarking the difference. Inside a pool worker,
-:func:`parallel_map` always runs serially: the grains nest (``run_all``
-dispatches accuracy studies that are themselves parallel callers), and
-one level of process fan-out is all a machine has cores for.
+Inside a pool worker, :func:`parallel_map` always runs serially: the
+grains nest (``run_all`` dispatches accuracy studies that are themselves
+parallel callers), and one level of process fan-out is all a machine has
+cores for.
 
-**Zero-copy operand transfer.** ndarrays at or above
-:data:`SHM_MIN_BYTES` (override: ``REPRO_SHM_MIN_BYTES``; ``0`` disables)
+**Zero-copy operand transfer.** ndarrays of at least :data:`SHM_MIN_BYTES`
 inside a work item are shipped through POSIX shared memory instead of
 being pickled through the result pipes: the parent copies each array into
 a :class:`multiprocessing.shared_memory.SharedMemory` segment once, the
@@ -43,7 +41,7 @@ worker maps it and hands ``fn`` an ndarray view of identical bytes. Small
 payloads keep the plain pickle path. Values are byte-for-byte what the
 serial path sees, so results remain bit-identical.
 
-**Resilient execution (v3).** ``parallel_map`` optionally runs under a
+**Resilient execution.** ``parallel_map`` optionally runs under a
 :class:`~repro.resilience.failures.RetryPolicy`: a per-task wall-clock
 ``timeout`` (hung workers are terminated and the pool respawned), bounded
 ``retries`` with exponential backoff + jitter, and automatic pool respawn
@@ -82,12 +80,10 @@ from .resilience.failures import (
 
 __all__ = [
     "WORKERS_ENV",
-    "SHM_ENV",
     "SHM_MIN_BYTES",
     "ARENA_ENV",
     "ARENA_MAX_BYTES",
     "resolve_workers",
-    "resolve_shm_threshold",
     "resolve_arena_max_bytes",
     "split_ranges",
     "parallel_map",
@@ -109,10 +105,7 @@ __all__ = [
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment variable overriding the shared-memory size threshold.
-SHM_ENV = "REPRO_SHM_MIN_BYTES"
-
-#: Default minimum ndarray payload (bytes) routed through shared memory.
+#: Minimum ndarray payload (bytes) routed through shared memory.
 SHM_MIN_BYTES = 1 << 20
 
 #: Environment variable bounding the operand arena (bytes; ``<= 0`` disables).
@@ -150,30 +143,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers <= 0:
         return os.cpu_count() or 1
     return workers
-
-
-def resolve_shm_threshold(threshold: int | None = None) -> int:
-    """Effective shared-memory size threshold in bytes (``0`` disables).
-
-    Explicit ``threshold`` wins; otherwise ``REPRO_SHM_MIN_BYTES`` is
-    consulted; otherwise :data:`SHM_MIN_BYTES`. Negative values and
-    unparseable environment overrides (after a warning) disable the
-    shared-memory path entirely.
-    """
-    if threshold is None:
-        raw = os.environ.get(SHM_ENV, "").strip()
-        if not raw:
-            return SHM_MIN_BYTES
-        try:
-            threshold = int(raw)
-        except ValueError:
-            warnings.warn(
-                f"{SHM_ENV}={raw!r} is not an integer; shared memory disabled",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 0
-    return max(0, threshold)
 
 
 def resolve_arena_max_bytes(limit: int | None = None) -> int:
@@ -410,8 +379,9 @@ def _attach_readonly(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def _encode_item(obj: Any, threshold: int, segments: list) -> Any:
-    """Replace large ndarrays in *obj* with shared-memory refs.
+def _encode_item(obj: Any, segments: list) -> Any:
+    """Replace ndarrays of at least :data:`SHM_MIN_BYTES` in *obj* with
+    shared-memory refs.
 
     Walks tuples/lists/dicts; anything else passes through to pickle.
     Created segments are appended to *segments* for the caller to
@@ -420,18 +390,18 @@ def _encode_item(obj: Any, threshold: int, segments: list) -> Any:
     if (
         isinstance(obj, np.ndarray)
         and obj.dtype != object
-        and obj.nbytes >= threshold
+        and obj.nbytes >= SHM_MIN_BYTES
     ):
         seg = shared_memory.SharedMemory(create=True, size=obj.nbytes)
         np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)[...] = obj
         segments.append(seg)
         return _ShmRef(seg.name, obj.shape, obj.dtype.str)
     if isinstance(obj, tuple):
-        return tuple(_encode_item(o, threshold, segments) for o in obj)
+        return tuple(_encode_item(o, segments) for o in obj)
     if isinstance(obj, list):
-        return [_encode_item(o, threshold, segments) for o in obj]
+        return [_encode_item(o, segments) for o in obj]
     if isinstance(obj, dict):
-        return {k: _encode_item(v, threshold, segments) for k, v in obj.items()}
+        return {k: _encode_item(v, segments) for k, v in obj.items()}
     return obj
 
 
@@ -968,8 +938,6 @@ def parallel_map(
     *,
     workers: int | None = None,
     chunk_size: int | None = None,
-    shm_threshold: int | None = None,
-    fresh_pool: bool = False,
     timeout: float | None = None,
     retries: int | None = None,
     backoff: float | None = None,
@@ -985,9 +953,7 @@ def parallel_map(
     with chunked work units. *fn* and
     the items must be picklable in the parallel case (module-level
     functions and plain data/numpy arrays are). ndarrays of at least
-    *shm_threshold* bytes (default :func:`resolve_shm_threshold`) travel
-    via shared memory instead of pickle; ``fresh_pool=True`` forces a
-    private single-use executor (the v1 engine, kept for comparison).
+    :data:`SHM_MIN_BYTES` travel via shared memory instead of pickle.
 
     Resilience (all optional; defaults resolve from the environment and
     are inert when unset — see :func:`repro.resilience.resolve_policy`):
@@ -1033,25 +999,17 @@ def parallel_map(
         # imbalance without tuning per workload.
         chunk_size = max(1, -(-len(work) // (n_workers * 4)))
 
-    threshold = resolve_shm_threshold(shm_threshold)
     segments: list = []
     payload: Sequence[Any] = work
     call: Callable[[Any], _R] = fn
     try:
-        if threshold > 0:
-            encoded = [_encode_item(item, threshold, segments) for item in work]
-            if segments:  # only wrap when something actually moved to shm
-                payload, call = encoded, _ShmTask(fn)
+        encoded = [_encode_item(item, segments) for item in work]
+        if segments:  # only wrap when something actually moved to shm
+            payload, call = encoded, _ShmTask(fn)
         if resilient:
             return _resilient_map(
                 call, payload, n_workers, policy, on_result, return_failures
             )
-        if fresh_pool:
-            resource_tracker.ensure_running()
-            with ProcessPoolExecutor(
-                max_workers=n_workers, initializer=_mark_worker
-            ) as pool:
-                return _drain(pool.map(call, payload, chunksize=chunk_size), on_result)
         try:
             pool = _get_pool(n_workers)
             out = _drain(pool.map(call, payload, chunksize=chunk_size), on_result)

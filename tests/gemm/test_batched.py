@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import parallel
 from repro.gemm import batched_mxu_cgemm, batched_mxu_sgemm, mxu_cgemm, mxu_sgemm, strided_batch_view
 from repro.types import FP32, quantize
 
@@ -43,13 +44,12 @@ class TestEngineVariants:
         for kwargs in (
             {"workers": 2},
             {"workers": 8},            # more workers than matrices
-            {"workers": 2, "fresh_pool": True},
         ):
             got = batched_mxu_sgemm(a, b, **kwargs)
             assert got.tobytes() == want.tobytes(), kwargs
 
     def test_shm_path_identical(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "64")  # force shm transfer
+        monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)  # force shm transfer
         a = rng.normal(size=(4, 5, 8)) + 1j * rng.normal(size=(4, 5, 8))
         b = rng.normal(size=(4, 8, 5)) + 1j * rng.normal(size=(4, 8, 5))
         want = batched_mxu_cgemm(a, b, workers=1)

@@ -17,9 +17,7 @@ from repro import parallel
 from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
 from repro.mxu.modes import MXUMode
 from repro.mxu.parallel_bitlevel import (
-    BITLEVEL_CHUNK_ENV,
     DEFAULT_BITLEVEL_CHUNK,
-    resolve_bitlevel_chunk,
     sharded_bitlevel_gemm,
 )
 from repro.mxu.vectorized import BitLevelMXU, NonFiniteOperandError
@@ -56,8 +54,9 @@ def _cplx(rng, m, k, n):
     )
 
 
-def _per_mma_chain(a, b, c, mode, engine="vector"):
-    """The serial reference: one BitLevelMXU.mma per K-chunk."""
+def _per_mma_chain(a, b, c, mode, engine="scalar"):
+    """The serial reference: one BitLevelMXU.mma per K-chunk, on the
+    scalar oracle unless *engine* says otherwise."""
     gemm = TiledGEMM(BitLevelMXU(engine=engine), mode, fused=False)
     mxu = gemm.mxu
     step = gemm.k_chunk
@@ -79,31 +78,32 @@ def _nested_sharded(payload):
 
 
 class TestResolveChunk:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(BITLEVEL_CHUNK_ENV, raising=False)
-        assert resolve_bitlevel_chunk() == DEFAULT_BITLEVEL_CHUNK
+    """A parallel run's column block width: ``chunk=``, else
+    DEFAULT_BITLEVEL_CHUNK."""
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BITLEVEL_CHUNK_ENV, "17")
-        assert resolve_bitlevel_chunk() == 17
+    @staticmethod
+    def _block_widths(rng, monkeypatch, **kwargs):
+        import repro.mxu.parallel_bitlevel as pb
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BITLEVEL_CHUNK_ENV, "17")
-        assert resolve_bitlevel_chunk(5) == 5
+        widths = []
+        real = pb.parallel_map
 
-    def test_bad_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(BITLEVEL_CHUNK_ENV, "many")
-        with pytest.warns(RuntimeWarning, match="many"):
-            assert resolve_bitlevel_chunk() == DEFAULT_BITLEVEL_CHUNK
+        def spy(fn, tasks, **kw):
+            widths.extend(task[1].shape[1] for task in tasks)
+            return real(fn, tasks, **kw)
 
-    def test_below_one_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(BITLEVEL_CHUNK_ENV, "0")
-        with pytest.warns(RuntimeWarning, match="positive"):
-            assert resolve_bitlevel_chunk() == DEFAULT_BITLEVEL_CHUNK
+        monkeypatch.setattr(pb, "parallel_map", spy)
+        a, b, c = _real(rng, 2, 3, DEFAULT_BITLEVEL_CHUNK + 5)
+        sharded_bitlevel_gemm(a, b, c, workers=2, **kwargs)
+        return widths
 
-    def test_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_bitlevel_chunk(0)
+    def test_default(self, rng, monkeypatch):
+        assert self._block_widths(rng, monkeypatch) == [DEFAULT_BITLEVEL_CHUNK, 5]
+
+    def test_below_one_rejected(self, rng):
+        a, b, c = _real(rng, 2, 3, 4)
+        with pytest.raises(ValueError, match="chunk"):
+            sharded_bitlevel_gemm(a, b, c, workers=2, chunk=0)
 
 
 class TestShardedParity:
@@ -245,7 +245,7 @@ class TestPoolHygiene:
     def test_shm_transport_parity_and_release(self, rng, monkeypatch):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shm filesystem not visible")
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "64")
+        monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
         a, b, c = _real(rng, 6, 12, 8)
         want = _per_mma_chain(a, b, c, MXUMode.FP32)
         before = set(os.listdir("/dev/shm"))
@@ -256,7 +256,7 @@ class TestPoolHygiene:
     def test_shm_released_when_a_shard_fails(self, rng, monkeypatch):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shm filesystem not visible")
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "64")
+        monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
         a, b, c = _real(rng, 6, 12, 8)
         a[2, 3] = np.inf  # rejected by the finite-operand contract
         before = set(os.listdir("/dev/shm"))

@@ -18,14 +18,14 @@ from repro.mxu.vectorized import (
     BITLEVEL_ENV,
     BitLevelMXU,
     ProductFault,
+    chained_vector_fp32,
+    chained_vector_fp32c,
     fp32_bit_fields,
     product_slot_count,
     resolve_bitlevel_engine,
     scalar_mma_fp32,
     scalar_mma_fp32c,
     split_fp32_fields,
-    vector_mma_fp32,
-    vector_mma_fp32c,
 )
 from repro.types.formats import FP32
 from repro.types.quantize import quantize, quantize_complex
@@ -40,6 +40,22 @@ def biteq(x, y) -> bool:
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def one_mma(a, b, c=0.0, **kw):
+    """One MMA on the vector engine: the one-chunk chain (k_chunk = K)."""
+    if np.iscomplexobj(a):
+        return chained_vector_fp32c(a, b, c, k_chunk=a.shape[1], **kw)
+    return chained_vector_fp32(a, b, c, k_chunk=np.shape(a)[-1], **kw)
+
+
+def scalar_chain(a, b, c, k_chunk):
+    """The per-MMA chain of the scalar oracle, ``k_chunk`` columns a step."""
+    fn = scalar_mma_fp32c if np.iscomplexobj(a) else scalar_mma_fp32
+    acc = c
+    for k0 in range(0, a.shape[1], k_chunk):
+        acc = fn(a[:, k0 : k0 + k_chunk], b[k0 : k0 + k_chunk], acc)
+    return acc
 
 
 def random_fp32(rng, shape, scale_span=0):
@@ -202,7 +218,7 @@ class TestVectorEnginesMatchOracle:
             [bit_level_fp32_dot(a[m], b[:, n], float(c[m, n])) for n in range(4)]
             for m in range(5)
         ])
-        assert biteq(vector_mma_fp32(a, b, c), ref)
+        assert biteq(one_mma(a, b, c), ref)
         assert biteq(scalar_mma_fp32(a, b, c), ref)
 
     def test_fp32c_matches_bitlevel_dot(self, rng):
@@ -216,15 +232,15 @@ class TestVectorEnginesMatchOracle:
             [bit_level_fp32c_dot(a[m], b[:, n], complex(c[m, n])) for n in range(3)]
             for m in range(4)
         ])
-        assert biteq(vector_mma_fp32c(a, b, c), ref)
+        assert biteq(one_mma(a, b, c), ref)
         assert biteq(scalar_mma_fp32c(a, b, c), ref)
 
     def test_shape_validation(self, rng):
         a = random_fp32(rng, (3, 4))
         with pytest.raises(ValueError):
-            vector_mma_fp32(a, random_fp32(rng, (5, 2)), 0.0)
+            one_mma(a, random_fp32(rng, (5, 2)), 0.0)
         with pytest.raises(ValueError):
-            vector_mma_fp32(a[0], random_fp32(rng, (4, 2)), 0.0)
+            one_mma(a[0], random_fp32(rng, (4, 2)), 0.0)
 
 
 class TestProductFault:
@@ -243,17 +259,17 @@ class TestProductFault:
     def test_out_of_range_rejected(self, rng):
         a, b = random_fp32(rng, (2, 3)), random_fp32(rng, (3, 2))
         with pytest.raises(ValueError):
-            vector_mma_fp32(a, b, 0.0, product_fault=ProductFault(12, (0, 0), 0))
+            one_mma(a, b, 0.0, product_fault=ProductFault(12, (0, 0), 0))
         with pytest.raises(ValueError):
-            vector_mma_fp32(a, b, 0.0, product_fault=ProductFault(0, (2, 0), 0))
+            one_mma(a, b, 0.0, product_fault=ProductFault(0, (2, 0), 0))
 
     def test_fp32_engines_agree_on_fault(self, rng):
         a, b = random_fp32(rng, (3, 4), 4), random_fp32(rng, (4, 3), 4)
-        clean = vector_mma_fp32(a, b, 0.0)
+        clean = one_mma(a, b, 0.0)
         changed = 0
         for slot in range(product_slot_count(MXUMode.FP32, 4)):
             pf = ProductFault(slot=slot, element=(1, 2), bit=int(rng.integers(24)))
-            v = vector_mma_fp32(a, b, 0.0, product_fault=pf)
+            v = one_mma(a, b, 0.0, product_fault=pf)
             s = scalar_mma_fp32(a, b, 0.0, product_fault=pf)
             assert biteq(v, s)
             changed += not biteq(v, clean)
@@ -267,15 +283,15 @@ class TestProductFault:
         for slot in range(0, product_slot_count(MXUMode.FP32C, 3), 5):
             pf = ProductFault(slot=slot, element=(0, 1), bit=int(rng.integers(24)))
             assert biteq(
-                vector_mma_fp32c(a, b, 0.0, product_fault=pf),
+                one_mma(a, b, 0.0, product_fault=pf),
                 scalar_mma_fp32c(a, b, 0.0, product_fault=pf),
             )
 
     def test_fault_only_hits_named_element(self, rng):
         a, b = random_fp32(rng, (3, 4), 2), random_fp32(rng, (4, 3), 2)
-        clean = vector_mma_fp32(a, b, 0.0)
+        clean = one_mma(a, b, 0.0)
         pf = ProductFault(slot=3, element=(2, 1), bit=23)
-        dirty = vector_mma_fp32(a, b, 0.0, product_fault=pf)
+        dirty = one_mma(a, b, 0.0, product_fault=pf)
         mask = np.ones_like(clean, dtype=bool)
         mask[2, 1] = False
         assert biteq(dirty[mask], clean[mask])
@@ -296,7 +312,24 @@ class TestBitLevelMXU:
         b = rng.standard_normal((4, 2))
         got = BitLevelMXU().mma(a, b, 0.0, MXUMode.FP32)
         aq, bq = quantize(a, FP32), quantize(b, FP32)
-        assert biteq(got, vector_mma_fp32(aq, bq, 0.0))
+        assert biteq(got, scalar_mma_fp32(aq, bq, 0.0))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_k0_engines_agree(self, rng, dtype):
+        # An MMA over no products rounds C through the window on both
+        # engines; a K mismatch and a product fault (no slot exists) are
+        # rejected by both.
+        mode = MXUMode.FP32C if dtype is np.complex128 else MXUMode.FP32
+        engines = [BitLevelMXU(engine="vector"), BitLevelMXU(engine="scalar")]
+        a, b = np.zeros((3, 0), dtype=dtype), np.zeros((0, 2), dtype=dtype)
+        c = rng.standard_normal((3, 2)).astype(dtype)
+        vec, sca = (e.mma(a, b, c, mode) for e in engines)
+        assert biteq(vec, sca)
+        for unit in engines:
+            with pytest.raises(ValueError, match="K mismatch"):
+                unit.mma(a, np.ones((2, 2), dtype=dtype), c, mode)
+            with pytest.raises(ValueError, match="out of range"):
+                unit.mma(a, b, c, mode, product_fault=ProductFault(0, (0, 0), 0))
 
     def test_tiled_gemm_fused_false_swaps_engine(self, rng):
         g = TiledGEMM(M3XU(), MXUMode.FP32, fused=False)
@@ -329,7 +362,8 @@ class TestBitLevelMXU:
         b = quantize_complex(
             rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)), FP32)
         planned = TiledGEMM(BitLevelMXU(), MXUMode.FP32C).run(a, b)
-        legacy = TiledGEMM(BitLevelMXU(), MXUMode.FP32C, use_plan=False).run(a, b)
+        # The reference: the scalar oracle's per-MMA chain (FP32C K = 2).
+        legacy = scalar_chain(a, b, np.zeros((3, 4), dtype=np.complex128), 2)
         assert biteq(planned, legacy)
         assert biteq(planned, mxu_cgemm(a, b, fused=False))
 

@@ -1,7 +1,8 @@
 """Bit-identity of the vectorized bit-level engine against the scalar oracle.
 
-The vectorized datapath (:mod:`repro.mxu.vectorized`) claims *bit-identical*
-results to the scalar :class:`~repro.mxu.bitlevel.BitAccumulator` reference
+The vectorized datapath (:mod:`repro.mxu.vectorized`; one MMA is the
+one-chunk call of its chained kernel) claims *bit-identical* results to
+the scalar :class:`~repro.mxu.bitlevel.BitAccumulator` reference
 — across modes, adversarial operands (subnormals, signed zeros, extreme
 exponent spans, cancellation, the complex sign-flip), injected product
 faults, campaign runs, and parallel-worker fan-out. This suite holds the
@@ -21,11 +22,11 @@ from repro.mxu.modes import MXUMode
 from repro.mxu.vectorized import (
     BitLevelMXU,
     ProductFault,
+    chained_vector_fp32,
+    chained_vector_fp32c,
     product_slot_count,
     scalar_mma_fp32,
     scalar_mma_fp32c,
-    vector_mma_fp32,
-    vector_mma_fp32c,
 )
 from repro.resilience.campaign import BITLEVEL_STAGES, CampaignConfig, run_campaign
 from repro.types.formats import FP32
@@ -56,6 +57,12 @@ ADVERSARIAL = quantize(
 )
 
 
+def one_mma(a, b, c=0.0, **kw):
+    """One MMA on the vector engine: the one-chunk chain (k_chunk = K)."""
+    chain = chained_vector_fp32c if np.iscomplexobj(a) else chained_vector_fp32
+    return chain(a, b, c, k_chunk=a.shape[1], **kw)
+
+
 def adversarial_matrix(rng, shape):
     return rng.choice(ADVERSARIAL, size=shape)
 
@@ -71,14 +78,14 @@ class TestAdversarialBitIdentity:
             a = adversarial_matrix(rng, (4, 6))
             b = adversarial_matrix(rng, (6, 3))
             c = adversarial_matrix(rng, (4, 3))
-            assert biteq(vector_mma_fp32(a, b, c), scalar_mma_fp32(a, b, c))
+            assert biteq(one_mma(a, b, c), scalar_mma_fp32(a, b, c))
 
     def test_fp32c_adversarial_tiles(self, rng):
         for _ in range(20):
             a = adversarial_matrix(rng, (3, 4)) + 1j * adversarial_matrix(rng, (3, 4))
             b = adversarial_matrix(rng, (4, 3)) + 1j * adversarial_matrix(rng, (4, 3))
             c = adversarial_matrix(rng, (3, 3)) + 1j * adversarial_matrix(rng, (3, 3))
-            assert biteq(vector_mma_fp32c(a, b, c), scalar_mma_fp32c(a, b, c))
+            assert biteq(one_mma(a, b, c), scalar_mma_fp32c(a, b, c))
 
     def test_max_shift_cancellation(self):
         # Max-magnitude products against subnormal dust: the accumulator
@@ -87,7 +94,7 @@ class TestAdversarialBitIdentity:
         a = np.array([[3.4028235e38, -3.4028235e38, 1e-45, 1.1754942e-38, 1.0]])
         b = np.array([[3.4028234e38], [3.4028234e38], [1e-45], [-1e-45], [2.0**-24]])
         aq, bq = quantize(a, FP32), quantize(b, FP32)
-        v = vector_mma_fp32(aq, bq, 0.0)
+        v = one_mma(aq, bq, 0.0)
         assert biteq(v, scalar_mma_fp32(aq, bq, 0.0))
         assert biteq(v[0, 0], np.float64(bit_level_fp32_dot(aq[0], bq[:, 0], 0.0)))
 
@@ -96,7 +103,7 @@ class TestAdversarialBitIdentity:
         # imag*imag lanes (Eq. 9's subtraction), exercising the sign mask.
         a = 1j * adversarial_matrix(rng, (3, 5))
         b = 1j * adversarial_matrix(rng, (5, 2))
-        v = vector_mma_fp32c(a, b, 0.0)
+        v = one_mma(a, b, 0.0)
         assert biteq(v, scalar_mma_fp32c(a, b, 0.0))
         ref = np.array([
             [bit_level_fp32c_dot(a[m], b[:, n], 0.0) for n in range(2)]
@@ -112,14 +119,14 @@ class TestAdversarialBitIdentity:
         a = np.array([[-0.0, 0.0, -0.0, 0.0]])
         b = np.array([[-0.0], [0.0], [-0.0], [-0.0]])
         c = np.array([[-0.0]])
-        v = vector_mma_fp32(a, b, c)
+        v = one_mma(a, b, c)
         s = scalar_mma_fp32(a, b, c)
         assert biteq(v, s)
         assert biteq(v[0, 0], np.float64(bit_level_fp32_dot(a[0], b[:, 0], -0.0)))
         # Negative value rounding to zero: signed zero comes out.
         tiny = quantize(np.array([[-1e-45]]), FP32)
         tb = quantize(np.array([[1e-45]]), FP32)
-        v2 = vector_mma_fp32(tiny, tb, 0.0)
+        v2 = one_mma(tiny, tb, 0.0)
         assert biteq(v2, scalar_mma_fp32(tiny, tb, 0.0))
         assert v2[0, 0] == 0.0 and np.signbit(v2[0, 0])
 
@@ -162,7 +169,7 @@ class TestFaultInjectionParity:
              quantize_complex(b - 1j * a, FP32)),
         ):
             n_slots = product_slot_count(mode, 4)
-            fn_v = vector_mma_fp32 if mode is MXUMode.FP32 else vector_mma_fp32c
+            fn_v = one_mma
             fn_s = scalar_mma_fp32 if mode is MXUMode.FP32 else scalar_mma_fp32c
             for _ in range(10):
                 pf = ProductFault(
@@ -229,7 +236,7 @@ def test_fp32_tile_identity_sweep(data, cval):
     a = quantize(np.array(data[:6]).reshape(2, 3), FP32)
     b = quantize(np.array(data[6:]).reshape(3, 2), FP32)
     c = quantize(np.full((2, 2), cval), FP32)
-    assert biteq(vector_mma_fp32(a, b, c), scalar_mma_fp32(a, b, c))
+    assert biteq(one_mma(a, b, c), scalar_mma_fp32(a, b, c))
 
 
 @given(data=st.lists(vals, min_size=24, max_size=24))
@@ -239,7 +246,7 @@ def test_fp32c_tile_identity_sweep(data):
     im = np.array(data[12:])
     a = quantize_complex((re[:6] + 1j * im[:6]).reshape(2, 3), FP32)
     b = quantize_complex((re[6:] + 1j * im[6:]).reshape(3, 2), FP32)
-    assert biteq(vector_mma_fp32c(a, b, 0.0), scalar_mma_fp32c(a, b, 0.0))
+    assert biteq(one_mma(a, b, 0.0), scalar_mma_fp32c(a, b, 0.0))
 
 
 @given(scale_a=st.integers(min_value=-30, max_value=30),
@@ -252,4 +259,4 @@ def test_scaled_gemm_identity_sweep(scale_a, scale_b, seed):
     r = np.random.default_rng(seed)
     a = quantize(r.standard_normal((3, 8)) * 2.0**scale_a, FP32)
     b = quantize(r.standard_normal((8, 3)) * 2.0**scale_b, FP32)
-    assert biteq(vector_mma_fp32(a, b, 0.0), scalar_mma_fp32(a, b, 0.0))
+    assert biteq(one_mma(a, b, 0.0), scalar_mma_fp32(a, b, 0.0))

@@ -25,9 +25,17 @@ from repro.arith.accumulator import (
     segmented_windowed_sum_f32,
     sequential_windowed_sum,
 )
-from repro.mxu.vectorized import chained_vector_fp32, vector_mma_fp32
+from repro.mxu.modes import MXUMode
+from repro.mxu.vectorized import (
+    ProductFault,
+    chained_vector_fp32,
+    chained_vector_fp32c,
+    product_slot_count,
+    scalar_mma_fp32,
+    scalar_mma_fp32c,
+)
 from repro.types.formats import FP32
-from repro.types.quantize import quantize
+from repro.types.quantize import quantize, quantize_complex
 from repro.types.rounding import RoundingMode
 
 MODES = [RoundingMode.NEAREST_EVEN, RoundingMode.TOWARD_ZERO]
@@ -204,21 +212,48 @@ class TestHypothesisSweeps:
             assert_f32_matches(signed, lsb, 48, mode)
 
 
+def _random_fault(rng, mode, k, m, n):
+    """A product fault anywhere in a K-chain of *k* columns."""
+    return ProductFault(
+        slot=int(rng.integers(product_slot_count(mode, k))),
+        element=(int(rng.integers(m)), int(rng.integers(n))),
+        bit=int(rng.integers(24)),
+    )
+
+
+def _fp32_with_unit_slices(rng, shape):
+    """FP32 values, a third of them small integers whose low 12-bit slice
+    is zero (a zero lane product a product fault may land in)."""
+    x = quantize(rng.standard_normal(shape), FP32)
+    ints = rng.integers(-4, 5, shape).astype(np.float64)
+    return np.where(rng.random(shape) < 1 / 3, ints, x)
+
+
 class TestChainedKernel:
-    """chained_vector_fp32 == the per-chunk vector MMA chain."""
+    """chained_vector_fp32(c) == the scalar oracle's per-chunk MMA chain."""
 
     @staticmethod
-    def _per_chunk(a, b, c, k_chunk, acc_bits, mode):
+    def _per_chunk(a, b, c, k_chunk, acc_bits, mode, fault=None):
+        """The scalar oracle's per-MMA chain. *fault* addresses a product
+        slot over the whole chain and is injected into the MMA holding it."""
+        fp32c = np.iscomplexobj(a)
+        fn = scalar_mma_fp32c if fp32c else scalar_mma_fp32
+        per_k = product_slot_count(MXUMode.FP32C if fp32c else MXUMode.FP32, 1)
         acc = np.broadcast_to(
-            np.asarray(c, dtype=np.float64), (a.shape[0], b.shape[1])
+            np.asarray(c, dtype=np.complex128 if fp32c else np.float64),
+            (a.shape[0], b.shape[1]),
         )
         for k0 in range(0, a.shape[1], k_chunk):
-            acc = vector_mma_fp32(
+            pf = None
+            if fault is not None and k0 <= fault.slot // per_k < k0 + k_chunk:
+                pf = ProductFault(fault.slot - k0 * per_k, fault.element, fault.bit)
+            acc = fn(
                 a[:, k0 : k0 + k_chunk],
                 b[k0 : k0 + k_chunk, :],
                 acc,
                 acc_bits=acc_bits,
                 rounding=mode,
+                product_fault=pf,
             )
         return np.asarray(acc)
 
@@ -231,15 +266,56 @@ class TestChainedKernel:
         acc_bits=st.sampled_from([12, 27, 48]),
         mode=st.sampled_from(MODES),
         seed=st.integers(0, 2**32 - 1),
+        faulty=st.booleans(),
     )
-    def test_matches_per_chunk_chain(self, m, k, n, k_chunk, acc_bits, mode, seed):
+    def test_matches_per_chunk_chain(
+        self, m, k, n, k_chunk, acc_bits, mode, seed, faulty
+    ):
         rng = np.random.default_rng(seed)
-        a = quantize(rng.standard_normal((m, k)), FP32)
-        b = quantize(rng.standard_normal((k, n)), FP32)
+        a = _fp32_with_unit_slices(rng, (m, k))
+        b = _fp32_with_unit_slices(rng, (k, n))
         c = quantize(rng.standard_normal((m, n)), FP32)
-        want = self._per_chunk(a, b, c, k_chunk, acc_bits, mode)
+        fault = _random_fault(rng, MXUMode.FP32, k, m, n) if faulty else None
+        want = self._per_chunk(a, b, c, k_chunk, acc_bits, mode, fault)
         got = chained_vector_fp32(
-            a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode
+            a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
+            block=3, product_fault=fault,
+        )
+        assert biteq(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        k=st.integers(1, 11),
+        n=st.integers(1, 5),
+        k_chunk=st.sampled_from([1, 2, 3, 4]),
+        acc_bits=st.sampled_from([27, 48]),
+        mode=st.sampled_from(MODES),
+        seed=st.integers(0, 2**32 - 1),
+        faulty=st.booleans(),
+    )
+    def test_fp32c_matches_per_chunk_chain(
+        self, m, k, n, k_chunk, acc_bits, mode, seed, faulty
+    ):
+        rng = np.random.default_rng(seed)
+        a = quantize_complex(
+            _fp32_with_unit_slices(rng, (m, k))
+            + 1j * _fp32_with_unit_slices(rng, (m, k)),
+            FP32,
+        )
+        b = quantize_complex(
+            _fp32_with_unit_slices(rng, (k, n))
+            + 1j * _fp32_with_unit_slices(rng, (k, n)),
+            FP32,
+        )
+        c = quantize_complex(
+            rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)), FP32
+        )
+        fault = _random_fault(rng, MXUMode.FP32C, k, m, n) if faulty else None
+        want = self._per_chunk(a, b, c, k_chunk, acc_bits, mode, fault)
+        got = chained_vector_fp32c(
+            a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
+            product_fault=fault,
         )
         assert biteq(got, want)
 

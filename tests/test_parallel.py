@@ -1,4 +1,4 @@
-"""The v2 parallel engine: pool lifecycle, shm transfer, failure semantics."""
+"""The parallel engine: pool lifecycle, shm transfer, failure semantics."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.parallel import (
     TaskFailure,
     parallel_map,
     pool_info,
-    resolve_shm_threshold,
     resolve_workers,
     shutdown,
     split_ranges,
@@ -113,26 +112,16 @@ class TestResolveWorkers:
         assert resolve_workers(0) == (os.cpu_count() or 1)
 
 
+@pytest.fixture
+def shm_64(monkeypatch):
+    """Route every ndarray of 64 bytes or more through shared memory."""
+    monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
+
+
 class TestResolveShmThreshold:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_MIN_BYTES", raising=False)
-        assert resolve_shm_threshold() == SHM_MIN_BYTES
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "4096")
-        assert resolve_shm_threshold() == 4096
-
-    def test_env_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        assert resolve_shm_threshold() == 0
-
-    def test_bad_env_warns_and_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "huge")
-        with pytest.warns(RuntimeWarning, match="huge"):
-            assert resolve_shm_threshold() == 0
-
-    def test_explicit_negative_disables(self):
-        assert resolve_shm_threshold(-1) == 0
+    def test_default(self):
+        # 1 MiB: large operands ride shared memory, small ones pickle.
+        assert SHM_MIN_BYTES == 1 << 20
 
 
 class TestOrderingAndDeterminism:
@@ -194,11 +183,6 @@ class TestPersistentPool:
         assert parallel_map(_double, [1, 2], workers=2) == [2, 4]
         assert pool_info()["alive"]
 
-    def test_fresh_pool_does_not_touch_persistent(self):
-        shutdown()
-        assert parallel_map(_double, [1, 2], workers=2, fresh_pool=True) == [2, 4]
-        assert not pool_info()["alive"]
-
     def test_nested_parallel_map_runs_serial_in_worker(self):
         # A task that fans out again must NOT fork a pool inside the pool
         # worker (that deadlocks on executor queues inherited mid-use).
@@ -214,32 +198,30 @@ class TestPersistentPool:
 
 
 class TestSharedMemoryTransfer:
-    def test_shm_results_match_pickle_results(self, rng):
+    def test_shm_results_match_pickle_results(self, rng, monkeypatch):
         a = rng.normal(size=(64, 64))
         b = rng.normal(size=(64, 64))
         items = [(a + i, f"tag{i}", b - i) for i in range(4)]
         serial = [_sum_arrays(it) for it in items]
-        via_shm = parallel_map(
-            _sum_arrays, items, workers=2, chunk_size=1, shm_threshold=64
-        )
-        via_pickle = parallel_map(
-            _sum_arrays, items, workers=2, chunk_size=1, shm_threshold=0
-        )
+        monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
+        via_shm = parallel_map(_sum_arrays, items, workers=2, chunk_size=1)
+        monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 1 << 62)
+        via_pickle = parallel_map(_sum_arrays, items, workers=2, chunk_size=1)
         assert via_shm == serial == via_pickle
 
-    def test_shm_bit_identical_payload(self, rng):
+    def test_shm_bit_identical_payload(self, rng, shm_64):
         # The worker echoes the array back: every byte must survive the
         # shm round trip (including a result that aliases the segment,
         # which the engine must copy out before the segment unmaps).
         a = rng.normal(size=(32, 33))
         (echo,) = parallel_map(
-            _identity_array, [a, a * 0], workers=2, chunk_size=1, shm_threshold=64
+            _identity_array, [a, a * 0], workers=2, chunk_size=1
         )[:1]
         assert echo.tobytes() == a.tobytes()
 
     @pytest.mark.skipif(not __import__("os").path.isdir("/dev/shm"),
                         reason="POSIX shm filesystem not visible")
-    def test_segments_released(self, rng):
+    def test_segments_released(self, rng, shm_64):
         import os
 
         a = rng.normal(size=(64, 64))
@@ -249,7 +231,6 @@ class TestSharedMemoryTransfer:
             [(a, "x", a), (a, "y", a)],
             workers=2,
             chunk_size=1,
-            shm_threshold=64,
         )
         leaked = set(os.listdir("/dev/shm")) - before
         assert not leaked
@@ -334,21 +315,17 @@ class TestResilientExecution:
         items = [(str(tmp_path), x, 2 if x == 0 else 0) for x in range(2)]
         assert parallel_map(_flaky, items, workers=2) == [0, 10]
 
-    def test_shm_segments_released_on_failure(self, rng, tmp_path):
+    def test_shm_segments_released_on_failure(self, rng, tmp_path, shm_64):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shm filesystem not visible")
         a = rng.normal(size=(64, 64))
         before = set(os.listdir("/dev/shm"))
         with pytest.raises(KeyError, match="worker failure on item 2"):
-            parallel_map(
-                _boom, [0, 1, 2, 3], workers=2, chunk_size=1, shm_threshold=64
-            )
+            parallel_map(_boom, [0, 1, 2, 3], workers=2, chunk_size=1)
         # failure path must not orphan segments either
         items = [(str(tmp_path), x, 99 if x == 1 else 0, a)[:3] for x in range(3)]
         with pytest.raises(ParallelTaskError):
-            parallel_map(
-                _flaky, items, workers=2, retries=1, backoff=0.0, shm_threshold=64
-            )
+            parallel_map(_flaky, items, workers=2, retries=1, backoff=0.0)
         assert set(os.listdir("/dev/shm")) - before == set()
 
     def test_on_result_streams_each_completion(self):
