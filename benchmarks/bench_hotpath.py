@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from repro.mxu.m3xu import M3XU
 from repro.mxu.modes import MXUMode
 from repro.mxu.parallel_bitlevel import DEFAULT_BITLEVEL_CHUNK, sharded_bitlevel_gemm
 from repro.mxu.split_cache import DEFAULT_SPLIT_CACHE, SPLIT_CACHE_ENV
-from repro.mxu.vectorized import BitLevelMXU
+from repro.mxu.vectorized import BitLevelMXU, fp32_lane_fields
 from repro.parallel import resolve_workers
 from repro.resilience.campaign import BITLEVEL_STAGES, CampaignConfig, run_campaign
 from repro.types.formats import FP32
@@ -322,8 +321,9 @@ def test_split_cache_repeated_operand(benchmark):
     :class:`~repro.gemm.plan.OperandSplit` dedupe the identical slices
     to one cached 2-D split broadcast across the batch. Bit-identity is
     asserted between the two timed paths before anything reaches the
-    JSON, and the arena-hygiene contract — zero leaked shared-memory
-    segments after ``parallel.shutdown()`` — is proven by name.
+    JSON. A sharded bit-level GEMM with large A planes then checks the
+    transport: each plane crosses once per call and no segment outlives
+    the call.
     """
     bsz, n, p = SPLITC_B, SPLITC_N, SPLITC_P
     rng = np.random.default_rng(21)
@@ -351,22 +351,23 @@ def test_split_cache_repeated_operand(benchmark):
             cold_s, warm_s, 3.0,
             split_cache={"hits": info["hits"], "misses": info["misses"]})
 
-    # Arena hygiene: publish a segment through the sharded bit-level
-    # path, then prove shutdown() unlinks it — attaching by name must
-    # fail for every segment the arena ever held.
-    an = 24 if SMOKE else 48
-    aq = quantize(rng.standard_normal((an, an)), FP32)
-    bq = quantize(rng.standard_normal((an, an)), FP32)
-    fresh = sharded_bitlevel_gemm(aq, bq, engine="vector", workers=2, chunk=an // 2)
-    assert fresh.tobytes() == sharded_bitlevel_gemm(
+    # Transport: A's lane-field planes are each at least 1 MiB, so they
+    # ride shared memory; the B and C column blocks pickle.
+    aq = quantize(rng.standard_normal((512, 1024)), FP32)
+    bq = quantize(rng.standard_normal((1024, 4)), FP32)
+    planes = fp32_lane_fields(aq)
+    assert all(plane.nbytes >= parallel.SHM_MIN_BYTES for plane in planes)
+    segments_before = _psm_names()
+    publishes = parallel.pool_info()["arena"]["publishes"]
+    sharded = sharded_bitlevel_gemm(aq, bq, engine="vector", workers=2, chunk=2)
+    # Once per plane, not once per plane and column block.
+    assert parallel.pool_info()["arena"]["publishes"] == publishes + len(planes)
+    assert _psm_names() == segments_before
+    assert sharded.tobytes() == sharded_bitlevel_gemm(
         aq, bq, engine="vector", workers=1
     ).tobytes()
-    names = parallel.arena_info()["segments"]
-    assert names, "sharded dispatch never published to the operand arena"
-    parallel.shutdown()
-    assert parallel.arena_info()["entries"] == 0
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            # repro: allow[FS303] the attach must raise — this is the
-            # zero-leaked-segments assertion itself.
-            shared_memory.SharedMemory(name=name)
+
+
+def _psm_names() -> set[str]:
+    """The shared-memory segments that exist now."""
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}

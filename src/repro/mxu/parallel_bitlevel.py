@@ -25,19 +25,16 @@ is bit-identical to the serial driver. This module does exactly that:
   :func:`~repro.mxu.vectorized.chained_vector_fp32c`) or, on the scalar
   engine, its per-MMA loop.
 
-**Operand split cache + arena.** The A operand is shared by every column
-block, so with the split cache enabled (``REPRO_SPLIT_CACHE``, default
-on) the FP32 vector path derives A's multiplier-lane fields
+**Operand split cache.** The A operand is shared by every column block,
+so with the split cache enabled (``REPRO_SPLIT_CACHE``, default on) the
+FP32 vector path derives A's multiplier-lane fields
 (:func:`~repro.mxu.vectorized.fp32_lane_fields`) once per *content
 digest* instead of once per call, and FP32C/scalar paths cache the
-quantised dense operand. Parallel dispatch publishes the cached planes
-into the :mod:`repro.parallel` operand arena so task payloads carry an
-:class:`~repro.parallel.ArenaHandle` — a digest, not arrays — and a
-repeated-A workload skips both the split and the per-task transport.
-Workers attach lazily and keep their own digest → segment LRU. Every
-shortcut is bit-identical: a cache hit returns exactly the planes a
-fresh split of the same bytes produces, and nested in-worker calls take
-the plain serial path untouched.
+quantised dense operand. Every column block's task carries the same A
+arrays, dense or as lane fields, so :func:`~repro.parallel.parallel_map`
+ships each one once per call: through one shared-memory segment when it
+is large, pickled otherwise. A cache hit is bit-identical: it returns
+exactly the planes a fresh split of the same bytes produces.
 
 The column block size is a pure performance knob; it is *not* a rounding
 boundary (those remain the K-chunk seams of the tiled driver).
@@ -49,16 +46,7 @@ from typing import Any
 
 import numpy as np
 
-from ..parallel import (
-    ArenaHandle,
-    arena_fetch,
-    arena_pin,
-    arena_publish,
-    arena_unpin,
-    in_worker,
-    parallel_map,
-    resolve_workers,
-)
+from ..parallel import parallel_map, resolve_workers
 from ..types.formats import FP32
 from ..types.quantize import quantize, quantize_complex
 from ..types.rounding import RoundingMode
@@ -92,16 +80,9 @@ DEFAULT_BITLEVEL_CHUNK = 64
 def _resolve_a_entry(a_entry: Any) -> tuple[np.ndarray | None, tuple | None]:
     """Unpack a task payload's A operand: ``(dense, lane fields)``.
 
-    The payload carries one of a dense ndarray (the legacy form), a
-    ``("fields", hi, lo, exp)`` tuple (pre-split, in-process), or an
-    :class:`~repro.parallel.ArenaHandle` naming published planes
-    (pre-split or dense, fetched from the worker's segment LRU).
+    The payload carries either a dense ndarray or a ``("fields", hi, lo,
+    exp)`` tuple of pre-split lane fields.
     """
-    if isinstance(a_entry, ArenaHandle):
-        planes = arena_fetch(a_entry)
-        if "dense" in planes:
-            return planes["dense"], None
-        return None, (planes["hi"], planes["lo"], planes["exp"])
     if isinstance(a_entry, tuple) and a_entry and a_entry[0] == "fields":
         return None, a_entry[1:]
     return a_entry, None
@@ -113,7 +94,7 @@ def _chain_columns(payload: tuple) -> np.ndarray:
     Module-level (pickleable) task function for :func:`parallel_map`. The
     payload is a flat tuple so the shared-memory transport can walk it
     and route each operand array individually; the A slot additionally
-    admits the pre-split forms of :func:`_resolve_a_entry`.
+    admits the pre-split form of :func:`_resolve_a_entry`.
     """
     a_entry, b_cols, c_cols, mode_value, engine, acc_bits, rounding_value, k_chunk = (
         payload
@@ -157,10 +138,10 @@ def _chain_columns(payload: tuple) -> np.ndarray:
 
 def _cached_a_operand(
     a64: np.ndarray, mode: MXUMode, engine: str
-) -> tuple[np.ndarray | None, tuple | None, str | None]:
+) -> tuple[np.ndarray | None, tuple | None]:
     """Resolve the A operand through the split cache.
 
-    Returns ``(dense, lane fields, digest key)``. The FP32 vector path
+    Returns ``(dense, lane fields)``. The FP32 vector path
     caches the multiplier-lane fields (``dense`` stays ``None`` — the
     whole-chain kernel never touches dense A); every other engine/mode
     caches the quantised dense operand. A cache hit skips quantisation
@@ -174,16 +155,16 @@ def _cached_a_operand(
     hit = DEFAULT_SPLIT_CACHE.get(key)
     if hit is not None:
         if fields_path:
-            return None, hit, key
-        return hit, None, key
+            return None, hit
+        return hit, None
     if mode is MXUMode.FP32C:
         aq = quantize_complex(a64, FP32)
     else:
         aq = quantize(a64, FP32)
     if fields_path:
         fields = DEFAULT_SPLIT_CACHE.put(key, fp32_lane_fields(aq))
-        return None, fields, key
-    return DEFAULT_SPLIT_CACHE.put(key, aq), None, key
+        return None, fields
+    return DEFAULT_SPLIT_CACHE.put(key, aq), None
 
 
 def sharded_bitlevel_gemm(
@@ -212,9 +193,8 @@ def sharded_bitlevel_gemm(
     a, b, c:
         GEMM operands; quantised to FP32 registers on the way in exactly
         as the tiled driver does (idempotent for pre-quantised inputs).
-        A repeated A operand hits the split cache (and, in parallel
-        runs, the shared-memory arena) instead of being re-split and
-        re-shipped — see the module docstring.
+        A repeated A operand hits the split cache instead of being
+        re-split — see the module docstring.
     mode:
         :data:`~repro.mxu.modes.MXUMode.FP32` or ``FP32C``.
     engine:
@@ -257,19 +237,11 @@ def sharded_bitlevel_gemm(
     if bq.shape[0] != a64.shape[1]:
         raise ValueError(f"K mismatch: A{a64.shape} @ B{bq.shape}")
 
-    # Nested in-worker calls run the plain serial path without touching
-    # the cache or the arena (the worker's pool-lifetime state stays
-    # bounded by its own attach LRU, not by per-call splits).
-    use_cache = (
-        resolve_split_cache()
-        and not in_worker()
-        and a64.nbytes >= SPLIT_CACHE_MIN_BYTES
-    )
+    use_cache = resolve_split_cache() and a64.nbytes >= SPLIT_CACHE_MIN_BYTES
     aq: np.ndarray | None = None
     a_fields: tuple | None = None
-    a_key: str | None = None
     if use_cache:
-        aq, a_fields, a_key = _cached_a_operand(a64, mode, engine_name)
+        aq, a_fields = _cached_a_operand(a64, mode, engine_name)
     else:
         if mode is MXUMode.FP32C:
             aq = quantize_complex(a64, FP32)
@@ -286,40 +258,21 @@ def sharded_bitlevel_gemm(
     # pace (bit-identical either way — columns never interact).
     blk = n if resolve_workers(workers) <= 1 else int(chunk or DEFAULT_BITLEVEL_CHUNK)
 
-    a_entry: Any
-    handle: ArenaHandle | None = None
-    if a_fields is not None:
-        a_entry = ("fields",) + tuple(a_fields)
-        if blk < n and a_key is not None:
-            handle = arena_publish(
-                a_key,
-                {"hi": a_fields[0], "lo": a_fields[1], "exp": a_fields[2]},
-            )
-    else:
-        a_entry = aq
-        if use_cache and blk < n and a_key is not None and aq is not None:
-            handle = arena_publish(a_key, {"dense": aq})
-    if handle is not None:
-        a_entry = handle
-        arena_pin(handle)
-    try:
-        tasks = [
-            (
-                a_entry,
-                np.ascontiguousarray(bq[:, j0 : j0 + blk]),
-                np.ascontiguousarray(acc0[:, j0 : j0 + blk]),
-                mode.value,
-                engine_name,
-                acc_width,
-                rmode.value,
-                step,
-            )
-            for j0 in range(0, n, blk)
-        ]
-        results = parallel_map(_chain_columns, tasks, workers=workers)
-    finally:
-        if handle is not None:
-            arena_unpin(handle)
+    a_entry: Any = ("fields",) + tuple(a_fields) if a_fields is not None else aq
+    tasks = [
+        (
+            a_entry,
+            np.ascontiguousarray(bq[:, j0 : j0 + blk]),
+            np.ascontiguousarray(acc0[:, j0 : j0 + blk]),
+            mode.value,
+            engine_name,
+            acc_width,
+            rmode.value,
+            step,
+        )
+        for j0 in range(0, n, blk)
+    ]
+    results = parallel_map(_chain_columns, tasks, workers=workers)
     if len(results) == 1:
         return results[0]
     return np.concatenate(results, axis=1)

@@ -231,6 +231,6 @@ def split_cache_probe(_item: Any = None) -> dict[str, Any]:
     Pool workers keep their own resident split caches (forked state plus
     whatever their jobs split); ship this through
     :func:`repro.parallel.parallel_map` to observe them from the parent —
-    test/benchmark support, mirroring ``repro.parallel._arena_probe``.
+    test/benchmark support.
     """
     return DEFAULT_SPLIT_CACHE.info()

@@ -569,8 +569,6 @@ def chained_vector_fp32(
     k_chunk: int = 4,
     acc_bits: int = 48,
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
-    block: int = _CHAIN_BLOCK,
-    group: int = _CHAIN_GROUP,
     a_fields: LaneFields | None = None,
     product_fault: ProductFault | None = None,
 ) -> np.ndarray:
@@ -582,13 +580,12 @@ def chained_vector_fp32(
     chunk's accumulation order: the 16 product slots of a chunk depend
     only on A and B, so their windowed sums and anchor trajectories are
     precomputed in batched :func:`segmented_windowed_sum_f32` calls —
-    ``block`` output columns x ``group`` chunks per call, sized to keep
-    the slot buffers cache-resident — and the sequential part of the
-    chain (fold in C, round to FP32, feed the next chunk) touches one
-    full-width ``(M, N)`` slot per chunk (:func:`_chain_c_merge`)
-    instead of re-reducing all ``4*k_chunk + 1`` slots. ``block`` and
-    ``group`` are pure performance knobs; no setting changes a bit. A
-    single MMA is the one-chunk chain ``k_chunk = K``.
+    :data:`_CHAIN_BLOCK` output columns x :data:`_CHAIN_GROUP` chunks per
+    call — and the sequential part of the chain (fold in C, round to
+    FP32, feed the next chunk) touches one full-width ``(M, N)`` slot per
+    chunk (:func:`_chain_c_merge`) instead of re-reducing all
+    ``4*k_chunk + 1`` slots. A single MMA is the one-chunk chain
+    ``k_chunk = K``.
 
     The operand split that feeds the multiplier lanes is derived *once*
     per whole operand — A up front (or taken precomputed from
@@ -627,7 +624,7 @@ def chained_vector_fp32(
         return c_arr.copy()
     ((value_p, anchor_p),) = _chain_partials(
         [a_fields], [b], [[(0, 0, 0)]], [product_fault],
-        k_chunk, acc_bits, rounding, max(int(block), 1), max(int(group), 1),
+        k_chunk, acc_bits, rounding, _CHAIN_BLOCK, _CHAIN_GROUP,
     )
     return _chain_merge(value_p, anchor_p, c_arr, acc_bits, rounding)
 

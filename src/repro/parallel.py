@@ -35,11 +35,14 @@ cores for.
 
 **Zero-copy operand transfer.** ndarrays of at least :data:`SHM_MIN_BYTES`
 inside a work item are shipped through POSIX shared memory instead of
-being pickled through the result pipes: the parent copies each array into
-a :class:`multiprocessing.shared_memory.SharedMemory` segment once, the
-worker maps it and hands ``fn`` an ndarray view of identical bytes. Small
-payloads keep the plain pickle path. Values are byte-for-byte what the
-serial path sees, so results remain bit-identical.
+being pickled through the result pipes: the parent copies each distinct
+array into one :class:`multiprocessing.shared_memory.SharedMemory`
+segment per call, shared by every item that carries it, the worker maps
+it and hands ``fn`` an ndarray view of identical bytes, and the parent
+unlinks the segment when the call returns. Smaller payloads pickle.
+Values are byte-for-byte what the serial path sees, so results remain
+bit-identical. Workers exit when the process that owns the pool dies, so
+a killed parent leaves no worker (or segment) behind.
 
 **Resilient execution.** ``parallel_map`` optionally runs under a
 :class:`~repro.resilience.failures.RetryPolicy`: a per-task wall-clock
@@ -60,7 +63,10 @@ checkpoint journal hooks into.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 import time
 import warnings
 from collections import deque
@@ -81,22 +87,12 @@ from .resilience.failures import (
 __all__ = [
     "WORKERS_ENV",
     "SHM_MIN_BYTES",
-    "ARENA_ENV",
-    "ARENA_MAX_BYTES",
     "resolve_workers",
-    "resolve_arena_max_bytes",
     "split_ranges",
     "parallel_map",
     "shutdown",
     "pool_info",
     "in_worker",
-    "ArenaHandle",
-    "arena_publish",
-    "arena_pin",
-    "arena_unpin",
-    "arena_fetch",
-    "arena_clear",
-    "arena_info",
     "arena_worker_info",
     "ParallelTaskError",
     "TaskFailure",
@@ -107,13 +103,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 #: Minimum ndarray payload (bytes) routed through shared memory.
 SHM_MIN_BYTES = 1 << 20
-
-#: Environment variable bounding the operand arena (bytes; ``<= 0`` disables).
-ARENA_ENV = "REPRO_ARENA_MAX_BYTES"
-
-#: Default operand-arena byte bound — parent registry and each worker's
-#: attach LRU alike. 256 MiB holds dozens of serving-sized split planes.
-ARENA_MAX_BYTES = 1 << 28
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -143,31 +132,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers <= 0:
         return os.cpu_count() or 1
     return workers
-
-
-def resolve_arena_max_bytes(limit: int | None = None) -> int:
-    """Effective operand-arena byte bound (``0`` disables the arena).
-
-    Explicit ``limit`` wins; otherwise ``REPRO_ARENA_MAX_BYTES`` is
-    consulted; otherwise :data:`ARENA_MAX_BYTES`. Negative values
-    disable the arena; an unparseable environment override warns and
-    falls back to the default, mirroring ``REPRO_WORKERS``.
-    """
-    if limit is None:
-        raw = os.environ.get(ARENA_ENV, "").strip()
-        if not raw:
-            return ARENA_MAX_BYTES
-        try:
-            limit = int(raw)
-        except ValueError:
-            warnings.warn(
-                f"{ARENA_ENV}={raw!r} is not an integer; using the default "
-                f"({ARENA_MAX_BYTES} bytes)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return ARENA_MAX_BYTES
-    return max(0, int(limit))
 
 
 def split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -229,16 +193,34 @@ _in_worker = False
 
 
 def _mark_worker() -> None:
-    """Executor initializer: flag this process as a pool worker."""
+    """Executor initializer: flag this process as a pool worker, and
+    exit it when the process that owns the pool dies.
+
+    A worker of a killed parent would otherwise run its task to the end.
+    It also holds the resource tracker's pipe open, and the tracker
+    unlinks a dead parent's shared-memory segments only once every
+    holder of that pipe has exited.
+    """
     global _in_worker
     _in_worker = True
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True
+        ).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the parent's sentinel is ready (the parent exited),
+    then end this worker at once."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 def in_worker() -> bool:
     """True inside a pool worker process. Callers that would otherwise
-    fan out (and publish operands to the arena) collapse to the serial
-    in-process path there — nested parallelism never touches the pool or
-    the arena."""
+    fan out collapse to the serial in-process path there — nested
+    parallelism never touches the pool."""
     return _in_worker
 
 
@@ -260,10 +242,9 @@ def _get_pool(n_workers: int) -> ProcessPoolExecutor:
     if _pool is None:
         # Start the shared-memory resource tracker *before* forking the
         # workers. Forked workers then inherit it, so a worker attaching
-        # a segment (per-call transport or arena) registers into the
-        # parent's tracker — a set-level no-op — instead of spawning a
-        # private tracker that would warn about (and try to reap)
-        # segments the parent still owns.
+        # a segment registers into the parent's tracker — a set-level
+        # no-op — instead of spawning a private tracker that would warn
+        # about (and try to reap) segments the parent still owns.
         resource_tracker.ensure_running()
         _pool = ProcessPoolExecutor(max_workers=n_workers, initializer=_mark_worker)
         _pool_workers = n_workers
@@ -273,20 +254,15 @@ def _get_pool(n_workers: int) -> ProcessPoolExecutor:
 
 
 def shutdown(wait: bool = True) -> None:
-    """Release the persistent pool and the operand arena (no-op when
-    neither is live).
+    """Release the persistent pool (no-op when none is live).
 
     Safe to call at any time; the next :func:`parallel_map` that needs an
-    executor simply creates a fresh one, and the next publisher repopulates
-    the arena. Every arena segment is unlinked — pinned or not — so a
-    clean shutdown leaks nothing into ``/dev/shm``. Registered with
-    ``atexit``.
+    executor simply creates a fresh one. Registered with ``atexit``.
     """
     global _pool
     if _pool is not None and _pool_pid == os.getpid():
         _pool.shutdown(wait=wait)
     _pool = None
-    arena_clear(force=True)
 
 
 atexit.register(shutdown)
@@ -317,17 +293,15 @@ def _terminate_pool() -> None:
             pass
     else:
         _pool = None
-    # Respawn boundary: retire unpinned arena segments. Pinned entries
-    # (an in-flight call's operands) survive so retried tasks can still
-    # attach by name from the fresh pool's workers.
-    arena_clear(force=False)
 
 
 def pool_info() -> dict[str, Any]:
     """Introspection for tests, benchmarks and the serving layer: pool
-    liveness, width, how many executors this process has created, and the
+    liveness, width, how many executors this process has created, the
     health counters (broken-pool events, per-task timeouts, retries, and
-    the consecutive-failure streak since the last healthy round-trip)."""
+    the consecutive-failure streak since the last healthy round-trip),
+    and ``arena.publishes``, the shared-memory segments the transport
+    has created."""
     alive = _pool is not None and _pool_pid == os.getpid()
     return {
         "alive": alive,
@@ -337,13 +311,20 @@ def pool_info() -> dict[str, Any]:
         "timeout_events": _timeout_events,
         "task_retries": _task_retries,
         "failure_streak": _pool_failure_streak,
-        "arena": arena_info(),
+        "arena": {"publishes": _shm_publishes},
     }
 
 
 # ----------------------------------------------------------------------
 # Zero-copy operand transfer
 # ----------------------------------------------------------------------
+# Transport counters, reported under the "arena" name the benchmark
+# reads: segments this process created, and segments it mapped as a
+# pool worker.
+_shm_publishes: int = 0
+_worker_attaches: int = 0
+
+
 class _ShmRef:
     """Pickle-friendly handle to an ndarray parked in shared memory."""
 
@@ -359,6 +340,10 @@ class _ShmRef:
 
     def __setstate__(self, state: tuple[str, tuple[int, ...], str]) -> None:
         self.name, self.shape, self.dtype_str = state
+
+
+#: One call's segments, keyed by the ``id`` of the array each one holds.
+_Segments = dict[int, shared_memory.SharedMemory]
 
 
 def _attach_readonly(name: str) -> shared_memory.SharedMemory:
@@ -379,71 +364,49 @@ def _attach_readonly(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def _encode_item(obj: Any, segments: list) -> Any:
-    """Replace ndarrays of at least :data:`SHM_MIN_BYTES` in *obj* with
-    shared-memory refs.
+def _walk(obj: Any, leaf: Callable[[Any], Any]) -> Any:
+    """Rebuild the tuples, lists and dicts of *obj* with *leaf* applied
+    to everything else."""
+    if isinstance(obj, tuple):
+        return tuple(_walk(o, leaf) for o in obj)
+    if isinstance(obj, list):
+        return [_walk(o, leaf) for o in obj]
+    if isinstance(obj, dict):
+        return {k: _walk(v, leaf) for k, v in obj.items()}
+    return leaf(obj)
 
-    Walks tuples/lists/dicts; anything else passes through to pickle.
-    Created segments are appended to *segments* for the caller to
-    release once results are in.
+
+def _encode_items(work: Sequence[Any], segments: _Segments) -> list[Any]:
+    """Replace ndarrays of at least :data:`SHM_MIN_BYTES` in *work* with
+    shared-memory refs, one segment per distinct array.
+
+    Every item that carries the same array object shares its segment.
+    No other array can take an ``id`` key during the call, because
+    *work* keeps each one alive. Created segments land in *segments*
+    for the caller to release once results are in.
     """
-    if (
-        isinstance(obj, np.ndarray)
-        and obj.dtype != object
-        and obj.nbytes >= SHM_MIN_BYTES
-    ):
-        seg = shared_memory.SharedMemory(create=True, size=obj.nbytes)
-        np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)[...] = obj
-        segments.append(seg)
+
+    def leaf(obj: Any) -> Any:
+        global _shm_publishes
+        if not (
+            isinstance(obj, np.ndarray)
+            and obj.dtype != object
+            and obj.nbytes >= SHM_MIN_BYTES
+        ):
+            return obj
+        seg = segments.get(id(obj))
+        if seg is None:
+            seg = shared_memory.SharedMemory(create=True, size=obj.nbytes)
+            segments[id(obj)] = seg
+            _shm_publishes += 1
+            np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)[...] = obj
         return _ShmRef(seg.name, obj.shape, obj.dtype.str)
-    if isinstance(obj, tuple):
-        return tuple(_encode_item(o, segments) for o in obj)
-    if isinstance(obj, list):
-        return [_encode_item(o, segments) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _encode_item(v, segments) for k, v in obj.items()}
-    return obj
 
-
-def _decode_item(obj: Any, attached: list) -> Any:
-    """Inverse of :func:`_encode_item`, mapping refs to ndarray views."""
-    if isinstance(obj, _ShmRef):
-        seg = _attach_readonly(obj.name)
-        attached.append(seg)
-        return np.ndarray(obj.shape, dtype=np.dtype(obj.dtype_str), buffer=seg.buf)
-    if isinstance(obj, tuple):
-        return tuple(_decode_item(o, attached) for o in obj)
-    if isinstance(obj, list):
-        return [_decode_item(o, attached) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _decode_item(v, attached) for k, v in obj.items()}
-    return obj
-
-
-def _detach_result(obj: Any, attached: list) -> Any:
-    """Copy any part of a result that aliases a mapped segment.
-
-    The segment is unmapped before the result is pickled back, so a
-    view escaping through the return value must be materialised first.
-    """
-    if isinstance(obj, np.ndarray):
-        views = [
-            np.ndarray(seg.size, dtype=np.uint8, buffer=seg.buf) for seg in attached
-        ]
-        if any(np.shares_memory(obj, v) for v in views):
-            return obj.copy()
-        return obj
-    if isinstance(obj, tuple):
-        return tuple(_detach_result(o, attached) for o in obj)
-    if isinstance(obj, list):
-        return [_detach_result(o, attached) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _detach_result(v, attached) for k, v in obj.items()}
-    return obj
+    return [_walk(item, leaf) for item in work]
 
 
 class _ShmTask:
-    """Worker-side callable: decode the item, run ``fn``, unmap."""
+    """Worker-side callable: map the item's segments, run ``fn``, unmap."""
 
     __slots__ = ("fn",)
 
@@ -451,17 +414,37 @@ class _ShmTask:
         self.fn = fn
 
     def __call__(self, item: Any) -> Any:
-        attached: list = []
+        attached: dict[str, shared_memory.SharedMemory] = {}
+
+        def view(obj: Any) -> Any:
+            global _worker_attaches
+            if not isinstance(obj, _ShmRef):
+                return obj
+            seg = attached.get(obj.name)
+            if seg is None:
+                seg = attached[obj.name] = _attach_readonly(obj.name)
+                _worker_attaches += 1
+            return np.ndarray(obj.shape, dtype=np.dtype(obj.dtype_str), buffer=seg.buf)
+
+        def detach(obj: Any) -> Any:
+            # The segments are unmapped before the result is pickled
+            # back, so a view escaping through it is copied first.
+            if isinstance(obj, np.ndarray) and any(
+                np.shares_memory(obj, np.ndarray(seg.size, dtype=np.uint8, buffer=seg.buf))
+                for seg in attached.values()
+            ):
+                return obj.copy()
+            return obj
+
         try:
-            out = self.fn(_decode_item(item, attached))
-            return _detach_result(out, attached)
+            return _walk(self.fn(_walk(item, view)), detach)
         finally:
-            for seg in attached:
+            for seg in attached.values():
                 seg.close()
 
 
-def _release(segments: list) -> None:
-    for seg in segments:
+def _release(segments: _Segments) -> None:
+    for seg in segments.values():
         seg.close()
         try:
             seg.unlink()
@@ -469,301 +452,11 @@ def _release(segments: list) -> None:
             pass
 
 
-# ----------------------------------------------------------------------
-# Operand arena: content-addressed shared-memory segments
-# ----------------------------------------------------------------------
-# The per-call transport above copies every large operand into a fresh
-# segment per parallel_map invocation. The arena is the complement for
-# operands that *recur* — a serving weight matrix, the repeated A of a
-# batched sweep: the parent publishes the operand's pre-split planes
-# once under their content digest, task payloads carry a pickled
-# :class:`ArenaHandle` (a name plus a plane manifest) instead of arrays,
-# and each worker keeps a digest -> segment LRU so a repeated operand is
-# mapped once per worker, not copied once per task.
-#
-# Ownership is the transport's parent-creates/parent-unlinks discipline:
-# entries are refcounted (publishers pin around their parallel_map),
-# evicted only at refcount zero when the byte bound needs the room,
-# unlinked wholesale on :func:`shutdown` and (unpinned only) on a pool
-# respawn. Content addressing makes stale worker mappings harmless: the
-# same digest always names the same bytes, and a segment stays mapped
-# (POSIX keeps unlinked memory alive) until the worker LRU drops it.
-
-
-class ArenaHandle:
-    """Pickle-friendly content address of planes parked in the arena.
-
-    ``planes`` maps the segment layout: ``(name, shape, dtype str,
-    byte offset)`` per plane, offsets 64-byte aligned.
-    """
-
-    __slots__ = ("key", "name", "planes")
-
-    def __init__(
-        self,
-        key: str,
-        name: str,
-        planes: tuple[tuple[str, tuple[int, ...], str, int], ...],
-    ):
-        self.key = key
-        self.name = name
-        self.planes = planes
-
-    def __getstate__(self) -> tuple:
-        return (self.key, self.name, self.planes)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.key, self.name, self.planes = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArenaHandle({self.key!r}, {self.name!r}, {len(self.planes)} planes)"
-
-
-class _ArenaEntry:
-    __slots__ = ("seg", "handle", "nbytes", "refs")
-
-    def __init__(
-        self, seg: shared_memory.SharedMemory, handle: ArenaHandle, nbytes: int
-    ):
-        self.seg = seg
-        self.handle = handle
-        self.nbytes = nbytes
-        self.refs = 0
-
-
-# Parent-side registry (publisher process). Keyed by content digest;
-# insertion order is the LRU order.
-_arena: "dict[str, _ArenaEntry]" = {}
-_arena_pid: int = -1
-_arena_bytes: int = 0
-_arena_publishes: int = 0
-_arena_reuses: int = 0
-_arena_evictions: int = 0
-_arena_unlinks: int = 0
-
-# Worker-side attach LRU (per process).
-_worker_arena: "dict[str, tuple[shared_memory.SharedMemory, dict[str, np.ndarray], int]]" = {}
-_worker_arena_bytes: int = 0
-_worker_attaches: int = 0
-_worker_hits: int = 0
-_worker_evictions: int = 0
-
-
-def _arena_reset_if_forked() -> None:
-    """Drop a registry inherited across a fork without unlinking.
-
-    The segments belong to the forking parent — it unlinks them; the
-    child merely forgets its references and starts an arena of its own.
-    """
-    global _arena_pid, _arena_bytes  # repro: allow[FS304] fork-local reset by design
-    if _arena_pid != os.getpid():
-        _arena.clear()  # repro: allow[FS304] child forgets the parent's refs
-        _arena_bytes = 0
-        _arena_pid = os.getpid()
-
-
-def _arena_views(
-    seg: shared_memory.SharedMemory, handle: ArenaHandle
-) -> dict[str, np.ndarray]:
-    """Read-only ndarray views of one segment's planes."""
-    out: dict[str, np.ndarray] = {}
-    for name, shape, dtype_str, offset in handle.planes:
-        arr = np.ndarray(
-            shape, dtype=np.dtype(dtype_str), buffer=seg.buf, offset=offset
-        )
-        arr.flags.writeable = False
-        out[name] = arr
-    return out
-
-
-def _arena_drop(key: str, unlink: bool) -> None:
-    global _arena_bytes, _arena_unlinks  # repro: allow[FS304] parent-side only
-    entry = _arena.pop(key)  # repro: allow[FS304] parent-side registry
-    _arena_bytes -= entry.nbytes
-    entry.seg.close()
-    if unlink:
-        try:
-            entry.seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reaped
-            pass
-        _arena_unlinks += 1
-
-
-def arena_publish(key: str, planes: dict[str, np.ndarray]) -> ArenaHandle | None:
-    """Publish *planes* once under content address *key*.
-
-    Returns the (existing or new) :class:`ArenaHandle`, or ``None`` when
-    the arena is disabled (``REPRO_ARENA_MAX_BYTES <= 0``), the planes
-    exceed the whole byte bound, or the caller is a pool worker (nested
-    calls never touch the arena) — callers fall back to shipping arrays.
-    Publishing evicts least-recently-used unpinned entries as needed.
-    """
-    # repro: allow[FS304] worker-guarded: the _in_worker test below
-    # returns before any mutation when called from a pool worker.
-    global _arena_bytes, _arena_publishes, _arena_reuses, _arena_evictions
-    limit = resolve_arena_max_bytes()
-    if limit <= 0 or _in_worker:
-        return None
-    _arena_reset_if_forked()
-    entry = _arena.get(key)
-    if entry is not None:
-        # Re-insertion refreshes LRU position (parent-side only).
-        _arena.pop(key)  # repro: allow[FS304] worker-guarded
-        _arena[key] = entry  # repro: allow[FS304] worker-guarded
-        _arena_reuses += 1
-        return entry.handle
-
-    layout: list[tuple[str, np.ndarray, int]] = []
-    offset = 0
-    for name, arr in planes.items():
-        arr = np.ascontiguousarray(arr)
-        layout.append((name, arr, offset))
-        offset += -(-arr.nbytes // 64) * 64
-    total = max(offset, 1)
-    if total > limit:
-        return None
-    for old_key in [
-        k for k, e in _arena.items() if e.refs <= 0
-    ]:
-        if _arena_bytes + total <= limit:
-            break
-        _arena_drop(old_key, unlink=True)
-        _arena_evictions += 1
-    if _arena_bytes + total > limit:
-        # Pinned entries hold the remaining bytes: the bound is hard, so
-        # the caller falls back to shipping arrays for this dispatch.
-        return None
-    seg = shared_memory.SharedMemory(create=True, size=total)
-    for name, arr, off in layout:
-        np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf, offset=off)[...] = arr
-    handle = ArenaHandle(
-        key, seg.name, tuple((n, a.shape, a.dtype.str, o) for n, a, o in layout)
-    )
-    _arena[key] = _ArenaEntry(seg, handle, total)  # repro: allow[FS304] worker-guarded
-    _arena_bytes += total
-    _arena_publishes += 1
-    return handle
-
-
-def arena_pin(handle: ArenaHandle) -> None:
-    """Guard *handle*'s segment against eviction (publisher-side).
-
-    Publishers pin around the ``parallel_map`` that ships the handle and
-    unpin in a ``finally`` — a pinned entry survives pool respawns and
-    byte-bound pressure, so retried tasks can always re-attach.
-    """
-    if _arena_pid == os.getpid():
-        entry = _arena.get(handle.key)
-        if entry is not None:
-            entry.refs += 1
-
-
-def arena_unpin(handle: ArenaHandle) -> None:
-    """Release one :func:`arena_pin` on *handle*."""
-    if _arena_pid == os.getpid():
-        entry = _arena.get(handle.key)
-        if entry is not None and entry.refs > 0:
-            entry.refs -= 1
-
-
-def arena_fetch(handle: ArenaHandle) -> dict[str, np.ndarray]:
-    """Resolve *handle* to read-only plane views of identical bytes.
-
-    In the publisher process this reads the registry directly (no extra
-    mapping); in a pool worker it attaches the named segment lazily and
-    caches the mapping in the per-process LRU, evicting older segments
-    past ``REPRO_ARENA_MAX_BYTES``. Raises ``KeyError`` for an unlinked
-    (stale) handle — the resilient path retries after a republish.
-    """
-    if _in_worker:
-        return _worker_fetch(handle)
-    _arena_reset_if_forked()
-    entry = _arena.get(handle.key)
-    if entry is None:
-        raise KeyError(f"arena entry {handle.key!r} is not published")
-    _arena.pop(handle.key)  # repro: allow[FS304] parent branch: LRU refresh
-    _arena[handle.key] = entry  # repro: allow[FS304] parent branch: LRU refresh
-    return _arena_views(entry.seg, handle)
-
-
-def _worker_fetch(handle: ArenaHandle) -> dict[str, np.ndarray]:
-    # repro: allow[FS304] per-worker attach LRU by design: a miss
-    # re-attaches the same published bytes, so every view is identical
-    # at every worker count — only the attach/hit counters diverge.
-    global _worker_arena_bytes, _worker_attaches, _worker_hits, _worker_evictions
-    hit = _worker_arena.get(handle.key)
-    if hit is not None:
-        _worker_arena.pop(handle.key)  # repro: allow[FS304] worker-local LRU
-        _worker_arena[handle.key] = hit  # repro: allow[FS304] worker-local LRU
-        _worker_hits += 1
-        return hit[1]
-    seg = _attach_readonly(handle.name)
-    views = _arena_views(seg, handle)
-    _worker_arena[handle.key] = (seg, views, seg.size)  # repro: allow[FS304] worker-local LRU
-    _worker_arena_bytes += seg.size
-    _worker_attaches += 1
-    limit = resolve_arena_max_bytes()
-    # Never evict the segment just fetched: its views are live for the
-    # duration of the current task, and closing a mapped segment would
-    # invalidate them mid-chain.
-    for key in [k for k in _worker_arena if k != handle.key]:
-        if _worker_arena_bytes <= limit:
-            break
-        old_seg, _, old_bytes = _worker_arena.pop(key)  # repro: allow[FS304] worker-local LRU
-        _worker_arena_bytes -= old_bytes
-        old_seg.close()
-        _worker_evictions += 1
-    return views
-
-
-def arena_clear(force: bool = False) -> None:
-    """Unlink arena segments (all of them with ``force``, else only the
-    unpinned). Worker-side mappings stay valid until their LRU drops
-    them — POSIX keeps unlinked segments alive while mapped."""
-    global _arena_bytes
-    if _arena_pid != os.getpid():
-        # Forked copy: the references are not ours to unlink.
-        _arena.clear()
-        _arena_bytes = 0
-        return
-    for key in list(_arena):
-        if force or _arena[key].refs <= 0:
-            _arena_drop(key, unlink=True)
-
-
-def arena_info() -> dict[str, Any]:
-    """Publisher-side arena introspection (also in ``pool_info()``)."""
-    live = _arena_pid == os.getpid()
-    return {
-        "entries": len(_arena) if live else 0,
-        "bytes": _arena_bytes if live else 0,
-        "pinned": sum(1 for e in _arena.values() if e.refs > 0) if live else 0,
-        "segments": sorted(e.handle.name for e in _arena.values()) if live else [],
-        "limit": resolve_arena_max_bytes(),
-        "publishes": _arena_publishes,
-        "reuses": _arena_reuses,
-        "evictions": _arena_evictions,
-        "unlinks": _arena_unlinks,
-    }
-
-
-def arena_worker_info() -> dict[str, Any]:
-    """This process's attach-side counters (meaningful inside workers;
-    ship it through ``parallel_map`` to probe the pool)."""
-    return {
-        "in_worker": _in_worker,
-        "entries": len(_worker_arena),
-        "bytes": _worker_arena_bytes,
-        "attaches": _worker_attaches,
-        "hits": _worker_hits,
-        "evictions": _worker_evictions,
-    }
-
-
-def _arena_probe(_item: Any) -> dict[str, Any]:
-    """Module-level (pickleable) task fn returning the executing
-    process's :func:`arena_worker_info` — test/benchmark support."""
-    return arena_worker_info()
+def arena_worker_info() -> dict[str, int]:
+    """This process's transport counter: ``attaches``, the segments it
+    mapped as a pool worker (ship it through ``parallel_map`` to probe
+    the pool)."""
+    return {"attaches": _worker_attaches}
 
 
 # ----------------------------------------------------------------------
@@ -953,7 +646,8 @@ def parallel_map(
     with chunked work units. *fn* and
     the items must be picklable in the parallel case (module-level
     functions and plain data/numpy arrays are). ndarrays of at least
-    :data:`SHM_MIN_BYTES` travel via shared memory instead of pickle.
+    :data:`SHM_MIN_BYTES` travel via shared memory instead of pickle,
+    one segment per distinct array per call.
 
     Resilience (all optional; defaults resolve from the environment and
     are inert when unset — see :func:`repro.resilience.resolve_policy`):
@@ -999,11 +693,11 @@ def parallel_map(
         # imbalance without tuning per workload.
         chunk_size = max(1, -(-len(work) // (n_workers * 4)))
 
-    segments: list = []
+    segments: _Segments = {}
     payload: Sequence[Any] = work
     call: Callable[[Any], _R] = fn
     try:
-        encoded = [_encode_item(item, segments) for item in work]
+        encoded = _encode_items(work, segments)
         if segments:  # only wrap when something actually moved to shm
             payload, call = encoded, _ShmTask(fn)
         if resilient:

@@ -9,6 +9,7 @@ without deadlocks or leaked shared-memory segments.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.mxu.parallel_bitlevel import (
     DEFAULT_BITLEVEL_CHUNK,
     sharded_bitlevel_gemm,
 )
+from repro.mxu.split_cache import DEFAULT_SPLIT_CACHE, SPLIT_CACHE_ENV
 from repro.mxu.vectorized import BitLevelMXU, NonFiniteOperandError
 from repro.parallel import parallel_map, pool_info
 from repro.types.formats import FP32
@@ -75,6 +77,19 @@ def _nested_sharded(payload):
     out = sharded_bitlevel_gemm(a, b, c, workers=2, chunk=2)
     spawned = parallel.pool_info()["spawns"] - before
     return os.getpid(), spawned, out
+
+
+def _nested_sharded_vector(payload):
+    """Run a sharded GEMM *inside* a pool worker; report what it moved."""
+    a, b = payload
+    out = sharded_bitlevel_gemm(a, b, engine="vector", workers=4, chunk=8)
+    return out.tobytes(), parallel.in_worker(), parallel.arena_worker_info()["attaches"]
+
+
+def _worker_attaches(_item):
+    # The pause lets each idle worker take one probe.
+    time.sleep(0.2)
+    return parallel.in_worker(), parallel.arena_worker_info()["attaches"]
 
 
 class TestResolveChunk:
@@ -274,6 +289,72 @@ class TestPoolHygiene:
         before = pool_info()["spawns"]
         sharded_bitlevel_gemm(a, b, c, workers=1)
         assert pool_info()["spawns"] == before
+
+
+class TestShardedIntegration:
+    """Split cache warm vs cold at every worker count, and what the
+    transport moves for a sharded call."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_split_cache(self, monkeypatch):
+        monkeypatch.delenv(SPLIT_CACHE_ENV, raising=False)
+        DEFAULT_SPLIT_CACHE.clear()
+        yield
+        DEFAULT_SPLIT_CACHE.clear()
+
+    def _operands(self, n=48):
+        rng = np.random.default_rng(40)
+        return (
+            quantize(rng.standard_normal((n, n)), FP32),
+            quantize(rng.standard_normal((n, n)), FP32),
+        )
+
+    def test_bit_identity_cached_vs_fresh_across_worker_counts(self, monkeypatch):
+        a, b = self._operands()
+        monkeypatch.setenv(SPLIT_CACHE_ENV, "0")
+        reference = sharded_bitlevel_gemm(a, b, engine="vector", workers=0)
+        monkeypatch.delenv(SPLIT_CACHE_ENV)
+        for workers in (0, 1, 2, 4):
+            DEFAULT_SPLIT_CACHE.clear()
+            cold = sharded_bitlevel_gemm(
+                a, b, engine="vector", workers=workers, chunk=16
+            )
+            warm = sharded_bitlevel_gemm(
+                a, b, engine="vector", workers=workers, chunk=16
+            )
+            assert cold.tobytes() == reference.tobytes(), f"workers={workers} cold"
+            assert warm.tobytes() == reference.tobytes(), f"workers={workers} warm"
+
+    def test_parallel_dispatch_publishes_and_workers_attach(self, monkeypatch):
+        monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
+        a, b = self._operands()
+        blocks = 48 // 16
+        before = pool_info()["arena"]["publishes"]
+        out1 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2, chunk=16)
+        out2 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2, chunk=16)
+        assert out1.tobytes() == out2.tobytes()
+        # Per call: A's three lane-field planes once, however many column
+        # blocks carry them, plus each block's own B and C.
+        assert pool_info()["arena"]["publishes"] == before + 2 * (3 + 2 * blocks)
+        probes = parallel_map(
+            _worker_attaches, [None, None], workers=2, chunk_size=1, timeout=60.0
+        )
+        assert all(in_wkr for in_wkr, _ in probes)
+        assert any(attaches >= 1 for _, attaches in probes)
+
+    def test_nested_in_worker_collapses_serial_without_transport(self):
+        a, b = self._operands(n=32)
+        serial = sharded_bitlevel_gemm(a, b, engine="vector", workers=0)
+        publishes_before = pool_info()["arena"]["publishes"]
+        (got, in_wkr, attaches), = parallel_map(
+            _nested_sharded_vector, [(a, b)], workers=2, timeout=120.0
+        )
+        assert got == serial.tobytes()
+        assert in_wkr is True
+        # The nested call ran serially: nothing went through shared
+        # memory for it, in the worker or in this process.
+        assert attaches == 0
+        assert pool_info()["arena"]["publishes"] == publishes_before
 
 
 class TestCampaignWorkerParity:

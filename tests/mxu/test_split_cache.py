@@ -227,13 +227,16 @@ class TestEndToEndBitIdentity:
         rng = np.random.default_rng(10)
         a = np.stack([rng.standard_normal((32, 32))] * 4)
         b = rng.standard_normal((4, 32, 8))
-        warm = batched_mxu_sgemm(a, b)
+        # The cache inspected is this process's, so the batch runs here.
+        warm = batched_mxu_sgemm(a, b, workers=1)
         assert DEFAULT_SPLIT_CACHE.info()["entries"] >= 1
-        warm2 = batched_mxu_sgemm(a, b)
+        warm2 = batched_mxu_sgemm(a, b, workers=1)
+        pooled = [batched_mxu_sgemm(a, b, workers=2) for _ in range(2)]
         os.environ[SPLIT_CACHE_ENV] = "0"
-        cold = batched_mxu_sgemm(a, b)
-        assert warm.tobytes() == cold.tobytes()
-        assert warm2.tobytes() == cold.tobytes()
+        cold = batched_mxu_sgemm(a, b, workers=1)
+        pooled_cold = batched_mxu_sgemm(a, b, workers=2)
+        for got in [warm, warm2, *pooled, pooled_cold]:
+            assert got.tobytes() == cold.tobytes()
 
     def test_batched_cgemm_warm_vs_cold(self):
         rng = np.random.default_rng(11)

@@ -25,6 +25,7 @@ from repro.arith.accumulator import (
     segmented_windowed_sum_f32,
     sequential_windowed_sum,
 )
+from repro.mxu import vectorized
 from repro.mxu.modes import MXUMode
 from repro.mxu.vectorized import (
     ProductFault,
@@ -277,10 +278,13 @@ class TestChainedKernel:
         c = quantize(rng.standard_normal((m, n)), FP32)
         fault = _random_fault(rng, MXUMode.FP32, k, m, n) if faulty else None
         want = self._per_chunk(a, b, c, k_chunk, acc_bits, mode, fault)
-        got = chained_vector_fp32(
-            a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
-            block=3, product_fault=fault,
-        )
+        # A 3-column block puts block seams inside these small tiles.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vectorized, "_CHAIN_BLOCK", 3)
+            got = chained_vector_fp32(
+                a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
+                product_fault=fault,
+            )
         assert biteq(got, want)
 
     @settings(max_examples=30, deadline=None)
@@ -320,13 +324,15 @@ class TestChainedKernel:
         assert biteq(got, want)
 
     @pytest.mark.parametrize("block,group", [(1, 1), (2, 3), (5, 2), (64, 8)])
-    def test_block_group_knobs_never_change_bits(self, block, group):
+    def test_block_group_knobs_never_change_bits(self, block, group, monkeypatch):
         rng = np.random.default_rng(11)
         a = quantize(rng.standard_normal((7, 13)), FP32)
         b = quantize(rng.standard_normal((13, 6)), FP32)
         c = quantize(rng.standard_normal((7, 6)), FP32)
         want = chained_vector_fp32(a, b, c)
-        got = chained_vector_fp32(a, b, c, block=block, group=group)
+        monkeypatch.setattr(vectorized, "_CHAIN_BLOCK", block)
+        monkeypatch.setattr(vectorized, "_CHAIN_GROUP", group)
+        got = chained_vector_fp32(a, b, c)
         assert biteq(got, want)
 
     def test_adversarial_magnitudes_and_zeros(self):

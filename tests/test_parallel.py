@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -69,6 +73,46 @@ def _sum_arrays(item):
 
 def _identity_array(a):
     return a
+
+
+def _psm_names():
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+def _segments_seen(item):
+    """A task's index, a digest of its array, and the shared-memory
+    segments that exist while it runs."""
+    index, a = item
+    return index, hashlib.sha256(a.tobytes()).hexdigest(), _psm_names()
+
+
+def _alive(pid):
+    """True while *pid* runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+#: A process that dispatches four long tasks, each carrying its own
+#: 2 MiB operand, to two pool workers. Each task marks its worker's pid
+#: in the directory given as argv[1] once it runs.
+_DISPATCHER = """
+import os, sys, time
+import numpy as np
+from repro.parallel import parallel_map
+
+def task(item):
+    root, a = item
+    open(os.path.join(root, f"worker-{os.getpid()}"), "w").close()
+    time.sleep(60)
+    return float(a[0])
+
+if __name__ == "__main__":
+    arrays = [np.full(1 << 18, float(i)) for i in range(4)]
+    parallel_map(task, [(sys.argv[1], a) for a in arrays], workers=2, chunk_size=1)
+"""
 
 
 def _nested_fanout(x):
@@ -235,10 +279,70 @@ class TestSharedMemoryTransfer:
         leaked = set(os.listdir("/dev/shm")) - before
         assert not leaked
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="POSIX shm filesystem not visible")
+    def test_one_segment_per_distinct_array(self, rng):
+        a = rng.normal(size=(512, 512))  # 2 MiB
+        assert a.nbytes >= SHM_MIN_BYTES
+        before = _psm_names()
+        publishes = pool_info()["arena"]["publishes"]
+        got = parallel_map(
+            _segments_seen, [(i, a) for i in range(4)], workers=2, chunk_size=1
+        )
+        assert pool_info()["arena"]["publishes"] == publishes + 1
+        assert len(set().union(*(names for _, _, names in got)) - before) == 1
+        digest = hashlib.sha256(a.tobytes()).hexdigest()
+        assert [(i, d) for i, d, _ in got] == [(i, digest) for i in range(4)]
+        assert _psm_names() - before == set()
+
     def test_small_payloads_skip_shm(self, rng):
         a = rng.normal(size=(4, 4))  # far below the default threshold
         got = parallel_map(_identity_array, [a, a + 1], workers=2, chunk_size=1)
         assert got[0].tobytes() == a.tobytes()
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/dev/shm") and os.path.isdir("/proc")),
+    reason="needs the POSIX shm filesystem and /proc",
+)
+def test_killed_parent_leaves_no_worker_or_segment(tmp_path):
+    script = tmp_path / "dispatcher.py"
+    script.write_text(_DISPATCHER)
+    src = str(pathlib.Path(parallel.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    before = _psm_names()
+    workers: list[int] = []
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(tmp_path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=err,
+        )
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2:
+            assert proc.poll() is None, (tmp_path / "stderr.txt").read_text()
+            assert time.monotonic() < deadline, "the tasks never started"
+            time.sleep(0.05)
+            workers = [int(p.name[7:]) for p in tmp_path.glob("worker-*")]
+        created = _psm_names() - before
+        assert len(created) == 4
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10.0)
+        deadline = time.monotonic() + 20.0
+        while any(_alive(pid) for pid in workers) or created & _psm_names():
+            assert time.monotonic() < deadline, (
+                f"alive workers: {[pid for pid in workers if _alive(pid)]}, "
+                f"segments left: {sorted(created & _psm_names())}"
+            )
+            time.sleep(0.1)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestResilientExecution:
