@@ -43,6 +43,7 @@ from repro import parallel
 from repro.gemm.batched import batched_mxu_cgemm, batched_mxu_sgemm
 from repro.gemm.tiled import TiledGEMM
 from repro.mxu.m3xu import M3XU
+from repro.mxu import parallel_bitlevel
 from repro.mxu.modes import MXUMode
 from repro.mxu.parallel_bitlevel import DEFAULT_BITLEVEL_CHUNK, sharded_bitlevel_gemm
 from repro.mxu.split_cache import DEFAULT_SPLIT_CACHE, SPLIT_CACHE_ENV
@@ -311,7 +312,7 @@ def test_bitlevel_campaign(benchmark):
             extrapolated=f"scalar timed on {sl}/{trials} trials")
 
 
-def test_split_cache_repeated_operand(benchmark):
+def test_split_cache_repeated_operand(benchmark, monkeypatch):
     """Warm operand split cache vs cold split on a repeated-A workload.
 
     The fixed-weights serving pattern: a batch of ``SPLITC_B`` GEMMs
@@ -352,14 +353,16 @@ def test_split_cache_repeated_operand(benchmark):
             split_cache={"hits": info["hits"], "misses": info["misses"]})
 
     # Transport: A's lane-field planes are each at least 1 MiB, so they
-    # ride shared memory; the B and C column blocks pickle.
+    # ride shared memory; the B and C column blocks (two columns each)
+    # pickle.
+    monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 2)
     aq = quantize(rng.standard_normal((512, 1024)), FP32)
     bq = quantize(rng.standard_normal((1024, 4)), FP32)
     planes = fp32_lane_fields(aq)
     assert all(plane.nbytes >= parallel.SHM_MIN_BYTES for plane in planes)
     segments_before = _psm_names()
     publishes = parallel.pool_info()["arena"]["publishes"]
-    sharded = sharded_bitlevel_gemm(aq, bq, engine="vector", workers=2, chunk=2)
+    sharded = sharded_bitlevel_gemm(aq, bq, engine="vector", workers=2)
     # Once per plane, not once per plane and column block.
     assert parallel.pool_info()["arena"]["publishes"] == publishes + len(planes)
     assert _psm_names() == segments_before

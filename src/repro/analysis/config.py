@@ -53,8 +53,6 @@ DEFAULT_EXACT_FLOATS = frozenset({0.0, 1.0, -1.0, 2.0, -2.0, 0.5})
 DEFAULT_EXACT_SOURCES = (
     "repro.arith.accumulator.aligned_sum",
     "repro.arith.accumulator.aligned_sum_groups",
-    "repro.arith.accumulator.sequential_windowed_sum",
-    "repro.arith.accumulator.segmented_windowed_sum",
     "repro.arith.accumulator.segmented_windowed_sum_f32",
     "repro.arith.accumulator.int_window_to_float",
     "repro.arith.exact.exact_dot",

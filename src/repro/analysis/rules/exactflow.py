@@ -107,7 +107,7 @@ class ExactValueUnorderedSum(_ExactFlowRule):
     rule_id = "XF503"
     summary = "unordered sum() over exact-domain values"
     advice = (
-        "use aligned_sum_groups / segmented_windowed_sum for the "
+        "use aligned_sum_groups / segmented_windowed_sum_f32 for the "
         "reduction"
     )
 

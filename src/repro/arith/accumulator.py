@@ -17,28 +17,18 @@ Two accumulation disciplines live here:
   alignment: the anchor is the maximum exponent over the whole reduction
   group, known before any addition. Every addend is rounded once against
   that final window. This is what the fused MMA fast path uses.
-* :func:`sequential_windowed_sum` — **sequential** alignment, the
+* :func:`segmented_windowed_sum_f32` — **running-anchor** alignment, the
   bit-level RTL discipline of
   :class:`~repro.mxu.bitlevel.BitAccumulator`: the anchor is the running
   maximum, and whenever a later addend raises it, the *partial sum
   accumulated so far* is re-rounded by the shift. The two disciplines are
   bit-identical unless the exponent span exceeds the window width (then
   single-anchor rounds each small addend individually while the
-  sequential path rounds their sum), so the vectorized bit-level engine
-  must replicate the sequential discipline rather than reuse the
-  single-anchor kernels.
-* :func:`segmented_windowed_sum` — the same sequential discipline
-  reformulated as a **segmented** exact reduction: the anchor trajectory
-  is a masked cummax (known up front), rounding happens only at the
-  slots that raise the anchor, the slots between two raises form
-  segments whose contributions sum *exactly* (integer addition is
-  associative), and the per-segment partial sums — one segmented
-  ``reduceat`` over the aligned addends — are merged with the same
-  re-round-on-anchor-raise
-  rule. Provably bit-identical to :func:`sequential_windowed_sum` (the
-  retained oracle). :func:`segmented_windowed_sum_f32` is its packed
-  fast path — signed float32 slots carrying exact 24-bit integers —
-  and is what the hot bit-level engine runs on.
+  running-anchor path rounds their sum), so the vectorized bit-level
+  engine must replicate the running-anchor discipline rather than reuse
+  the single-anchor kernels. The kernel is a **segmented** exact
+  reduction of the slot walk, and its oracle is the scalar
+  :class:`~repro.mxu.bitlevel.BitAccumulator` itself.
 """
 
 from __future__ import annotations
@@ -46,13 +36,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..types.formats import FloatFormat
-from ..types.rounding import RoundingMode, round_significand
+from ..types.rounding import RoundingMode
 
 __all__ = [
     "aligned_sum",
     "aligned_sum_groups",
-    "sequential_windowed_sum",
-    "segmented_windowed_sum",
     "segmented_windowed_sum_f32",
     "int_window_to_float",
 ]
@@ -216,124 +204,13 @@ def aligned_sum_groups(
 
 
 # ---------------------------------------------------------------------------
-# Sequential windowed accumulation (the BitAccumulator discipline, as arrays)
+# Running-anchor windowed accumulation (the BitAccumulator discipline, as arrays)
 # ---------------------------------------------------------------------------
 
 #: Anchor value of an accumulator that has seen no nonzero addend yet. Far
 #: below any exponent a finite-format product can produce, yet small enough
 #: that ``top - _ANCHOR_SENTINEL`` cannot overflow int64 for |top| < 2**61.
 _ANCHOR_SENTINEL = np.int64(-(1 << 52))
-
-
-def _bit_length_int64(x: np.ndarray) -> np.ndarray:
-    """Exact bit length of positive int64 values (vectorized).
-
-    ``frexp`` of the float64 cast gives the bit length except when a value
-    just below a power of two rounds *up* across it (possible above 2**53);
-    the integer shift check corrects that overestimate.
-    """
-    _, e = np.frexp(x.astype(np.float64))
-    e64 = e.astype(np.int64)
-    over = (x >> np.minimum(e64 - 1, np.int64(63))) == 0
-    return e64 - over.astype(np.int64)
-
-
-def sequential_windowed_sum(
-    sign: np.ndarray,
-    sig: np.ndarray,
-    lsb_exp: np.ndarray,
-    acc_bits: int = M3XU_ACC_BITS,
-    mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate addend slots along the last axis with a running anchor.
-
-    Each slot ``s`` contributes ``(-1)**sign[..., s] * sig[..., s] *
-    2**lsb_exp[..., s]`` to a W-bit shifted integer window, in slot order,
-    exactly as :class:`~repro.mxu.bitlevel.BitAccumulator` would process
-    the same sequence element by element: zero significands are skipped,
-    a slot whose MSB exceeds the running anchor re-rounds the partial sum
-    by the anchor shift, and every addend is aligned to the current window
-    LSB with *mode* rounding. The slot loop is sequential (the discipline
-    demands it) but each step is vectorized over all leading axes.
-
-    Parameters
-    ----------
-    sign:
-        0/1 addend signs (1 = negative), broadcastable against *sig*.
-    sig:
-        Non-negative int64 addend significands; shape ``(..., S)``.
-    lsb_exp:
-        Binary weight of each significand's LSB. Magnitudes must stay
-        below ``2**50`` so anchor arithmetic cannot overflow.
-    acc_bits:
-        Window width W (48 in M3XU). ``acc_bits + ceil(log2(S)) + 1`` must
-        stay <= 63 so the int64 partial sums cannot overflow.
-    mode:
-        Rounding applied to alignment and rescale shifts.
-
-    Returns
-    -------
-    tuple[np.ndarray, np.ndarray]
-        ``(value, window_lsb)``: the signed int64 window contents and the
-        binary weight of the window's LSB, per element. The represented
-        result is ``value * 2**window_lsb``.
-    """
-    sig_arr = np.asarray(sig, dtype=np.int64)
-    sign_arr = np.asarray(sign, dtype=np.int64)
-    lsb_arr = np.asarray(lsb_exp, dtype=np.int64)
-    sign_arr, sig_arr, lsb_arr = np.broadcast_arrays(sign_arr, sig_arr, lsb_arr)
-    if sig_arr.ndim == 0:
-        raise ValueError("addend slots must have at least one axis")
-    if acc_bits < 8:
-        raise ValueError("accumulator width must be >= 8 bits")
-    n_slots = sig_arr.shape[-1]
-    if acc_bits + int(np.ceil(np.log2(max(n_slots, 1)))) + 1 > 63:
-        raise ValueError(
-            f"acc_bits={acc_bits} with {n_slots} slots overflows the int64 window"
-        )
-    if np.any(sig_arr < 0):
-        raise ValueError("significands must be non-negative")
-
-    nz = sig_arr != 0
-    msb = _bit_length_int64(np.where(nz, sig_arr, 1)) - 1
-    top = np.where(nz, lsb_arr + msb, _ANCHOR_SENTINEL)
-    # The running anchor is a masked cumulative max, so the whole anchor
-    # trajectory — and with it every alignment shift — is known up front;
-    # only the value recursion (whose rescale *rounds* the partial sum)
-    # stays sequential.
-    anchor = np.maximum.accumulate(top, axis=-1)
-    prev = np.concatenate(
-        [
-            np.full(anchor.shape[:-1] + (1,), _ANCHOR_SENTINEL, dtype=np.int64),
-            anchor[..., :-1],
-        ],
-        axis=-1,
-    )
-    rescale = anchor - prev
-
-    window_lsb = anchor - acc_bits + 1
-    rel = lsb_arr - window_lsb
-    # For nonzero slots rel <= acc_bits - 1 - msb, so the left shift stays
-    # inside 63 bits; zero slots may carry arbitrary rel and are masked.
-    aligned = np.where(
-        rel >= 0,
-        sig_arr << np.clip(rel, 0, 63),
-        round_significand(sig_arr, np.maximum(-rel, 0), mode),
-    )
-    addend = np.where(nz, np.where(sign_arr != 0, -aligned, aligned), 0)
-
-    value = np.zeros(sig_arr.shape[:-1], dtype=np.int64)
-    for s in range(n_slots):
-        shift = rescale[..., s]
-        if bool(np.any(shift > 0)):
-            neg = value < 0
-            mag = np.where(neg, -value, value)
-            mag = round_significand(mag, shift, mode)
-            value = np.where(neg, -mag, mag)
-        value = value + addend[..., s]
-    return value, window_lsb[..., -1] if n_slots else np.full(
-        sig_arr.shape[:-1], _ANCHOR_SENTINEL - acc_bits + 1, dtype=np.int64
-    )
 
 
 def _rne_shift_positive(sig: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -370,15 +247,14 @@ def _merge_segments(
     past its row's end into the *leading* slots of the next row, but those
     sit before that row's first anchor raise and are therefore exactly
     zero, so the spill adds nothing. Float32 addends are reduced with a
-    float64 accumulator: every addend is an integer below ``2**48`` and
-    row totals stay below ``2**53``, so the sums are exact.
+    float64 accumulator, which the caller only allows while every row
+    total stays below ``2**53``; int64 addends are summed as integers.
 
     Events are then merged rank by rank (a row's e-th anchor raise) on
     compacted index lists with the re-round-on-anchor-raise rule; total
     merge work is proportional to the event count. The first event of
     every row merges into a zero partial sum — rounding zero is a no-op,
-    which is what makes the oracle's sentinel-relative first shift
-    irrelevant here.
+    so the first raise's sentinel-relative shift never matters.
     """
     mask = rescale_flat > 0
     event_idx = np.flatnonzero(mask)
@@ -403,8 +279,9 @@ def _merge_segments(
     starts = ends - counts
     e_max = int(counts.max())
     rne = mode is RoundingMode.NEAREST_EVEN
-    # Same clamps as the alignment pass, hoisted over the whole event
-    # stream: magnitudes stay below 2**53, so shift 62 (the reference's
+    # Shift clamps, hoisted over the whole event stream: magnitudes stay
+    # below 2**62 (the caller's int64 headroom check), so the RNE bias
+    # cannot overflow, and shift 62 (round_significand's
     # everything-rounds-away point) maps to 63 under RNE and is already
     # exact under truncation.
     if e_max > 1:
@@ -430,157 +307,6 @@ def _merge_segments(
     return value
 
 
-def segmented_windowed_sum(
-    sign: np.ndarray,
-    sig: np.ndarray,
-    lsb_exp: np.ndarray,
-    acc_bits: int = M3XU_ACC_BITS,
-    mode: RoundingMode = RoundingMode.NEAREST_EVEN,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocked/segmented exact reduction of the sequential window discipline.
-
-    Bit-identical to :func:`sequential_windowed_sum` on every input (the
-    property suite sweeps adversarial anchor trajectories), but the slot
-    walk is replaced by a segmented reduction whose step count is the
-    number of *anchor raises*, not the number of slots:
-
-    1. The anchor trajectory is the masked running maximum of the slot
-       MSB exponents (a cummax — the same observation the sequential
-       kernel already exploits for alignment).
-    2. The partial sum is re-rounded **only** at slots that raise the
-       anchor (``rescale > 0``); everywhere else the discipline adds
-       already-aligned integers, which is associative. Each maximal run
-       of constant anchor is therefore a *segment* whose net contribution
-       is an exact integer: one segmented reduction (``np.add.reduceat``
-       at the anchor-raising slots) recovers every segment total without
-       walking the slots in Python.
-    3. Segment totals are merged in order with the same
-       re-round-on-anchor-raise rule the scalar
-       :class:`~repro.mxu.bitlevel.BitAccumulator` applies: ``value =
-       round(value, rescale) + segment``. Elements with fewer raises are
-       padded with no-op merges (shift 0, segment 0).
-
-    Random operands raise the anchor O(log S) times per element, so the
-    merge loop is much shorter than the slot loop; all heavy tensors run
-    in the narrowest safe integer dtype (the alignment rounding fits
-    int32 whenever significands stay below 2**30, exponent-side arrays
-    fit int32 whenever LSB weights stay within 2**28 — both always true
-    for the 24-bit products of the bit-level engine).
-
-    Parameters and return value match :func:`sequential_windowed_sum`;
-    ``sig`` additionally accepts any integer dtype (converted exactly),
-    and ``lsb_exp``/``sign`` may be narrow integer types.
-    """
-    sign_arr = np.asarray(sign)
-    sig_in = np.asarray(sig)
-    lsb_in = np.asarray(lsb_exp)
-    if lsb_in.dtype.kind != "i":
-        lsb_in = lsb_in.astype(np.int64)
-    shape = np.broadcast_shapes(sign_arr.shape, sig_in.shape, lsb_in.shape)
-    if not shape:
-        raise ValueError("addend slots must have at least one axis")
-    if acc_bits < 8:
-        raise ValueError("accumulator width must be >= 8 bits")
-    n_slots = shape[-1]
-    if acc_bits + int(np.ceil(np.log2(max(n_slots, 1)))) + 1 > 63:
-        raise ValueError(
-            f"acc_bits={acc_bits} with {n_slots} slots overflows the int64 window"
-        )
-    lead = shape[:-1]
-    if n_slots == 0:
-        return (
-            np.zeros(lead, dtype=np.int64),
-            np.full(lead, _ANCHOR_SENTINEL - acc_bits + 1, dtype=np.int64),
-        )
-    sig_arr = np.broadcast_to(sig_in.astype(np.int64, copy=False), shape)
-    lsb_arr = np.broadcast_to(lsb_in, shape)
-    if np.any(sig_arr < 0):
-        raise ValueError("significands must be non-negative")
-    sig_max = int(sig_arr.max()) if sig_arr.size else 0
-
-    # Exponent-side dtype: int32 whenever the LSB range provably fits
-    # (always true for the engine's int16 slot buffers); otherwise int64
-    # with the full sentinel. The merge algebra is dtype-independent —
-    # the first-slot rescale differs from the oracle's (sentinel offset)
-    # but both land in the everything-rounds-away regime on a zero
-    # partial sum, and the returned window LSB is fixed up below.
-    if lsb_arr.size == 0 or lsb_arr.dtype.itemsize <= 2:
-        small_exp = True
-    elif lsb_arr.dtype == np.int64 or lsb_arr.dtype.itemsize == 4:
-        lo, hi = int(lsb_arr.min()), int(lsb_arr.max())
-        small_exp = -(1 << 28) <= lo and hi <= (1 << 28)
-    else:
-        small_exp = False
-    exp_dt = np.int32 if small_exp else np.int64
-    sentinel = exp_dt(-(1 << 30)) if small_exp else _ANCHOR_SENTINEL
-
-    # Slot MSB exponents -> masked-cummax anchor trajectory. frexp of the
-    # float32 cast is the cheap exact bit length below 2**24; the general
-    # path goes through the correction in _bit_length_int64.
-    nz = sig_arr != 0
-    if sig_max < (1 << 24):
-        f32 = sig_arr.astype(np.float32)  # repro: allow[PS105]
-        e = np.frexp(f32)[1]
-        top = np.add(lsb_arr, e, dtype=exp_dt)
-        top -= exp_dt(1)
-    else:
-        bl = _bit_length_int64(np.where(nz, sig_arr, 1))
-        top = np.add(lsb_arr, bl, dtype=exp_dt)
-        top -= exp_dt(1)
-    top = np.where(nz, top, sentinel)
-    anchor = np.maximum.accumulate(top, axis=-1)
-    rescale = np.empty_like(anchor)
-    rescale[..., 0] = anchor[..., 0] - sentinel
-    np.subtract(anchor[..., 1:], anchor[..., :-1], out=rescale[..., 1:])
-
-    # Alignment against each slot's window: left shifts are exact; the
-    # rounded right shifts are patched in afterwards (disjoint masks), in
-    # int32 when the significands allow.
-    window_lo = anchor - exp_dt(acc_bits - 1)
-    rel = np.subtract(lsb_arr, window_lo, dtype=exp_dt)
-    aligned = sig_arr << np.clip(rel, 0, 63)
-    # Shift clamps, chosen so the shift stays below the working bit width
-    # and matches the reference's shift>=62 -> 0 rule exactly: in int32
-    # (sig < 2**30) every shift >= 31 genuinely rounds to 0, so clamping
-    # at 31 is lossless; in int64 a shift of exactly 62 must *also* give
-    # 0 (the reference clamps there), so 62 is mapped up to 63.
-    need_round = rel < 0
-    if bool(np.any(need_round)):
-        nrel = np.negative(rel)
-        if sig_max < (1 << 30):
-            x: np.ndarray = sig_arr.astype(np.int32)
-            s = np.clip(nrel, 1, 31).astype(np.int32, copy=False)
-        else:
-            x = np.asarray(sig_arr)
-            s = np.clip(nrel, 1, 63).astype(np.int64, copy=False)
-            if mode is RoundingMode.NEAREST_EVEN:
-                np.copyto(s, np.int64(63), where=s >= 62)
-        if mode is RoundingMode.NEAREST_EVEN:
-            rounded = _rne_shift_positive(x, s)
-        else:
-            rounded = x >> s
-        np.copyto(aligned, rounded, where=need_round, casting="same_kind")
-
-    # Signed addends (zero slots align to 0, so no explicit mask is
-    # needed); segment totals and the ordered merge live in the shared
-    # helper.
-    np.negative(aligned, out=aligned, where=np.broadcast_to(sign_arr != 0, shape))
-    n_rows = aligned.size // n_slots
-    value = _merge_segments(
-        np.ascontiguousarray(aligned).reshape(-1),
-        np.ascontiguousarray(rescale).reshape(-1),
-        n_slots,
-        n_rows,
-        mode,
-    ).reshape(lead)
-
-    last = anchor[..., -1]
-    window_last = np.where(last == sentinel, _ANCHOR_SENTINEL, last) - (
-        acc_bits - 1
-    )
-    return value, window_last.astype(np.int64, copy=False)
-
-
 #: Sentinel for the packed-float32 path's int16 exponent arrays.
 _SENTINEL_I16 = np.int16(-(1 << 14))
 
@@ -596,12 +322,30 @@ def segmented_windowed_sum_f32(
     acc_bits: int = M3XU_ACC_BITS,
     mode: RoundingMode = RoundingMode.NEAREST_EVEN,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Packed-operand fast path of :func:`segmented_windowed_sum`.
+    """Accumulate addend slots along the last axis with a running anchor.
+
+    Each slot contributes ``signed_sig * 2**lsb_exp`` to a W-bit shifted
+    integer window, in slot order, exactly as
+    :class:`~repro.mxu.bitlevel.BitAccumulator` processes the same
+    sequence one addend at a time: zero slots are skipped, a slot whose
+    MSB exceeds the running anchor re-rounds the partial sum by the
+    anchor shift, and every addend is aligned to the current window LSB
+    with *mode* rounding. The slot walk becomes a segmented exact
+    reduction whose step count is the number of *anchor raises*:
+
+    1. The anchor trajectory is the masked running maximum of the slot
+       MSB exponents, known before any addition.
+    2. The partial sum is re-rounded **only** at slots that raise the
+       anchor; between raises the discipline adds already-aligned
+       integers, which is associative, so each constant-anchor run is a
+       *segment* with an exact integer total (one ``np.add.reduceat``).
+    3. Segment totals are merged in order with the
+       re-round-on-anchor-raise rule (:func:`_merge_segments`).
 
     The bit-level engine's partial products are at most 24-bit integers
     (12-bit operand halves), so a *signed float32* carries each addend
     exactly — sign, significand and (via the exponent field) its own bit
-    length — in half the bytes of the split int64/int8 representation:
+    length:
 
     * the slot MSB exponent is read straight out of the IEEE exponent
       bits (biased exponent minus 127 is the bit length minus one for
@@ -611,12 +355,13 @@ def segmented_windowed_sum_f32(
       exact-integer range);
     * the few slots that shift *down* (``rel < 0``) are rounded on a
       compacted index list in int32 and patched back;
-    * segment totals are reduced with a float64 accumulator (exact below
-      ``2**53``) and merged by :func:`_merge_segments`.
+    * segment totals are reduced with a float64 accumulator while
+      ``n_slots * 2**acc_bits <= 2**53`` keeps them exact; deeper
+      reductions sum the aligned addends (integers below
+      ``2**acc_bits``) in int64.
 
-    Bit-identical to :func:`sequential_windowed_sum` applied to the
-    unpacked (sign, |sig|, lsb) triple — the property suite drives both
-    through the same adversarial trajectories.
+    The property suite holds the result bit-identical to a
+    :class:`~repro.mxu.bitlevel.BitAccumulator` run over each row.
 
     Parameters
     ----------
@@ -625,8 +370,19 @@ def segmented_windowed_sum_f32(
         (negative zero is treated as zero). Last axis is the slot axis.
     lsb_exp:
         Integer LSB weights, ``|lsb_exp| <= 2**13``, same shape.
-    acc_bits, mode:
-        As in :func:`sequential_windowed_sum`.
+    acc_bits:
+        Window width W (48 in M3XU). ``acc_bits + ceil(log2(S)) + 1``
+        must stay <= 63 so the int64 partial sums cannot overflow.
+    mode:
+        Rounding applied to alignment and rescale shifts.
+
+    Returns
+    -------
+    tuple[np.ndarray, np.ndarray]
+        ``(value, window_lsb)``: the signed int64 window contents and the
+        binary weight of the window's LSB, per row; the represented
+        result is ``value * 2**window_lsb``. A row without a nonzero slot
+        gives 0 and ``_ANCHOR_SENTINEL - acc_bits + 1``.
     """
     sig_arr = np.asarray(signed_sig)
     lsb_in = np.asarray(lsb_exp)
@@ -639,13 +395,9 @@ def segmented_windowed_sum_f32(
     if acc_bits < 8:
         raise ValueError("accumulator width must be >= 8 bits")
     n_slots = sig_arr.shape[-1]
-    # Aligned addends stay below 2**acc_bits, so a segment total (and
-    # every float64 intermediate while reducing it) stays below
-    # n_slots * 2**acc_bits; exactness needs that under 2**53.
-    if n_slots * (1 << acc_bits) > (1 << 53):
+    if acc_bits + int(np.ceil(np.log2(max(n_slots, 1)))) + 1 > 63:
         raise ValueError(
-            f"acc_bits={acc_bits} with {n_slots} slots overflows the exact "
-            "float64 segment accumulator"
+            f"acc_bits={acc_bits} with {n_slots} slots overflows the int64 window"
         )
     lead = sig_arr.shape[:-1]
     if n_slots == 0:
@@ -707,9 +459,15 @@ def segmented_windowed_sum_f32(
         np.negative(patched, out=patched, where=neg)
         aligned.reshape(-1)[need] = patched
 
+    # Aligned addends stay below 2**acc_bits, so a segment total (and
+    # every float64 intermediate while reducing it) stays below
+    # n_slots * 2**acc_bits; past 2**53 the segments are summed in int64.
+    addends = aligned.reshape(-1)
+    if n_slots * (1 << acc_bits) > (1 << 53):
+        addends = addends.astype(np.int64)
     n_rows = sig2.shape[0]
     value = _merge_segments(
-        aligned.reshape(-1), rescale.reshape(-1), n_slots, n_rows, mode
+        addends, rescale.reshape(-1), n_slots, n_rows, mode
     ).reshape(lead)
     last = anchor[:, -1]
     window_last = np.where(
@@ -740,9 +498,9 @@ def int_window_to_float(
     mag = np.abs(value_arr)
     zero = mag == 0
     # Bit length inline (zero slots borrow length 1; their output is
-    # forced to +0.0 below): frexp is exact under 2**53, and the
-    # round-up-across-a-power-of-two correction of _bit_length_int64 only
-    # fires above that, so it is skipped when no value can need it.
+    # forced to +0.0 below): frexp is exact under 2**53; above that a
+    # value just below a power of two can round up across it, which the
+    # shift check corrects, so it is skipped when no value can need it.
     bl = np.frexp((mag + zero).astype(np.float64))[1].astype(np.int64)
     if int(mag.max(initial=0)) >= (1 << 53):
         bl -= (mag + zero) >> np.minimum(bl - 1, np.int64(63)) == 0

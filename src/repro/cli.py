@@ -108,22 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bind address (default: REPRO_SERVE_HOST or "
                           "127.0.0.1)")
     srv.add_argument("--port", type=int, default=None,
-                     help="TCP port, 0 for ephemeral (default: "
+                     help="TCP port, 0 for OS-assigned (default: "
                           "REPRO_SERVE_PORT or 8135)")
     srv.add_argument("--max-queue", type=int, default=None, dest="max_queue",
                      help="admitted-but-unfinished request ceiling "
-                          "(default: REPRO_SERVE_MAX_QUEUE or 64)")
+                          "(default: 64)")
     srv.add_argument("--rate", type=float, default=None,
                      help="token-bucket admission rate in req/s "
-                          "(default: REPRO_SERVE_RATE; 0 disables)")
+                          "(default: 0, which disables it)")
     srv.add_argument("--deadline-ms", type=float, default=None,
                      dest="deadline_ms",
-                     help="default per-request deadline "
-                          "(default: REPRO_SERVE_DEADLINE_MS or 10000)")
+                     help="default per-request deadline (default: 10000)")
     srv.add_argument("--degrade", default=None,
                      choices=["auto", "off", "0", "1", "2", "3"],
-                     help="degradation policy (default: REPRO_SERVE_DEGRADE "
-                          "or auto)")
+                     help="degradation policy (default: auto)")
     srv.add_argument("--workers", type=int, default=None,
                      help="pool fan-out width (default: REPRO_WORKERS)")
     srv.add_argument("--abft", action="store_true", default=None,
@@ -388,6 +386,7 @@ def _cmd_serve(args) -> int:
 
     cfg = ServeConfig.from_env(
         host=args.host,
+        port=args.port,
         max_queue=args.max_queue,
         rate=args.rate,
         deadline_ms=args.deadline_ms,
@@ -397,18 +396,13 @@ def _cmd_serve(args) -> int:
         fault_injection=args.fault_injection,
         allow_shutdown=args.allow_shutdown,
     )
-    if args.port is not None:
-        cfg.port = args.port
-    elif cfg.port == 0:
-        cfg.port = 8135
-
     server = GemmServer(cfg)
 
     async def _run() -> int:
         await server.start()
         print(f"repro serve: listening on {cfg.host}:{server.port} "
               f"(degrade={cfg.degrade}, max_queue={cfg.max_queue}, "
-              f"fault_injection={cfg.fault_injection})")
+              f"fault_injection={cfg.fault_injection})", flush=True)
         try:
             await server.serve_forever()
         finally:

@@ -178,7 +178,6 @@ def sharded_bitlevel_gemm(
     rounding: RoundingMode | None = None,
     k_chunk: int | None = None,
     workers: int | None = None,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """``A @ B + C`` through the bit-level datapath, sharded over columns.
 
@@ -206,11 +205,8 @@ def sharded_bitlevel_gemm(
         the mode) — the FP32 rounding seam, so it *does* change bits.
     workers:
         Worker count (defaults to ``REPRO_WORKERS``); ``<=1`` runs the
-        block loop serially in-process.
-    chunk:
-        Output-column block size of a parallel run (defaults to
-        :data:`DEFAULT_BITLEVEL_CHUNK`) — a pure performance knob, never
-        a rounding boundary.
+        block loop serially in-process, otherwise the output columns are
+        dispatched in blocks of :data:`DEFAULT_BITLEVEL_CHUNK`.
     """
     if mode not in (MXUMode.FP32, MXUMode.FP32C):
         raise ValueError(f"bit-level engines model fp32/fp32c only, not {mode.value}")
@@ -221,8 +217,6 @@ def sharded_bitlevel_gemm(
     step = int(k_chunk) if k_chunk is not None else M3XU_CONFIG.tile(mode).k
     if step < 1:
         raise ValueError("k_chunk must be >= 1")
-    if chunk is not None and chunk < 1:
-        raise ValueError("bit-level column chunk must be >= 1")
 
     if mode is MXUMode.FP32C:
         a64 = np.asarray(a, dtype=np.complex128)
@@ -256,7 +250,7 @@ def sharded_bitlevel_gemm(
     # Column blocks are the *parallel* grain; a serial run hands the whole
     # width to one chain so the kernel's internal cache blocking sets the
     # pace (bit-identical either way — columns never interact).
-    blk = n if resolve_workers(workers) <= 1 else int(chunk or DEFAULT_BITLEVEL_CHUNK)
+    blk = n if resolve_workers(workers) <= 1 else DEFAULT_BITLEVEL_CHUNK
 
     a_entry: Any = ("fields",) + tuple(a_fields) if a_fields is not None else aq
     tasks = [

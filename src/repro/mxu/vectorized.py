@@ -21,12 +21,9 @@ tiles, bit-identically:
   feed :func:`~repro.arith.accumulator.segmented_windowed_sum_f32`, the
   segmented exact reformulation of the
   :class:`~repro.mxu.bitlevel.BitAccumulator` discipline (masked-cummax
-  anchor trajectory, exact per-segment sums via a float64 ``reduceat``,
-  re-round-on-anchor-raise merge), proven bit-identical to the
-  sequential :func:`~repro.arith.accumulator.sequential_windowed_sum`
-  oracle by the property suite (accumulations too deep for the packed
-  kernel's exactness bound unpack to the general integer
-  :func:`~repro.arith.accumulator.segmented_windowed_sum`). The single-anchor
+  anchor trajectory, exact per-segment sums, re-round-on-anchor-raise
+  merge), held bit-identical to the scalar accumulator by the property
+  suite. The single-anchor
   :func:`~repro.arith.accumulator.aligned_sum_groups` kernel is *not*
   reused for this: it rounds each addend against the final anchor, which
   diverges from the sequential discipline once the exponent span exceeds
@@ -63,7 +60,6 @@ from ..arith.accumulator import (
     _ANCHOR_SENTINEL,
     _rne_shift_positive,
     int_window_to_float,
-    segmented_windowed_sum,
     segmented_windowed_sum_f32,
 )
 from ..types.formats import FP32, FloatFormat
@@ -370,29 +366,6 @@ def _flip_product_bit(sig: np.ndarray, element: tuple[int, int], slot: int, bit:
     sig[em, en, slot] = np.float32(-mag if np.signbit(val) else mag)
 
 
-def _windowed_sum_packed(
-    sig: np.ndarray,
-    lsb: np.ndarray,
-    acc_bits: int,
-    rounding: RoundingMode,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch packed slots to the fastest bit-identical reduction.
-
-    The float32 kernel needs ``slots * 2**acc_bits`` inside the exact
-    float64 range; unusually deep accumulations (huge K at full 48-bit
-    width) unpack to the general integer kernel instead.
-    """
-    if sig.shape[-1] * (1 << acc_bits) <= (1 << 53):
-        return segmented_windowed_sum_f32(sig, lsb, acc_bits=acc_bits, mode=rounding)
-    return segmented_windowed_sum(
-        np.signbit(sig).astype(np.int8),
-        np.abs(sig).astype(np.int64),
-        lsb,
-        acc_bits=acc_bits,
-        mode=rounding,
-    )
-
-
 def _chain_c_merge(
     value_p: np.ndarray,
     anchor_p: np.ndarray,
@@ -533,11 +506,11 @@ def _chain_partials(
                     em, en = fault.element
                     if 0 <= col < (kg1 - kg0) * stride and j0 <= en < j1:
                         _flip_product_bit(sig, (em, en - j0), col, fault.bit)
-                vp, wp = _windowed_sum_packed(
+                vp, wp = segmented_windowed_sum_f32(
                     sig.reshape(m_dim, j1 - j0, n_g, spc),
                     lsb.reshape(m_dim, j1 - j0, n_g, spc),
-                    acc_bits,
-                    rounding,
+                    acc_bits=acc_bits,
+                    mode=rounding,
                 )
                 value_p[g0 : g0 + n_g, :, j0:j1] = vp.transpose(2, 0, 1)
                 # The f32 kernel's sentinel window maps back to the sentinel

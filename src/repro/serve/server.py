@@ -80,13 +80,14 @@ from .records import RequestRecord, RunTable
 
 __all__ = ["ServeConfig", "GemmServer", "serve_forever"]
 
-#: Environment knobs (CLI flags and explicit config win over these).
+#: Deployment settings read by :meth:`ServeConfig.from_env` (CLI flags
+#: and explicit config win over these).
 PORT_ENV = "REPRO_SERVE_PORT"
 HOST_ENV = "REPRO_SERVE_HOST"
-MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
-DEADLINE_ENV = "REPRO_SERVE_DEADLINE_MS"
-DEGRADE_ENV = "REPRO_SERVE_DEGRADE"
-RATE_ENV = "REPRO_SERVE_RATE"
+
+#: The port :meth:`ServeConfig.from_env` picks when ``REPRO_SERVE_PORT``
+#: is unset.
+DEFAULT_SERVE_PORT = 8135
 
 #: Upper bound on any injected stall, so even an in-process stall (pool
 #: circuit open) keeps the executor thread's occupancy bounded.
@@ -100,20 +101,10 @@ STREAM_LIMIT = 128 * 1024 * 1024
 _COMPUTE_OPS = ("gemm", "cgemm", "fft", "mrf")
 
 
-def _env(name: str, kind: type, fallback: Any) -> Any:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return kind(raw)
-    except ValueError:
-        return fallback
-
-
 @dataclass
 class ServeConfig:
-    """Everything one ``GemmServer`` needs, resolvable from the
-    ``REPRO_SERVE_*`` environment via :meth:`from_env`."""
+    """Everything one ``GemmServer`` needs; :meth:`from_env` reads the
+    host and port from the ``REPRO_SERVE_*`` environment."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: ephemeral — read ``server.port`` after start()
@@ -153,14 +144,16 @@ class ServeConfig:
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "ServeConfig":
-        cfg = cls(
-            host=_env(HOST_ENV, str, cls.host),
-            port=_env(PORT_ENV, int, cls.port),
-            max_queue=max(1, _env(MAX_QUEUE_ENV, int, cls.max_queue)),
-            deadline_ms=_env(DEADLINE_ENV, float, cls.deadline_ms),
-            rate=_env(RATE_ENV, float, cls.rate),
-            degrade=_env(DEGRADE_ENV, str, cls.degrade),
-        )
+        """The ``repro serve`` config: host and port from the environment
+        (port :data:`DEFAULT_SERVE_PORT` when unset, ``0`` for an
+        OS-assigned one), then every override that is not ``None``.
+        A malformed ``REPRO_SERVE_PORT`` raises :class:`ValueError`."""
+        raw_port = os.environ.get(PORT_ENV, "").strip()
+        try:
+            port = int(raw_port) if raw_port else DEFAULT_SERVE_PORT
+        except ValueError:
+            raise ValueError(f"{PORT_ENV}={raw_port!r} is not a port number") from None
+        cfg = cls(host=os.environ.get(HOST_ENV, "").strip() or cls.host, port=port)
         for name, value in overrides.items():
             if value is not None:
                 setattr(cfg, name, value)

@@ -16,6 +16,7 @@ import pytest
 
 from repro import parallel
 from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
+from repro.mxu import parallel_bitlevel
 from repro.mxu.modes import MXUMode
 from repro.mxu.parallel_bitlevel import (
     DEFAULT_BITLEVEL_CHUNK,
@@ -69,12 +70,14 @@ def _per_mma_chain(a, b, c, mode, engine="scalar"):
 
 
 # ---- module-level (picklable) helpers for nested-pool tests ----------
+# Pool workers never see a test's DEFAULT_BITLEVEL_CHUNK patch; their
+# nested calls run serially at the default width.
 
 
 def _nested_sharded(payload):
     a, b, c = payload
     before = parallel.pool_info()["spawns"]
-    out = sharded_bitlevel_gemm(a, b, c, workers=2, chunk=2)
+    out = sharded_bitlevel_gemm(a, b, c, workers=2)
     spawned = parallel.pool_info()["spawns"] - before
     return os.getpid(), spawned, out
 
@@ -82,7 +85,7 @@ def _nested_sharded(payload):
 def _nested_sharded_vector(payload):
     """Run a sharded GEMM *inside* a pool worker; report what it moved."""
     a, b = payload
-    out = sharded_bitlevel_gemm(a, b, engine="vector", workers=4, chunk=8)
+    out = sharded_bitlevel_gemm(a, b, engine="vector", workers=4)
     return out.tobytes(), parallel.in_worker(), parallel.arena_worker_info()["attaches"]
 
 
@@ -93,64 +96,62 @@ def _worker_attaches(_item):
 
 
 class TestResolveChunk:
-    """A parallel run's column block width: ``chunk=``, else
-    DEFAULT_BITLEVEL_CHUNK."""
+    """A parallel run's column block width: DEFAULT_BITLEVEL_CHUNK."""
 
     @staticmethod
-    def _block_widths(rng, monkeypatch, **kwargs):
-        import repro.mxu.parallel_bitlevel as pb
-
+    def _block_widths(rng, monkeypatch, n=DEFAULT_BITLEVEL_CHUNK + 5):
         widths = []
-        real = pb.parallel_map
+        real = parallel_bitlevel.parallel_map
 
         def spy(fn, tasks, **kw):
             widths.extend(task[1].shape[1] for task in tasks)
             return real(fn, tasks, **kw)
 
-        monkeypatch.setattr(pb, "parallel_map", spy)
-        a, b, c = _real(rng, 2, 3, DEFAULT_BITLEVEL_CHUNK + 5)
-        sharded_bitlevel_gemm(a, b, c, workers=2, **kwargs)
+        monkeypatch.setattr(parallel_bitlevel, "parallel_map", spy)
+        a, b, c = _real(rng, 2, 3, n)
+        sharded_bitlevel_gemm(a, b, c, workers=2)
         return widths
 
     def test_default(self, rng, monkeypatch):
         assert self._block_widths(rng, monkeypatch) == [DEFAULT_BITLEVEL_CHUNK, 5]
 
-    def test_below_one_rejected(self, rng):
-        a, b, c = _real(rng, 2, 3, 4)
-        with pytest.raises(ValueError, match="chunk"):
-            sharded_bitlevel_gemm(a, b, c, workers=2, chunk=0)
+    def test_constant_read_at_call_time(self, rng, monkeypatch):
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 3)
+        assert self._block_widths(rng, monkeypatch, n=7) == [3, 3, 1]
 
 
 class TestShardedParity:
     """Bit-identity to the serial per-MMA chain at every worker count."""
 
     @pytest.mark.parametrize("workers", WORKER_GRID)
-    def test_fp32_every_worker_count(self, rng, workers):
+    def test_fp32_every_worker_count(self, rng, workers, monkeypatch):
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 4)
         a, b, c = _real(rng, 9, 21, 13)
         want = _per_mma_chain(a, b, c, MXUMode.FP32)
-        got = sharded_bitlevel_gemm(a, b, c, workers=workers, chunk=4)
+        got = sharded_bitlevel_gemm(a, b, c, workers=workers)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_fp32c_parity(self, rng, workers):
+    def test_fp32c_parity(self, rng, workers, monkeypatch):
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 3)
         a, b, c = _cplx(rng, 6, 9, 7)
         want = _per_mma_chain(a, b, c, MXUMode.FP32C)
-        got = sharded_bitlevel_gemm(
-            a, b, c, MXUMode.FP32C, workers=workers, chunk=3
-        )
+        got = sharded_bitlevel_gemm(a, b, c, MXUMode.FP32C, workers=workers)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
-    def test_chunk_size_never_changes_bits(self, rng, chunk):
+    def test_chunk_size_never_changes_bits(self, rng, chunk, monkeypatch):
         a, b, c = _real(rng, 5, 13, 11)
         want = sharded_bitlevel_gemm(a, b, c, workers=1)
-        got = sharded_bitlevel_gemm(a, b, c, workers=2, chunk=chunk)
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", chunk)
+        got = sharded_bitlevel_gemm(a, b, c, workers=2)
         assert got.tobytes() == want.tobytes()
 
-    def test_scalar_engine_shards_too(self, rng):
+    def test_scalar_engine_shards_too(self, rng, monkeypatch):
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 2)
         a, b, c = _real(rng, 3, 8, 5)
         want = _per_mma_chain(a, b, c, MXUMode.FP32, engine="scalar")
-        got = sharded_bitlevel_gemm(a, b, c, engine="scalar", workers=2, chunk=2)
+        got = sharded_bitlevel_gemm(a, b, c, engine="scalar", workers=2)
         assert got.tobytes() == want.tobytes()
 
     def test_empty_k_and_empty_n(self, rng):
@@ -261,10 +262,11 @@ class TestPoolHygiene:
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shm filesystem not visible")
         monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 2)
         a, b, c = _real(rng, 6, 12, 8)
         want = _per_mma_chain(a, b, c, MXUMode.FP32)
         before = set(os.listdir("/dev/shm"))
-        got = sharded_bitlevel_gemm(a, b, c, workers=2, chunk=2)
+        got = sharded_bitlevel_gemm(a, b, c, workers=2)
         assert got.tobytes() == want.tobytes()
         assert set(os.listdir("/dev/shm")) - before == set()
 
@@ -272,16 +274,17 @@ class TestPoolHygiene:
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shm filesystem not visible")
         monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 2)
         a, b, c = _real(rng, 6, 12, 8)
         a[2, 3] = np.inf  # rejected by the finite-operand contract
         before = set(os.listdir("/dev/shm"))
         with pytest.raises(NonFiniteOperandError):
-            sharded_bitlevel_gemm(a, b, c, workers=2, chunk=2)
+            sharded_bitlevel_gemm(a, b, c, workers=2)
         assert set(os.listdir("/dev/shm")) - before == set()
         # pool is not poisoned: the next sharded call succeeds
         a[2, 3] = 1.0
         want = _per_mma_chain(a, b, c, MXUMode.FP32)
-        got = sharded_bitlevel_gemm(a, b, c, workers=2, chunk=2)
+        got = sharded_bitlevel_gemm(a, b, c, workers=2)
         assert got.tobytes() == want.tobytes()
 
     def test_serial_sharding_spawns_no_pool(self, rng):
@@ -314,24 +317,22 @@ class TestShardedIntegration:
         monkeypatch.setenv(SPLIT_CACHE_ENV, "0")
         reference = sharded_bitlevel_gemm(a, b, engine="vector", workers=0)
         monkeypatch.delenv(SPLIT_CACHE_ENV)
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 16)
         for workers in (0, 1, 2, 4):
             DEFAULT_SPLIT_CACHE.clear()
-            cold = sharded_bitlevel_gemm(
-                a, b, engine="vector", workers=workers, chunk=16
-            )
-            warm = sharded_bitlevel_gemm(
-                a, b, engine="vector", workers=workers, chunk=16
-            )
+            cold = sharded_bitlevel_gemm(a, b, engine="vector", workers=workers)
+            warm = sharded_bitlevel_gemm(a, b, engine="vector", workers=workers)
             assert cold.tobytes() == reference.tobytes(), f"workers={workers} cold"
             assert warm.tobytes() == reference.tobytes(), f"workers={workers} warm"
 
     def test_parallel_dispatch_publishes_and_workers_attach(self, monkeypatch):
         monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
+        monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 16)
         a, b = self._operands()
         blocks = 48 // 16
         before = pool_info()["arena"]["publishes"]
-        out1 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2, chunk=16)
-        out2 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2, chunk=16)
+        out1 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2)
+        out2 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2)
         assert out1.tobytes() == out2.tobytes()
         # Per call: A's three lane-field planes once, however many column
         # blocks carry them, plus each block's own B and C.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arith.accumulator import int_window_to_float, sequential_windowed_sum
+from repro.arith.accumulator import int_window_to_float, segmented_windowed_sum_f32
 from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
 from repro.mxu.bitlevel import (
     BitAccumulator,
@@ -65,17 +65,22 @@ def random_fp32(rng, shape, scale_span=0):
     return quantize(x, FP32)
 
 
+def windowed(signs, sigs, lsbs, **kw):
+    """The packed kernel on (sign, |sig|, lsb) slot triples."""
+    sigs = np.asarray(sigs)
+    signed = np.where(np.asarray(signs) != 0, -sigs, sigs).astype(np.float32)
+    return segmented_windowed_sum_f32(signed, np.asarray(lsbs, dtype=np.int16), **kw)
+
+
 class TestSequentialWindowedSum:
-    """The vectorized accumulator replicates BitAccumulator exactly."""
+    """The running-anchor (sequential) windowed sum of the packed kernel
+    replicates BitAccumulator exactly."""
 
     def check(self, signs, sigs, lsbs, acc_bits=48, mode=RoundingMode.NEAREST_EVEN):
         acc = BitAccumulator(width=acc_bits, mode=mode)
         for s, sig, e in zip(signs, sigs, lsbs):
             acc.add(int(s), int(sig), int(e))
-        value, window_lsb = sequential_windowed_sum(
-            np.array(signs), np.array(sigs), np.array(lsbs),
-            acc_bits=acc_bits, mode=mode,
-        )
+        value, window_lsb = windowed(signs, sigs, lsbs, acc_bits=acc_bits, mode=mode)
         assert int(value) == acc.value
         if acc.anchor is not None:
             assert int(window_lsb) == acc.anchor - acc_bits + 1
@@ -120,20 +125,24 @@ class TestSequentialWindowedSum:
         sigs = rng.integers(0, 1 << 24, (4, 5, 9))
         signs = rng.integers(0, 2, (4, 5, 9))
         lsbs = rng.integers(-150, 150, (4, 5, 9))
-        value, window = sequential_windowed_sum(signs, sigs, lsbs)
+        value, window = windowed(signs, sigs, lsbs)
         for i in range(4):
             for j in range(5):
-                v, w = sequential_windowed_sum(signs[i, j], sigs[i, j], lsbs[i, j])
+                v, w = windowed(signs[i, j], sigs[i, j], lsbs[i, j])
                 assert int(value[i, j]) == int(v)
                 assert int(window[i, j]) == int(w)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sequential_windowed_sum(np.array(0), np.array(1), np.array(0))
+            windowed(0, 1, 0)
         with pytest.raises(ValueError):
-            sequential_windowed_sum([0], [1], [0], acc_bits=4)
+            windowed([0], [1], [0], acc_bits=4)
         with pytest.raises(ValueError):
-            sequential_windowed_sum([0], [-1], [0])
+            windowed([0, 0], [1, 1], [0])
+        with pytest.raises(ValueError):
+            windowed([0], [1], [1 << 14])
+        with pytest.raises(TypeError):
+            segmented_windowed_sum_f32(np.array([1.0]), np.array([0], dtype=np.int16))
 
 
 class TestIntWindowToFloat:

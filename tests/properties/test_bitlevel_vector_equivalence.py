@@ -87,6 +87,18 @@ class TestAdversarialBitIdentity:
             c = adversarial_matrix(rng, (3, 3)) + 1j * adversarial_matrix(rng, (3, 3))
             assert biteq(one_mma(a, b, c), scalar_mma_fp32c(a, b, c))
 
+    def test_deep_single_mma_tiles(self, rng):
+        # One MMA wider than 32 product slots (K = 16 in FP32, K = 5 in
+        # FP32C): its segment totals are summed in int64.
+        for _ in range(4):
+            a = adversarial_matrix(rng, (3, 16))
+            b = adversarial_matrix(rng, (16, 3))
+            c = adversarial_matrix(rng, (3, 3))
+            assert biteq(one_mma(a, b, c), scalar_mma_fp32(a, b, c))
+            a = adversarial_matrix(rng, (2, 5)) + 1j * adversarial_matrix(rng, (2, 5))
+            b = adversarial_matrix(rng, (5, 2)) + 1j * adversarial_matrix(rng, (5, 2))
+            assert biteq(one_mma(a, b, 0.0), scalar_mma_fp32c(a, b, 0.0))
+
     def test_max_shift_cancellation(self):
         # Max-magnitude products against subnormal dust: the accumulator
         # anchor jumps by far more than the 48-bit window, and the large

@@ -1,31 +1,27 @@
-"""Segmented exact reduction == sequential running-anchor oracle.
+"""Segmented exact reduction == the scalar running-anchor accumulator.
 
-The blocked kernels in :mod:`repro.arith.accumulator` replace the slot
-walk of :func:`sequential_windowed_sum` with a segmented reduction whose
-step count is the number of anchor raises; the chained GEMM kernel in
-:mod:`repro.mxu.vectorized` additionally folds the C operand of every
-K-chunk through a two-slot merge. All of them claim *bit-identity* with
-the sequential discipline. This suite holds them to it on the
-trajectories where segmented algorithms classically go wrong: anchor
-raises exactly at block boundaries, long zero runs, sign cancellation
-down to the window LSB, midpoint ties under both rounding modes, and
-hypothesis-driven random sweeps.
+:func:`segmented_windowed_sum_f32` replaces the slot walk of
+:class:`~repro.mxu.bitlevel.BitAccumulator` with a segmented reduction
+whose step count is the number of anchor raises; the chained GEMM kernel
+in :mod:`repro.mxu.vectorized` additionally folds the C operand of every
+K-chunk through a two-slot merge. Both claim *bit-identity* with the
+scalar accumulator. This suite holds them to it on the trajectories
+where segmented algorithms classically go wrong: anchor raises exactly
+at block boundaries, long zero runs, sign cancellation down to the
+window LSB, midpoint ties under both rounding modes, reductions too deep
+for exact float64 segment sums, and hypothesis-driven random sweeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arith.accumulator import (
-    _ANCHOR_SENTINEL,
-    segmented_windowed_sum,
-    segmented_windowed_sum_f32,
-    sequential_windowed_sum,
-)
+from repro.arith.accumulator import _ANCHOR_SENTINEL, segmented_windowed_sum_f32
 from repro.mxu import vectorized
+from repro.mxu.bitlevel import BitAccumulator
 from repro.mxu.modes import MXUMode
 from repro.mxu.vectorized import (
     ProductFault,
@@ -47,24 +43,42 @@ def biteq(x, y) -> bool:
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def assert_segmented_matches(sign, sig, lsb, acc_bits, mode):
-    """segmented == sequential on (value, window), bit for bit."""
-    want_v, want_w = sequential_windowed_sum(sign, sig, lsb, acc_bits, mode)
-    got_v, got_w = segmented_windowed_sum(sign, sig, lsb, acc_bits, mode)
+def packed(sign, sig):
+    """The kernel's addend form: signed float32 significands."""
+    sig = np.asarray(sig)
+    return np.where(np.asarray(sign) != 0, -sig, sig).astype(np.float32)
+
+
+def bitaccumulator_rows(signed_sig, lsb, acc_bits, mode):
+    """The oracle: one BitAccumulator per row, fed the slots in order.
+    Returns ``(value, window_lsb)`` per row; a row that saw no nonzero
+    slot gets the kernel's sentinel window."""
+    n_slots = signed_sig.shape[-1]
+    values, windows = [], []
+    for row_sig, row_lsb in zip(
+        signed_sig.reshape(-1, n_slots).tolist(), lsb.reshape(-1, n_slots).tolist()
+    ):
+        acc = BitAccumulator(width=acc_bits, mode=mode)
+        for s, e in zip(row_sig, row_lsb):
+            acc.add(int(s < 0), int(abs(s)), e)
+        anchor = _ANCHOR_SENTINEL if acc.anchor is None else acc.anchor
+        values.append(acc.value)
+        windows.append(anchor - acc_bits + 1)
+    lead = signed_sig.shape[:-1]
+    return (
+        np.array(values, dtype=np.int64).reshape(lead),
+        np.array(windows, dtype=np.int64).reshape(lead),
+    )
+
+
+def assert_matches_oracle(signed_sig, lsb, acc_bits, mode):
+    """packed kernel == BitAccumulator on (value, window), bit for bit."""
+    signed_sig = np.asarray(signed_sig, dtype=np.float32)
+    lsb = np.asarray(lsb, dtype=np.int16)
+    want_v, want_w = bitaccumulator_rows(signed_sig, lsb, acc_bits, mode)
+    got_v, got_w = segmented_windowed_sum_f32(signed_sig, lsb, acc_bits, mode)
     assert biteq(got_v, want_v), f"value diverged (acc_bits={acc_bits}, {mode})"
     assert biteq(got_w, want_w), f"window diverged (acc_bits={acc_bits}, {mode})"
-
-
-def assert_f32_matches(signed_sig, lsb, acc_bits, mode):
-    """packed float32 kernel == sequential on the unpacked triple."""
-    sig_i = np.abs(signed_sig).astype(np.int64)
-    sign_i = np.signbit(signed_sig).astype(np.int8)
-    want_v, want_w = sequential_windowed_sum(sign_i, sig_i, lsb, acc_bits, mode)
-    got_v, got_w = segmented_windowed_sum_f32(
-        signed_sig, lsb.astype(np.int16), acc_bits, mode
-    )
-    assert biteq(got_v, want_v)
-    assert biteq(got_w, want_w)
 
 
 class TestAdversarialTrajectories:
@@ -81,7 +95,7 @@ class TestAdversarialTrajectories:
         )
         sign = np.zeros_like(sig)
         sign[1, ::2] = 1
-        assert_segmented_matches(sign, sig, lsb, acc_bits, mode)
+        assert_matches_oracle(packed(sign, sig), lsb, acc_bits, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_descending_then_spike(self, mode):
@@ -91,7 +105,7 @@ class TestAdversarialTrajectories:
         lsb = np.array([[40] + list(range(-20, -6)) + [90]], dtype=np.int64)
         sign = np.array([[0] + [1, 0] * 7 + [0]], dtype=np.int64)
         for acc_bits in (12, 27, 48):
-            assert_segmented_matches(sign, sig, lsb, acc_bits, mode)
+            assert_matches_oracle(packed(sign, sig), lsb, acc_bits, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_runs_never_move_the_anchor(self, mode):
@@ -114,20 +128,22 @@ class TestAdversarialTrajectories:
             dtype=np.int64,
         )
         sign = (sig % 3 == 2).astype(np.int64)
-        assert_segmented_matches(sign, sig, lsb, 48, mode)
-        _, got_w = segmented_windowed_sum(sign, sig, lsb, 48, mode)
+        assert_matches_oracle(packed(sign, sig), lsb, 48, mode)
+        _, got_w = segmented_windowed_sum_f32(
+            packed(sign, sig), lsb.astype(np.int16), 48, mode
+        )
         assert got_w[1] == _ANCHOR_SENTINEL - 47
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sign_cancellation_to_window_lsb(self, mode):
-        # Two large addends cancel to a single ULP at the window bottom;
-        # the next raise must re-round that residue, not the full values.
-        acc_bits = 48
-        big = (1 << 40) + 1
-        sig = np.array([[big, big - 2, 1 << 20, 3]], dtype=np.int64)
-        lsb = np.array([[0, 0, 0, 60]], dtype=np.int64)
-        sign = np.array([[0, 1, 1, 0]], dtype=np.int64)
-        assert_segmented_matches(sign, sig, lsb, acc_bits, mode)
+        # The first slot puts the window LSB at 2**0. Two large addends
+        # cancel against it and each other down to a single ULP there;
+        # the late raise must re-round that residue, not the full values.
+        big = (1 << 23) + 1
+        sig = np.array([[1 << 23, big, 1 << 23, big - 1, 1 << 20, 3]], dtype=np.int64)
+        lsb = np.array([[24, 0, 24, 0, 0, 60]], dtype=np.int64)
+        sign = np.array([[0, 0, 1, 1, 1, 0]], dtype=np.int64)
+        assert_matches_oracle(packed(sign, sig), lsb, 48, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_midpoint_ties_at_anchor_raise(self, mode):
@@ -136,19 +152,17 @@ class TestAdversarialTrajectories:
         sig = np.array([[3, 1, 1], [1, 2, 1], [5, 3, 1]], dtype=np.int64)
         lsb = np.array([[0, 1, 10], [0, 1, 12], [1, 0, 9]], dtype=np.int64)
         sign = np.zeros_like(sig)
-        assert_segmented_matches(sign, sig, lsb, 12, mode)
+        assert_matches_oracle(packed(sign, sig), lsb, 12, mode)
 
     def test_single_slot_and_scalar_row(self):
-        sig = np.array([[42]], dtype=np.int64)
-        lsb = np.array([[-7]], dtype=np.int64)
-        assert_segmented_matches(
-            np.array([[1]]), sig, lsb, 48, RoundingMode.NEAREST_EVEN
+        assert_matches_oracle(
+            np.array([[-42.0]]), np.array([[-7]]), 48, RoundingMode.NEAREST_EVEN
         )
 
     def test_empty_slot_axis(self):
-        v, w = segmented_windowed_sum(
-            np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 0)), 48,
-            RoundingMode.NEAREST_EVEN,
+        v, w = segmented_windowed_sum_f32(
+            np.zeros((2, 0), dtype=np.float32), np.zeros((2, 0), dtype=np.int16),
+            48, RoundingMode.NEAREST_EVEN,
         )
         assert v.shape == (2,) and np.all(v == 0)
         assert np.all(w == _ANCHOR_SENTINEL - 47)
@@ -170,7 +184,7 @@ class TestHypothesisSweeps:
         sig[rng.random((rows, slots)) < zero_frac] = 0
         lsb = rng.integers(-300, 300, size=(rows, slots))
         sign = rng.integers(0, 2, size=(rows, slots))
-        assert_segmented_matches(sign, sig, lsb, acc_bits, mode)
+        assert_matches_oracle(packed(sign, sig), lsb, acc_bits, mode)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -180,16 +194,36 @@ class TestHypothesisSweeps:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_f32_packed(self, slots, acc_bits, mode, seed):
-        # The packed front refuses configurations whose segment totals
-        # could exceed float64's exact-integer range.
-        assume(slots * (1 << acc_bits) <= (1 << 53))
         rng = np.random.default_rng(seed)
         mag = rng.integers(0, 1 << 24, size=(4, slots))
         mag[rng.random((4, slots)) < 0.3] = 0
         sgn = rng.choice([-1.0, 1.0], size=(4, slots))
         signed = (mag * sgn).astype(np.float32)
         lsb = rng.integers(-1000, 1000, size=(4, slots))
-        assert_f32_matches(signed, lsb, acc_bits, mode)
+        assert_matches_oracle(signed, lsb, acc_bits, mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slots=st.integers(33, 256),
+        mode=st.sampled_from(MODES),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1, 24, 300]),
+        same_sign=st.booleans(),
+    )
+    def test_deep_reductions_match_bitaccumulator(
+        self, slots, mode, seed, spread, same_sign
+    ):
+        # 33+ slots at 48 bits: segment totals may pass float64's exact
+        # integer range (slots * 2**48 > 2**53), so they are summed in
+        # int64. Narrow exponent spreads and one-signed rows push the
+        # totals up; every other example ends in an all-zero row.
+        rng = np.random.default_rng(seed)
+        mag = rng.integers(0, 1 << 24, size=(3, slots))
+        mag[rng.random((3, slots)) < 0.2] = 0
+        mag[-1] *= rng.integers(0, 2)
+        sign = np.zeros((3, slots)) if same_sign else rng.integers(0, 2, (3, slots))
+        lsb = rng.integers(-spread, spread + 1, size=(3, slots))
+        assert_matches_oracle(packed(sign, mag), lsb, 48, mode)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -204,13 +238,27 @@ class TestHypothesisSweeps:
         sig = rng.integers(0, 1 << 12, size=(6, slots))
         lsb = rng.choice([-24, 0, 0, 0, 24], size=(6, slots))
         sign = rng.integers(0, 2, size=(6, slots))
-        assert_segmented_matches(sign, sig, lsb, 48, mode)
+        assert_matches_oracle(packed(sign, sig), lsb, 48, mode)
 
     def test_negative_zero_f32_is_a_zero_slot(self):
         signed = np.array([[-0.0, 3.0, -5.0, 0.0]], dtype=np.float32)
         lsb = np.array([[100, 0, 1, -100]], dtype=np.int64)
         for mode in MODES:
-            assert_f32_matches(signed, lsb, 48, mode)
+            assert_matches_oracle(signed, lsb, 48, mode)
+
+    def test_int64_headroom_is_the_depth_limit(self):
+        # 2**15 slots at 48 bits need 48 + 15 + 1 = 64 bits of window;
+        # 2**14 fit, and their one-signed sum (each 1 aligned to the
+        # window top, 2**47) reaches 2**61 exactly.
+        n = 1 << 15
+        with pytest.raises(ValueError, match="int64 window"):
+            segmented_windowed_sum_f32(
+                np.ones(n, dtype=np.float32), np.zeros(n, dtype=np.int16), 48
+            )
+        v, w = segmented_windowed_sum_f32(
+            np.ones(n // 2, dtype=np.float32), np.zeros(n // 2, dtype=np.int16), 48
+        )
+        assert int(v) == 1 << 61 and int(w) == -47
 
 
 def _random_fault(rng, mode, k, m, n):

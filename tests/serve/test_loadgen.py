@@ -3,10 +3,18 @@ overload ramps shedding structurally, and report shape."""
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
-from repro.serve import LoadgenConfig, run_loadgen
+from repro.serve import (
+    GemmServer,
+    LoadgenConfig,
+    ServeConfig,
+    run_loadgen,
+    run_loadgen_async,
+)
 from repro.serve.client import _check_sdc, _make_request, _sdc_tolerance
 from repro.serve.server import decode_array, encode_array
 
@@ -81,11 +89,21 @@ class TestLoadgenRuns:
     def test_overload_ramp_sheds_structurally(self):
         """Open-loop rate far above capacity: the server must answer
         everything (reject or serve), with structured rejections and no
-        unbounded queue growth."""
-        report = run_loadgen(LoadgenConfig(
-            duration_s=2.0, mode="open", rate=400.0, concurrency=4,
-            size=12, seed=11, deadline_ms=1500.0,
-        ))
+        unbounded queue growth. Capacity is the server's 50 rps token
+        bucket, not the host's speed, so the ramp sheds on any host."""
+
+        async def ramp():
+            server = GemmServer(ServeConfig(port=0, rate=50.0))
+            await server.start()
+            try:
+                return await run_loadgen_async(LoadgenConfig(
+                    duration_s=2.0, mode="open", rate=400.0, concurrency=4,
+                    size=12, seed=11, deadline_ms=1500.0,
+                ), server=server)
+            finally:
+                await server.stop()
+
+        report = asyncio.run(ramp())
         assert report["sent"] > 100
         rejected = report["outcomes"].get("REJECTED", 0)
         assert rejected > 0

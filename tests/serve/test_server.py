@@ -9,7 +9,12 @@ pipelined/overload scenarios use :class:`AsyncConnection` in-loop.
 from __future__ import annotations
 
 import asyncio
+import re
+import selectors
+import subprocess
+import sys
 import time
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -18,6 +23,9 @@ import pytest
 from repro.serve import GemmServer, ServeConfig, ServeClient
 from repro.serve.client import AsyncConnection
 from repro.serve.server import decode_array, encode_array
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def with_server(cfg: ServeConfig, fn: Callable[[GemmServer], Any]) -> Any:
@@ -37,6 +45,59 @@ def with_server(cfg: ServeConfig, fn: Callable[[GemmServer], Any]) -> Any:
 
 def client_for(server: GemmServer, timeout: float = 60.0) -> ServeClient:
     return ServeClient("127.0.0.1", server.port, timeout=timeout)
+
+
+class TestServeConfigFromEnv:
+    """``repro serve``'s config: host and port from the environment."""
+
+    def test_port_defaults_to_8135_when_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
+        assert ServeConfig.from_env().port == 8135
+
+    def test_explicit_zero_is_kept(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_PORT", "0")
+        assert ServeConfig.from_env().port == 0
+
+    def test_malformed_port_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_PORT", "abc")
+        with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
+            ServeConfig.from_env()
+
+    def test_overrides_win_and_none_is_skipped(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_PORT", "9000")
+        cfg = ServeConfig.from_env(port=0, rate=None)
+        assert cfg.port == 0 and cfg.rate == ServeConfig.rate
+
+    def test_cli_port_zero_from_env_is_os_assigned(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_PORT", "0")
+        monkeypatch.setenv("PYTHONPATH", str(SRC))
+        # Block-buffered stdout, as in CI: the readiness line must be
+        # flushed by the CLI itself.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "1",
+             "--allow-shutdown"],
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            # A bounded wait: a line left in the child's buffer fails the
+            # test instead of hanging it.
+            with selectors.DefaultSelector() as sel:
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                assert sel.select(timeout=60), "no readiness line in 60 s"
+            line = proc.stdout.readline()
+            match = re.search(r"listening on 127\.0\.0\.1:(\d+)", line)
+            assert match, line
+            port = int(match.group(1))
+            assert port not in (0, 8135)
+            with ServeClient("127.0.0.1", port, timeout=30.0) as client:
+                assert client.shutdown()["status"] == "OK"
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class TestWireEncoding:
