@@ -5,8 +5,8 @@ engine and writes the measurements to ``BENCH_hotpath.json`` at the repo
 root for machine consumption.
 
 The value-level rows (``mxu_sgemm``, ``mxu_cgemm``, ``batched_sgemm``,
-``batched_cgemm``) time the production path (split plan + fused/BLAS
-accumulation) and assert it bit-identical to a per-K-chunk loop of
+``batched_cgemm``) time the production path (one ``M3XU.chain`` call:
+fused/BLAS accumulation) and assert it bit-identical to a per-K-chunk loop of
 ``M3XU.mma`` calls on the same operands. Their ``legacy_s`` is the
 committed time of the pre-fusion pipeline, which no longer exists: a
 frozen historical value (full-size shapes, rows marked ``"historical":
@@ -69,7 +69,7 @@ else:
     CAMPAIGN_TRIALS, CAMPAIGN_SLICE, CAMPAIGN_DIM = 200, 20, 32
 
 #: Committed best-of-3 times of the deleted pre-fusion pipeline
-#: (materialised lane products per MMA, no split plan) at the full
+#: (operands split and lane products materialised per MMA) at the full
 #: shapes above.
 HISTORICAL_LEGACY_S = {
     "mxu_sgemm": 24.327250975002244,

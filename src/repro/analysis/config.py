@@ -65,10 +65,6 @@ DEFAULT_EXACT_SOURCES = (
     "repro.mxu.fused.grouped_lane_products",
 )
 
-#: Method basenames whose results are exact-domain intermediates on any
-#: receiver (the per-part MMA decomposition of every MXU model).
-DEFAULT_EXACT_SOURCE_METHODS = ("mma_parts",)
-
 #: Call basenames that *launder* exactness: the sanctioned rounding API.
 #: A value that has passed through these is an ordinary float again.
 DEFAULT_EXACT_SANITIZERS = ("quantize", "quantize_complex")
@@ -112,8 +108,6 @@ class LintConfig:
     )
     #: Qualified names producing exact-domain values (XF taint sources).
     exact_sources: tuple[str, ...] = DEFAULT_EXACT_SOURCES
-    #: Method basenames producing exact-domain values on any receiver.
-    exact_source_methods: tuple[str, ...] = DEFAULT_EXACT_SOURCE_METHODS
     #: Call basenames that launder exactness (sanctioned rounding API).
     exact_sanitizers: tuple[str, ...] = DEFAULT_EXACT_SANITIZERS
     #: Path fragments naming the asyncio serving layer (AS rules).
@@ -224,9 +218,6 @@ def load_config(start: Path | str | None = None) -> LintConfig:
         exact_flow=tuple(table.get("exact_flow", defaults.exact_flow)),
         exact_sources=tuple(
             table.get("exact_sources", defaults.exact_sources)
-        ),
-        exact_source_methods=tuple(
-            table.get("exact_source_methods", defaults.exact_source_methods)
         ),
         exact_sanitizers=tuple(
             table.get("exact_sanitizers", defaults.exact_sanitizers)

@@ -21,10 +21,9 @@ XF505     natively lossy arithmetic (true division, ``**``,
 ========  ==========================================================
 
 Sources and sanitizers come from :class:`~repro.analysis.config
-.LintConfig` (``exact_sources``, ``exact_source_methods``,
-``exact_sanitizers``): passing a value through ``quantize`` /
-``quantize_complex`` re-enters the ordinary float domain and ends the
-taint. Taint propagates project-wide; *findings* are only reported in
+.LintConfig` (``exact_sources``, ``exact_sanitizers``): passing a value
+through ``quantize`` / ``quantize_complex`` re-enters the ordinary float
+domain and ends the taint. Taint propagates project-wide; *findings* are only reported in
 the configured ``exact_flow`` path scope, and never inside the source
 functions themselves (their bodies are the sanctioned implementations).
 
@@ -96,7 +95,6 @@ class ExactFlow:
         self.project = project
         self.cfg = cfg
         self.sources = set(cfg.exact_sources)
-        self.source_methods = set(cfg.exact_source_methods)
         self.sanitizers = set(cfg.exact_sanitizers)
         self.summaries: dict[str, _Summary] = {}
         self.hits: list[FlowHit] = []
@@ -134,7 +132,7 @@ class ExactFlow:
         if not self.cfg.is_exact_flow(info.ctx.rel_path):
             return False
         # A source's own body is the sanctioned implementation.
-        if info.qual in self.sources or info.name in self.source_methods:
+        if info.qual in self.sources:
             return False
         return True
 
@@ -373,11 +371,6 @@ class _FunctionPass:
         # Sources: the call *produces* an exact-domain value.
         if resolved in self.flow.sources:
             return f"{basename}() ({self.ctx.rel_path}:{call.lineno})"
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in self.flow.source_methods
-        ):
-            return f".{call.func.attr}() ({self.ctx.rel_path}:{call.lineno})"
 
         # Interprocedural: hand argument taint to a known callee ...
         info = self.flow.project.function(resolved)

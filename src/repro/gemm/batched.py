@@ -7,11 +7,9 @@ batch axis maps across dot-product units, so numerics per matrix are
 identical to the single-GEMM driver; this module provides the batched
 entry points and a strided view helper.
 
-Execution runs the whole stack's K-chain in one fused kernel call on a
-plain M3XU, or builds one :class:`~repro.gemm.plan.GemmPlan` over the
-whole batch for any other unit (operands split once, not once per
-K-chunk), and can fan the batch axis out across worker processes
-(``workers=N`` or ``REPRO_WORKERS``).
+Execution runs the whole stack's K-chain in one ``chain`` call of the
+unit (one fused kernel call on M3XU), and can fan the batch axis out
+across worker processes (``workers=N`` or ``REPRO_WORKERS``).
 Each matrix's reduction is anchored independently, so results are
 bit-identical for every worker count and to a per-matrix, per-K-chunk
 loop of MMAs.
@@ -31,7 +29,6 @@ from ..parallel import parallel_map, resolve_workers, split_ranges
 from ..resilience.abft import guarded_gemm, resolve_abft
 from ..types.formats import FP32
 from ..types.quantize import quantize, quantize_complex
-from .plan import GemmPlan
 
 __all__ = ["batched_mxu_sgemm", "batched_mxu_cgemm", "strided_batch_view"]
 
@@ -45,31 +42,12 @@ def _check_batched(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
 
 
-def _init_acc(a: np.ndarray, b: np.ndarray, mode: MXUMode) -> np.ndarray:
-    shape = (a.shape[0], a.shape[1], b.shape[2])
-    if mode is MXUMode.FP32C:
-        return np.zeros(shape, dtype=np.complex128)
-    return np.zeros(shape)
-
-
 def _batched_serial(
     a: np.ndarray, b: np.ndarray, mode: MXUMode, unit: M3XU
 ) -> np.ndarray:
-    """Batched GEMM over one contiguous batch slice of register operands.
-
-    A plain :class:`~repro.mxu.m3xu.M3XU` runs the whole stack's K-chain in
-    one fused call; other units get the plan-driven per-MMA loop.
-    """
-    acc = _init_acc(a, b, mode)
-    k_chunk = unit.config.tile(mode).k
-    if type(unit) is M3XU:
-        return unit.chain(a, b, acc, mode, k_chunk, c_quantized=True)
-    plan = GemmPlan.build(a, b, mode, k_chunk)
-    for ch in plan.chunks():
-        acc = unit.mma_parts(
-            ch.a, ch.b, ch.a_parts, ch.b_parts, acc, mode, c_quantized=True
-        )
-    return acc
+    """Batched GEMM over one contiguous batch slice of register operands:
+    the whole stack's K-chain in one ``chain`` call, C = 0."""
+    return unit.chain(a, b, 0.0, mode, unit.config.tile(mode).k, c_quantized=True)
 
 
 def _batched_worker(

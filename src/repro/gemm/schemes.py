@@ -32,7 +32,6 @@ from ..mxu.modes import MXUMode
 from ..types.decompose import split_round_residual
 from ..types.formats import BF16, FP16, FP32, TF32, FloatFormat
 from ..types.quantize import quantize
-from .plan import GemmPlan, OperandSplit
 from .tiled import TiledGEMM
 
 __all__ = [
@@ -76,20 +75,11 @@ def split_gemm(
     b = quantize(b, FP32)
     a0, a1 = split_round_residual(a, base, 2)
     b0, b1 = split_round_residual(b, base, 2)
-    driver = TiledGEMM(mxu or TensorCoreMXU(), mode)
-    acc = np.broadcast_to(
-        quantize(np.asarray(c, dtype=np.float64), FP32), (a.shape[0], b.shape[1])
-    ).copy()
-    # Each split term participates in two of the GEMMs; resolve every
-    # operand decomposition once and share it across the plans.
-    k_chunk = int(driver.k_chunk)
-    sa0, sa1 = (OperandSplit.build(x, mode) for x in (a0, a1))
-    sb0, sb1 = (OperandSplit.build(x, mode) for x in (b0, b1))
-    pairs = ([(sa1, sb1)] if n_gemms == 4 else []) + [
-        (sa0, sb1), (sa1, sb0), (sa0, sb0)
-    ]
-    for sa, sb in pairs:
-        acc = driver.run_plan(GemmPlan(sa, sb, k_chunk), acc)
+    driver = TiledGEMM(mxu or TensorCoreMXU(), mode, abft=False)
+    pairs = ([(a1, b1)] if n_gemms == 4 else []) + [(a0, b1), (a1, b0), (a0, b0)]
+    acc = c
+    for x, y in pairs:
+        acc = driver.run(x, y, acc)
     return acc
 
 

@@ -7,20 +7,17 @@ point — the numerically significant part of mapping GEMM onto an MXU.
 The M/N dimensions are purely data-parallel across dot-product units and
 are therefore processed whole (tiling them would not change a single bit).
 
-A plain :class:`~repro.mxu.m3xu.M3XU` runs each accumulator's whole chain
-in one fused kernel call (:meth:`~repro.mxu.m3xu.M3XU.chain`), and a plain
-bit-level model takes the column-sharded driver. Every other model gets a
-:class:`~repro.gemm.plan.GemmPlan`, so each operand is quantised and
-decomposed exactly once per GEMM instead of once per K-chunk
-(bit-identical; see :mod:`repro.gemm.plan`), and one ``mma_parts`` call
-per K-chunk: subclasses and fault-injecting wrappers see every
-instruction.
+The driver quantises each operand once (:func:`register_operand`) and
+hands the whole chain to the model's ``chain`` method: one fused kernel
+call per accumulation register on :class:`~repro.mxu.m3xu.M3XU`, one
+per MMA inside a fault-injecting wrapper, which must see every
+instruction. A plain bit-level model takes the column-sharded driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -38,23 +35,42 @@ from ..resilience.abft import (
 )
 from ..types.formats import FP32, FP64
 from ..types.quantize import quantize, quantize_complex
-from .plan import GemmPlan, register_operand
 
-__all__ = ["MXULike", "TiledGEMM", "mxu_sgemm", "mxu_cgemm", "tensorcore_gemm"]
+__all__ = [
+    "MXULike",
+    "TiledGEMM",
+    "register_operand",
+    "mxu_sgemm",
+    "mxu_cgemm",
+    "tensorcore_gemm",
+]
+
+
+def register_operand(x: np.ndarray, mode: MXUMode) -> np.ndarray:
+    """*x* quantised as the tiled driver feeds it to the multipliers.
+
+    FP32 registers for FP32 (complex128 pairs for FP32C), the mode's
+    input format for the single-step modes, float64 as-is for FP64.
+    """
+    if mode is MXUMode.FP32C:
+        return quantize_complex(np.asarray(x, dtype=np.complex128), FP32)
+    arr = np.asarray(x, dtype=np.float64)
+    if mode is MXUMode.FP64:
+        return arr
+    return quantize(arr, step_plan(mode).input_format)
 
 
 class MXULike(Protocol):
-    """Anything exposing the plan-driven MMA contract of the functional
-    MXU models (:meth:`repro.mxu.m3xu.M3XU.mma_parts`)."""
+    """Anything exposing the K-chain contract of the functional MXU
+    models (:meth:`repro.mxu.m3xu.M3XU.chain`)."""
 
-    def mma_parts(
+    def chain(
         self,
         a: np.ndarray,
         b: np.ndarray,
-        a_parts: Mapping[str, np.ndarray],
-        b_parts: Mapping[str, np.ndarray],
-        c: np.ndarray | float,
+        c: np.ndarray | float | complex,
         mode: MXUMode,
+        k_chunk: int | None = None,
         *,
         c_quantized: bool = False,
     ) -> np.ndarray: ...
@@ -93,8 +109,8 @@ class TiledGEMM:
         Worker count for the sharded bit-level path (plain
         :class:`~repro.mxu.vectorized.BitLevelMXU` only). ``None`` defers
         to ``REPRO_WORKERS``; every worker count is bit-identical to
-        serial. Ignored by value-level models and fault-injecting
-        wrappers, which keep the per-MMA path.
+        serial. Ignored by every other model, which runs its own
+        ``chain``.
     """
 
     mxu: MXULike
@@ -133,10 +149,9 @@ class TiledGEMM:
     def _run_plain(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float = 0.0
     ) -> np.ndarray:
-        # Plain bit-level models take the column-sharded driver (bit-identical
-        # to the per-MMA chain at every worker count), plain value-level
-        # models the one-call chain kernel. Subclasses and fault-injecting
-        # wrappers keep the per-MMA path so their hooks see every instruction.
+        # A plain bit-level model takes the column-sharded driver (bit-identical
+        # to its own chain at every worker count); subclasses and wrappers
+        # keep their own chain, so their hooks see every call.
         if type(self.mxu) is BitLevelMXU:
             return sharded_bitlevel_gemm(
                 a,
@@ -149,17 +164,14 @@ class TiledGEMM:
                 k_chunk=int(self.k_chunk),
                 workers=self.workers,
             )
-        if type(self.mxu) is M3XU:
-            return self.mxu.chain(
-                register_operand(a, self.mode),
-                register_operand(b, self.mode),
-                self._register_c(c),
-                self.mode,
-                int(self.k_chunk),
-                c_quantized=True,
-            )
-        plan = GemmPlan.build(a, b, self.mode, int(self.k_chunk))
-        return self.run_plan(plan, c)
+        return self.mxu.chain(
+            register_operand(a, self.mode),
+            register_operand(b, self.mode),
+            self._register_c(c),
+            self.mode,
+            int(self.k_chunk),
+            c_quantized=True,
+        )
 
     def _run_guarded(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float
@@ -175,15 +187,9 @@ class TiledGEMM:
         self.abft_report = None
         in_fmt = step_plan(self.mode).input_format
         out_fmt = FP64 if self.mode is MXUMode.FP64 else FP32
-        if self.mode is MXUMode.FP32C:
-            aq = quantize_complex(np.asarray(a, dtype=np.complex128), FP32)
-            bq = quantize_complex(np.asarray(b, dtype=np.complex128), FP32)
-            c_arr = quantize_complex(np.asarray(c, dtype=np.complex128), FP32)
-        else:
-            aq = quantize(np.asarray(a, dtype=np.float64), in_fmt)
-            bq = quantize(np.asarray(b, dtype=np.float64), in_fmt)
-            # Matches _register_c: C enters via FP32 registers.
-            c_arr = quantize(np.asarray(c, dtype=np.float64), FP32)
+        aq = register_operand(a, self.mode)
+        bq = register_operand(b, self.mode)
+        c_arr = self._register_c(c)
         roundoff = 2.0 ** -min(in_fmt.mantissa_bits, out_fmt.mantissa_bits)
         try:
             result, report = guarded_gemm(
@@ -199,17 +205,6 @@ class TiledGEMM:
             raise
         self.abft_report = report
         return result
-
-    def run_plan(self, plan: GemmPlan, c: np.ndarray | float = 0.0) -> np.ndarray:
-        """Execute a pre-resolved :class:`~repro.gemm.plan.GemmPlan`."""
-        if plan.mode is not self.mode:
-            raise ValueError(f"plan mode {plan.mode} != driver mode {self.mode}")
-        acc = np.broadcast_to(self._register_c(c), plan.out_shape).copy()
-        for ch in plan.chunks():
-            acc = self.mxu.mma_parts(
-                ch.a, ch.b, ch.a_parts, ch.b_parts, acc, self.mode, c_quantized=True
-            )
-        return acc
 
     def _register_c(self, c: np.ndarray | float) -> np.ndarray:
         """C as it enters the FP32 accumulator registers."""

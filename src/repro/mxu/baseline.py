@@ -13,16 +13,13 @@ which is exactly the precision loss the software baselines must repair.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from ..types.formats import FP32
 from ..types.quantize import quantize
 from .config import AMPERE_MXU, MXUConfig
-from .dataflow import resolve_parts
 from .fused import accumulate_mma
-from .modes import MXUMode
+from .modes import MXUMode, step_plan
 
 __all__ = ["TensorCoreMXU"]
 
@@ -43,8 +40,9 @@ class TensorCoreMXU:
     ``mma`` accepts arbitrary (batched) operand shapes. The *numerical*
     contract of one hardware instruction — exact products, one wide
     accumulation, one FP32 rounding — is honoured for whatever K is passed;
-    GEMM drivers in :mod:`repro.gemm` chop K into instruction-sized chunks
-    so that the inter-instruction FP32 rounding is modelled faithfully.
+    GEMM drivers in :mod:`repro.gemm` run K as a :meth:`chain` of
+    instruction-sized chunks so that the inter-instruction FP32 rounding is
+    modelled faithfully.
     """
 
     def __init__(self, config: MXUConfig = AMPERE_MXU) -> None:
@@ -67,42 +65,41 @@ class TensorCoreMXU:
         through unchanged).
         """
         self._check_mode(mode)
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
-        return self.mma_parts(
-            a, b, resolve_parts(a, mode), resolve_parts(b, mode), c, mode
-        )
+        fmt = step_plan(mode).input_format
+        a = quantize(np.asarray(a, dtype=np.float64), fmt)
+        b = quantize(np.asarray(b, dtype=np.float64), fmt)
+        return self.chain(a, b, c, mode)
 
-    def mma_parts(
+    def chain(
         self,
         a: np.ndarray,
         b: np.ndarray,
-        a_parts: Mapping[str, np.ndarray],
-        b_parts: Mapping[str, np.ndarray],
         c: np.ndarray | float,
         mode: MXUMode,
+        k_chunk: int | None = None,
         *,
         c_quantized: bool = False,
     ) -> np.ndarray:
-        """One MMA over pre-split operands (the plan-driven entry point).
+        """``A @ B + C`` as a K-chain of MMAs on input-format operands.
 
-        See :meth:`repro.mxu.m3xu.M3XU.mma_parts`; for the baseline modes
-        the single part ``X`` is the input-format-quantised operand.
+        See :meth:`repro.mxu.m3xu.M3XU.chain`: FP32 rounding between chunks
+        of *k_chunk* K elements, ``None`` for a single MMA over all of K.
         """
         self._check_mode(mode)
+        if a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
         c_arr = np.asarray(c, dtype=np.float64)
         c_q = c_arr if c_quantized else quantize(c_arr, FP32)
         return accumulate_mma(
-            a_parts["X"],
-            b_parts["X"],
+            a,
+            b,
             c_q,
             mode,
             "real",
             self.config.acc_bits,
             self.config.acc_rounding,
             FP32,
+            k_chunk,
         )
 
     def _check_mode(self, mode: MXUMode) -> None:

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from ..types.bits import decode, encode
 from ..types.formats import FP32, FloatFormat
+from ..types.quantize import quantize
 from .config import MXUConfig
-from .modes import MXUMode
+from .modes import MXUMode, chunk_bounds, step_plan
 
 if TYPE_CHECKING:
     from .m3xu import M3XU
@@ -231,15 +232,15 @@ _SITE_WIDTH = {
 class FaultyM3XU:
     """An MXU wrapper that injects one transient fault, then runs clean.
 
-    Wraps any MXU functional model exposing the ``mma``/``mma_parts``
-    contract and passes every call through unchanged except the one the
-    armed :class:`FaultSpec` names, where the configured upset is
-    applied: operand-stage faults corrupt the A operand (and re-derive
-    its slice decomposition, as the corrupted buffer entry feeds the
-    data-assignment stage); the later-stage faults corrupt the MMA
-    output according to the microarchitectural prediction for their
-    stage. The fault fires exactly once — the transient-upset model —
-    so a recomputation of the affected region observes a clean unit.
+    Wraps any MXU functional model exposing the ``mma``/``chain``
+    contract and runs a chain one MMA at a time, passing every MMA
+    through unchanged except the one the armed :class:`FaultSpec` names,
+    where the configured upset is applied: operand-stage faults corrupt
+    the A operand before the data-assignment stage splits it; the
+    later-stage faults corrupt the MMA output according to the
+    microarchitectural prediction for their stage. The fault fires
+    exactly once — the transient-upset model — so a recomputation of the
+    affected region observes a clean unit.
 
     The wrapper is stateful (call counter, one-shot flag), so drivers
     that fan work out across processes must keep it on the serial path:
@@ -309,6 +310,10 @@ class FaultyM3XU:
             bad = re + 1j * im
         else:
             bad = inject_operand_fault(a, idx, site, bit)
+            if step_plan(mode).n_steps == 1:
+                # The data-assignment stage converts the bad entry to the
+                # single-step mode's input format, like every operand.
+                bad = quantize(bad, step_plan(mode).input_format)
         return bad, replace(self.spec, element=idx, site=site, bit=bit)
 
     def _corrupt_output(
@@ -376,65 +381,69 @@ class FaultyM3XU:
         return fault, replace(self.spec, element=idx, slot=slot, bit=bit)
 
     # -- MMA entry points ----------------------------------------------
+    def _instruction(
+        self,
+        run: Callable[..., np.ndarray],
+        a: np.ndarray,
+        b: np.ndarray,
+        c: np.ndarray | float,
+        mode: MXUMode,
+        **kwargs: Any,
+    ) -> np.ndarray:
+        """One MMA, ``run(a, b, c, mode, **kwargs)`` (the unit's ``mma``
+        or a one-MMA ``chain``), with the armed fault applied if it names
+        this call."""
+        fire = self._should_fire()
+        if fire and self.spec.stage is FaultStage.OPERAND:
+            self.fired = True
+            a, self.injected = self._corrupt_operand(np.asarray(a), mode)
+        if fire and self.spec.stage is FaultStage.PRODUCT:
+            self.fired = True
+            a = np.asarray(a)
+            b = np.asarray(b)
+            fault, self.injected = self._resolve_product(a, b, mode)
+            return run(a, b, c, mode, product_fault=fault, **kwargs)
+        out = run(a, b, c, mode, **kwargs)
+        if fire and self.spec.stage is not FaultStage.OPERAND:
+            self.fired = True
+            out, self.injected = self._corrupt_output(out, mode)
+        return out
+
     def mma(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float, mode: MXUMode
     ) -> np.ndarray:
-        fire = self._should_fire()
-        if fire and self.spec.stage is FaultStage.OPERAND:
-            self.fired = True
-            a, self.injected = self._corrupt_operand(np.asarray(a), mode)
-        if fire and self.spec.stage is FaultStage.PRODUCT:
-            self.fired = True
-            a = np.asarray(a)
-            b = np.asarray(b)
-            fault, self.injected = self._resolve_product(a, b, mode)
-            return self.unit.mma(a, b, c, mode, product_fault=fault)
-        out = self.unit.mma(a, b, c, mode)
-        if fire and self.spec.stage is not FaultStage.OPERAND:
-            self.fired = True
-            out, self.injected = self._corrupt_output(out, mode)
-        return out
+        return self._instruction(self.unit.mma, a, b, c, mode)
 
-    def mma_parts(
+    def chain(
         self,
         a: np.ndarray,
         b: np.ndarray,
-        a_parts: Mapping[str, np.ndarray],
-        b_parts: Mapping[str, np.ndarray],
-        c: np.ndarray | float,
+        c: np.ndarray | float | complex,
         mode: MXUMode,
+        k_chunk: int | None = None,
         *,
         c_quantized: bool = False,
     ) -> np.ndarray:
-        fire = self._should_fire()
-        if fire and self.spec.stage is FaultStage.OPERAND:
-            from .dataflow import resolve_parts
-
-            self.fired = True
-            a, self.injected = self._corrupt_operand(np.asarray(a), mode)
-            a_parts = resolve_parts(a, mode)  # the bad entry feeds data-assignment
-        if fire and self.spec.stage is FaultStage.PRODUCT:
-            self.fired = True
-            a = np.asarray(a)
-            b = np.asarray(b)
-            fault, self.injected = self._resolve_product(a, b, mode)
-            return self.unit.mma_parts(
-                a,
-                b,
-                a_parts,
-                b_parts,
-                c,
+        """The unit's K-chain, run one ``unit.chain`` call per MMA so that
+        :attr:`FaultSpec.call_index` names one instruction."""
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
+        bounds = chunk_bounds(a.shape[-1], k_chunk)
+        if not bounds:  # a chain of no MMAs: nothing to fire on
+            return self.unit.chain(a, b, c, mode, k_chunk, c_quantized=c_quantized)
+        acc = c
+        for k0, k1 in bounds:
+            acc = self._instruction(
+                self.unit.chain,
+                a[..., k0:k1],
+                b[..., k0:k1, :],
+                acc,
                 mode,
                 c_quantized=c_quantized,
-                product_fault=fault,
             )
-        out = self.unit.mma_parts(
-            a, b, a_parts, b_parts, c, mode, c_quantized=c_quantized
-        )
-        if fire and self.spec.stage is not FaultStage.OPERAND:
-            self.fired = True
-            out, self.injected = self._corrupt_output(out, mode)
-        return out
+            c_quantized = True
+        return acc
 
     def mma_fp32(self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float) -> np.ndarray:
         return self.mma(a, b, c, MXUMode.FP32)

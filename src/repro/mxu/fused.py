@@ -54,7 +54,7 @@ from ..types.formats import FP32, FloatFormat
 from ..types.quantize import quantize
 from ..types.rounding import RoundingMode
 from .dataflow import resolve_parts
-from .modes import MXUMode, step_plan
+from .modes import MXUMode, chunk_bounds, step_plan
 
 __all__ = [
     "FAST_MIN_ACC_BITS",
@@ -273,10 +273,7 @@ def accumulate_mma(
         a.shape[-2],
         b.shape[-1],
     )
-    if k_chunk is None:
-        bounds = [(0, k)]
-    else:
-        bounds = [(k0, min(k0 + k_chunk, k)) for k0 in range(0, k, k_chunk)]
+    bounds = chunk_bounds(k, k_chunk)
     acc = np.array(np.broadcast_to(c_q, out_shape), dtype=np.float64)
     if (
         acc_bits is not None

@@ -26,14 +26,11 @@ accumulation register.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from ..types.formats import FP32, FP64, FloatFormat
-from ..types.quantize import quantize
+from ..types.quantize import quantize, representable
 from .config import M3XU_CONFIG, MXUConfig
-from .dataflow import resolve_parts
 from .fused import accumulate_mma
 from .modes import MXUMode, step_plan
 
@@ -76,22 +73,26 @@ class M3XU:
         """One multi-step MMA instruction: ``D = round(A @ B + C)``.
 
         Real modes take float64 arrays carrying format-representable
-        values; FP32C takes complex128 arrays whose components are FP32
-        values and returns complex128 FP32-component results.
+        values (the single-step modes quantise them to their input format,
+        as the register-file conversion does); FP32C takes complex128
+        arrays whose components are FP32 values and returns complex128
+        FP32-component results. FP32 and FP32C reject operands that are
+        not FP32 values (NaN and ±inf are).
         """
-        if not self.config.supports(mode):
-            raise ValueError(f"{self.config.name} does not support {mode.value}")
         if mode is MXUMode.FP32C:
             a = np.asarray(a, dtype=np.complex128)
             b = np.asarray(b, dtype=np.complex128)
         else:
             a = np.asarray(a, dtype=np.float64)
             b = np.asarray(b, dtype=np.float64)
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
-        return self.mma_parts(
-            a, b, resolve_parts(a, mode), resolve_parts(b, mode), c, mode
-        )
+        if mode in (MXUMode.FP32, MXUMode.FP32C):
+            for x in (a.real, a.imag, b.real, b.imag):
+                if not representable(x, FP32).all():
+                    raise ValueError("input contains values not representable in FP32")
+        elif mode is not MXUMode.FP64:
+            fmt = step_plan(mode).input_format
+            a, b = quantize(a, fmt), quantize(b, fmt)
+        return self.chain(a, b, c, mode)
 
     # Convenience wrappers mirroring the kernel names of Table II ---------
     def mma_fp32(self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float) -> np.ndarray:
@@ -107,32 +108,6 @@ class M3XU:
         return self.mma(a, b, c, MXUMode.FP64)
 
     # ------------------------------------------------------------------
-    def mma_parts(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        a_parts: Mapping[str, np.ndarray],
-        b_parts: Mapping[str, np.ndarray],
-        c: np.ndarray | float,
-        mode: MXUMode,
-        *,
-        c_quantized: bool = False,
-    ) -> np.ndarray:
-        """One MMA over pre-split operands (the plan-driven entry point).
-
-        *a*/*b* are the dense quantised operand slices, *a_parts*/*b_parts*
-        their :func:`~repro.mxu.dataflow.resolve_parts` decomposition, as a
-        :class:`~repro.gemm.plan.GemmPlan` serves them. Only a single-step
-        mode's input-format operand ``X`` is read from the parts: the fused
-        kernel splits just the elements its windowed fallback gathers. This
-        is the one-chunk case of :meth:`chain`.
-        """
-        if "X" in a_parts:
-            # Single-step modes multiply the input-format-quantised operand,
-            # not the raw register value.
-            a, b = a_parts["X"], b_parts["X"]
-        return self.chain(a, b, c, mode, c_quantized=c_quantized)
-
     def chain(
         self,
         a: np.ndarray,

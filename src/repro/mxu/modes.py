@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 from ..types.formats import BF16, FP16, FP32, FP64, TF32, FloatFormat
 
-__all__ = ["MXUMode", "StepProduct", "Step", "StepPlan", "step_plan", "MODE_INFO"]
+__all__ = [
+    "MXUMode",
+    "StepProduct",
+    "Step",
+    "StepPlan",
+    "step_plan",
+    "chunk_bounds",
+    "MODE_INFO",
+]
 
 
 class MXUMode(enum.Enum):
@@ -193,6 +201,17 @@ _PLANS: dict[MXUMode, StepPlan] = {
 def step_plan(mode: MXUMode) -> StepPlan:
     """The execution plan of one MMA instruction in *mode*."""
     return _PLANS[mode]
+
+
+def chunk_bounds(k: int, k_chunk: int | None) -> list[tuple[int, int]]:
+    """``(k0, k1)`` of every MMA in a K-chain of *k_chunk*-wide instructions.
+
+    ``None`` is one MMA over all of K, even K = 0 (C still passes through
+    the accumulation window); a chain of chunks over K = 0 has no MMA.
+    """
+    if k_chunk is None:
+        return [(0, k)]
+    return [(k0, min(k0 + k_chunk, k)) for k0 in range(0, k, k_chunk)]
 
 
 #: Quick-reference mode table: (steps, K divisor, supported by baseline TC).

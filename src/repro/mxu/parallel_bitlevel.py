@@ -20,10 +20,10 @@ is bit-identical to the serial driver. This module does exactly that:
   deadlock the pool;
 * every worker count produces the same bits: blocks are column-disjoint,
   results are reassembled in submission order, and each block's chain is
-  the engine's own whole-chain kernel
-  (:func:`~repro.mxu.vectorized.chained_vector_fp32` /
-  :func:`~repro.mxu.vectorized.chained_vector_fp32c`) or, on the scalar
-  engine, its per-MMA loop.
+  one :meth:`BitLevelMXU.chain <repro.mxu.vectorized.BitLevelMXU.chain>`
+  call, or the FP32 whole-chain kernel
+  (:func:`~repro.mxu.vectorized.chained_vector_fp32`) on A's pre-split
+  lane fields.
 
 **Operand transport.** The A operand is shared by every column block,
 so the FP32 vector path derives A's multiplier-lane fields
@@ -50,9 +50,8 @@ from ..types.rounding import RoundingMode
 from .config import M3XU_CONFIG
 from .modes import MXUMode
 from .vectorized import (
-    _SCALAR_MMA,
+    BitLevelMXU,
     chained_vector_fp32,
-    chained_vector_fp32c,
     fp32_lane_fields,
     resolve_bitlevel_engine,
 )
@@ -90,12 +89,11 @@ def _chain_columns(payload: tuple) -> np.ndarray:
     a_entry, b_cols, c_cols, mode_value, engine, acc_bits, rounding_value, k_chunk = (
         payload
     )
-    mode = MXUMode(mode_value)
     rounding = RoundingMode(rounding_value)
     a, a_fields = _resolve_a_entry(a_entry)
-    if engine == "vector" and mode is MXUMode.FP32:
+    if a_fields is not None:
         return chained_vector_fp32(
-            a,
+            None,
             b_cols,
             c_cols,
             k_chunk=k_chunk,
@@ -103,28 +101,8 @@ def _chain_columns(payload: tuple) -> np.ndarray:
             rounding=rounding,
             a_fields=a_fields,
         )
-    if a is None:  # pragma: no cover - dispatcher never pairs these
-        raise ValueError(f"engine {engine!r}/{mode.value} needs a dense A operand")
-    if engine == "vector":
-        return chained_vector_fp32c(
-            a, b_cols, c_cols, k_chunk=k_chunk, acc_bits=acc_bits, rounding=rounding
-        )
-    # The scalar oracle runs the per-MMA chain it defines.
-    fn = _SCALAR_MMA[mode]
-    acc = c_cols
-    for k0 in range(0, a.shape[1], k_chunk):
-        acc = fn(
-            a[:, k0 : k0 + k_chunk],
-            b_cols[k0 : k0 + k_chunk, :],
-            acc,
-            acc_bits=acc_bits,
-            rounding=rounding,
-        )
-    # First chunk may hand back the (possibly read-only, shm-backed) C
-    # block untouched when K == 0; return an owned copy in that case.
-    if acc is c_cols:
-        return np.array(acc, copy=True)
-    return acc
+    unit = BitLevelMXU(engine, acc_bits=acc_bits, rounding=rounding)
+    return unit.chain(a, b_cols, c_cols, MXUMode(mode_value), k_chunk, c_quantized=True)
 
 
 def sharded_bitlevel_gemm(

@@ -42,7 +42,7 @@ a single MMA is the one-chunk chain. Engine selection:
 same slot ordering through :class:`~repro.mxu.bitlevel.BitAccumulator`
 and are retained as the oracle the property suite compares against.
 :class:`BitLevelMXU` packages either engine behind the ``mma``/
-``mma_parts`` contract so ``TiledGEMM(fused=False)``, ABFT tile
+``chain`` contract so ``TiledGEMM(fused=False)``, ABFT tile
 recomputation and the fault campaigns run it unchanged, and both engines
 accept a :class:`ProductFault` — a bit flip in one multiplier-lane
 product, addressed by flat slot index — for campaign injection.
@@ -51,8 +51,8 @@ product, addressed by flat slot index — for campaign injection.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from ..types.formats import FP32, FloatFormat
 from ..types.quantize import quantize, quantize_complex
 from ..types.rounding import RoundingMode, round_significand
 from .config import M3XU_CONFIG, MXUConfig
-from .modes import MXUMode, step_plan
+from .modes import MXUMode, chunk_bounds, step_plan
 
 __all__ = [
     "BITLEVEL_ENV",
@@ -814,15 +814,14 @@ _SCALAR_MMA = {MXUMode.FP32: scalar_mma_fp32, MXUMode.FP32C: scalar_mma_fp32c}
 
 
 class BitLevelMXU:
-    """The bit-level datapath behind the ``mma``/``mma_parts`` contract.
+    """The bit-level datapath behind the ``mma``/``chain`` contract.
 
     Drop-in MXU model for :class:`~repro.gemm.tiled.TiledGEMM` (and thus
     for ABFT-guarded runs and fault campaigns): every MMA executes the
     true split -> 12x12 multiply -> shifted 48-bit accumulate pipeline,
     with the engine (vectorized or scalar oracle) chosen per
-    :func:`resolve_bitlevel_engine`. FP32 and FP32C only; the value-level
-    parts handed to :meth:`mma_parts` are ignored — this model re-derives
-    the slices from the operand bits, which is the point.
+    :func:`resolve_bitlevel_engine`. FP32 and FP32C only; the slices are
+    derived from the operand bits, which is the point.
     """
 
     #: Marks bit-level capability for drivers and fault injectors.
@@ -867,24 +866,25 @@ class BitLevelMXU:
         else:
             aq = quantize(np.asarray(a, dtype=np.float64), FP32)
             bq = quantize(np.asarray(b, dtype=np.float64), FP32)
-        return self.mma_parts(aq, bq, {}, {}, c, mode, product_fault=product_fault)
+        return self.chain(aq, bq, c, mode, product_fault=product_fault)
 
-    def mma_parts(
+    def chain(
         self,
         a: np.ndarray,
         b: np.ndarray,
-        a_parts: Mapping[str, np.ndarray],
-        b_parts: Mapping[str, np.ndarray],
-        c: np.ndarray | float,
+        c: np.ndarray | float | complex,
         mode: MXUMode,
+        k_chunk: int | None = None,
         *,
         c_quantized: bool = False,
         product_fault: ProductFault | None = None,
     ) -> np.ndarray:
-        """Plan-driven entry: dense slices are used, value parts ignored.
+        """``A @ B + C`` on FP32 register operands as a K-chain of MMAs.
 
-        Runs the scalar oracle, or the chained vector kernel as the
-        one-chunk chain ``k_chunk = K``.
+        ``k_chunk=None`` runs a single MMA over all of K. The vector engine
+        evaluates the chain in one kernel call, the scalar oracle one MMA
+        at a time. ``product_fault`` addresses a product slot of the whole
+        chain (see :class:`ProductFault`).
         """
         if mode not in self.supported_modes():
             raise ValueError(
@@ -897,29 +897,40 @@ class BitLevelMXU:
             cq = np.asarray(c, dtype=np.float64)
             cq = cq if c_quantized else quantize(cq, FP32)
         a, b = np.asarray(a), np.asarray(b)
-        if self.engine == "scalar":
-            return _SCALAR_MMA[mode](
-                a, b, cq, acc_bits=self.acc_bits, rounding=self.rounding,
-                product_fault=product_fault,
+        m_dim, k_total, n_dim = _require_tile(a, b)
+        if product_fault is not None:
+            _check_fault(
+                product_fault, product_slot_count(mode, k_total), (m_dim, n_dim)
             )
-        if a.ndim == 2 and b.ndim == 2 and a.shape[1] == 0 == b.shape[0]:
-            # An MMA over no products still rounds C through the window,
-            # whereas a chain of no MMAs returns C untouched: feed one
-            # zero product per element (a non-event) instead. That padded
-            # product is no slot a fault may name.
-            if product_fault is not None:
-                _check_fault(product_fault, 0, (a.shape[0], b.shape[1]))
-            a = np.zeros((a.shape[0], 1), dtype=a.dtype)
-            b = np.zeros((1, b.shape[1]), dtype=b.dtype)
-        k = max(a.shape[-1], 1)
+        if self.engine == "scalar":
+            mma = _SCALAR_MMA[mode]
+            per_k = product_slot_count(mode, 1)
+            acc = np.broadcast_to(cq, (m_dim, n_dim))
+            for k0, k1 in chunk_bounds(k_total, k_chunk):
+                fault = None
+                if product_fault is not None and k0 * per_k <= product_fault.slot < k1 * per_k:
+                    fault = replace(product_fault, slot=product_fault.slot - k0 * per_k)
+                acc = mma(
+                    a[:, k0:k1], b[k0:k1, :], acc, acc_bits=self.acc_bits,
+                    rounding=self.rounding, product_fault=fault,
+                )
+            return np.array(acc)  # owned, also when the chain had no MMA
+        if k_chunk is None:
+            if k_total == 0:
+                # An MMA over no products still rounds C through the window,
+                # whereas a chain of no MMAs returns C untouched: feed one
+                # zero product per element (a non-event) instead.
+                a = np.zeros((m_dim, 1), dtype=a.dtype)
+                b = np.zeros((1, n_dim), dtype=b.dtype)
+            k_chunk = max(k_total, 1)
         if mode is MXUMode.FP32C:
             return chained_vector_fp32c(
-                a, b, cq, k_chunk=k, acc_bits=self.acc_bits, rounding=self.rounding,
-                product_fault=product_fault,
+                a, b, cq, k_chunk=k_chunk, acc_bits=self.acc_bits,
+                rounding=self.rounding, product_fault=product_fault,
             )
         return chained_vector_fp32(
-            a, b, cq, k_chunk=k, acc_bits=self.acc_bits, rounding=self.rounding,
-            product_fault=product_fault,
+            a, b, cq, k_chunk=k_chunk, acc_bits=self.acc_bits,
+            rounding=self.rounding, product_fault=product_fault,
         )
 
     # Convenience wrappers mirroring the M3XU API ----------------------

@@ -10,7 +10,7 @@ on the repo's emulation stack with the full robustness kit engaged:
   structured ``REJECTED`` responses (``overload`` / ``queue_full``)
   instead of hangs or unbounded queues.
 * **Coalescing** (:mod:`repro.serve.batcher`): shape/dtype-compatible
-  small GEMMs are stacked into one batched GEMM on the split-plan cache
+  small GEMMs are stacked into one batched GEMM
   (:func:`repro.gemm.batched.batched_mxu_sgemm` and friends) —
   bit-identical per matrix to a lone request.
 * **Content-addressed cache** (:mod:`repro.cache`): repeat payloads are

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from repro.gemm import TiledGEMM, mxu_cgemm, mxu_sgemm, tensorcore_gemm
-from repro.mxu import M3XU, MXUMode, TensorCoreMXU
-from repro.types import FP16, FP32, quantize
+from repro.mxu import (
+    M3XU,
+    BitLevelMXU,
+    FaultSpec,
+    FaultStage,
+    FaultyM3XU,
+    MXUMode,
+    TensorCoreMXU,
+)
+from repro.types import FP16, FP32, quantize, quantize_complex
 from tests.conftest import fp32_array, fp32c_array
 
 
@@ -56,6 +64,65 @@ class TestChunking:
             TiledGEMM(M3XU(), MXUMode.FP32, k_chunk=0)
 
 
+def _faulty(unit):
+    return FaultyM3XU(FaultSpec(FaultStage.SIGN_FLIP, element=(0, 0)), unit)
+
+
+_UNITS = {
+    "m3xu": M3XU,
+    "tensorcore": TensorCoreMXU,
+    "faulty-m3xu": lambda: _faulty(M3XU()),
+    "faulty-bitlevel": lambda: _faulty(BitLevelMXU()),
+}
+
+
+class TestEmptyK:
+    """K = 0: a chain of no MMAs returns C as it enters the registers."""
+
+    @pytest.mark.parametrize(
+        "unit_name, mode",
+        [
+            ("m3xu", MXUMode.FP32),
+            ("m3xu", MXUMode.FP32C),
+            ("m3xu", MXUMode.FP64),
+            ("tensorcore", MXUMode.TF32),
+            ("tensorcore", MXUMode.FP16),
+            ("faulty-m3xu", MXUMode.FP32),
+            ("faulty-m3xu", MXUMode.FP32C),
+            ("faulty-bitlevel", MXUMode.FP32),
+            ("faulty-bitlevel", MXUMode.FP32C),
+        ],
+    )
+    def test_returns_register_c(self, rng, unit_name, mode):
+        unit = _UNITS[unit_name]()
+        c = rng.standard_normal((6, 4))
+        if mode is MXUMode.FP32C:
+            dtype = np.complex128
+            c = c + 1j * rng.standard_normal((6, 4))
+            want = quantize_complex(c, FP32)
+        else:
+            dtype = np.float64
+            want = quantize(c, FP32)
+        a, b = np.zeros((6, 0), dtype=dtype), np.zeros((0, 4), dtype=dtype)
+        got = TiledGEMM(unit, mode, abft=False).run(a, b, c)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not getattr(unit, "fired", False)
+
+    @pytest.mark.parametrize("mode", [MXUMode.TF32, MXUMode.FP16, MXUMode.FP64])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["subclass", "faulty"])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bitlevel_units_reject_unsupported_modes(self, mode, wrapped, k):
+        # The mode check lives in the unit's chain, so it runs even when
+        # the chain has no MMA.
+        class Hooked(BitLevelMXU):
+            pass
+
+        unit = _faulty(BitLevelMXU()) if wrapped else Hooked()
+        gemm = TiledGEMM(unit, mode, abft=False)
+        with pytest.raises(ValueError, match="fp32/fp32c only"):
+            gemm.run(np.ones((6, k)), np.ones((k, 4)), np.ones((6, 4)))
+
+
 class TestQuantisationBoundary:
     def test_fp32_mode_quantizes_raw_float64(self, rng):
         a = rng.normal(size=(4, 8))
@@ -68,8 +135,6 @@ class TestQuantisationBoundary:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         got = mxu_cgemm(a, b, 0.0)
-        from repro.types import quantize_complex
-
         want = mxu_cgemm(quantize_complex(a, FP32), quantize_complex(b, FP32), 0.0)
         np.testing.assert_array_equal(got, want)
 

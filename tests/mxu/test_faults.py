@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.gemm import TiledGEMM
 from repro.mxu import (
     FaultSite,
     FaultSpec,
     FaultStage,
     FaultyM3XU,
     M3XU,
+    MXUMode,
+    TensorCoreMXU,
     inject_operand_fault,
     inject_register_fault,
     inject_shift_align_fault,
     inject_sign_flip_fault,
     slice_fault_study,
 )
-from repro.types import FP32, quantize
+from repro.types import FP32, TF32, quantize, representable
 
 
 class TestInjection:
@@ -188,6 +191,25 @@ class TestFaultyM3XU:
 
         assert faulty.steps(MXUMode.FP32) == unit.steps(MXUMode.FP32)
         assert faulty.output_format(MXUMode.FP32) is unit.output_format(MXUMode.FP32)
+
+    def test_operand_fault_reaches_chain_in_input_format(self, rng):
+        # The data-assignment stage converts the corrupted entry like any
+        # operand, so the wrapped unit's chain still receives TF32 values.
+        seen = []
+
+        class Spy(TensorCoreMXU):
+            def chain(self, a, b, *args, **kwargs):
+                seen.append(bool(np.all(representable(a, TF32))))
+                return super().chain(a, b, *args, **kwargs)
+
+        a = quantize(rng.normal(size=(4, 16)), TF32)
+        b = quantize(rng.normal(size=(16, 4)), TF32)
+        spec = FaultSpec(
+            stage=FaultStage.OPERAND, call_index=1, site=FaultSite.LOW_SLICE, bit=11
+        )
+        unit = FaultyM3XU(spec, Spy())
+        TiledGEMM(unit, MXUMode.TF32, abft=False).run(a, b)
+        assert unit.fired and len(seen) == unit.calls == 2 and all(seen)
 
     def test_complex_mode_corruption(self, rng):
         a = quantize(rng.normal(size=(4, 4)), FP32) + 1j * quantize(

@@ -136,6 +136,29 @@ class TestFp32cMma:
         assert np.all(representable(d.imag, FP32))
 
 
+class TestOperandContract:
+    """FP32 and FP32C MMAs take FP32 register values and nothing else."""
+
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
+    @pytest.mark.parametrize("value", [0.1, 1e39])
+    @pytest.mark.parametrize("operand", ["a", "b"])
+    def test_rejects_non_fp32_operands(self, unit, mode, value, operand):
+        dtype = np.complex128 if mode is MXUMode.FP32C else np.float64
+        a, b = np.ones((2, 3), dtype=dtype), np.ones((3, 2), dtype=dtype)
+        (a if operand == "a" else b)[1, 1] = value
+        with pytest.raises(ValueError, match="not representable in FP32"):
+            unit.mma(a, b, 0.0, mode)
+
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0**-140])
+    def test_accepts_specials_and_subnormals(self, unit, mode, value):
+        # NaN, the infinities and subnormals are all FP32 values.
+        dtype = np.complex128 if mode is MXUMode.FP32C else np.float64
+        a = np.array([[value, 1.0]], dtype=dtype)
+        b = np.array([[1.0], [value]], dtype=dtype)
+        assert unit.mma(a, b, 0.0, mode).shape == (1, 1)
+
+
 class TestFp64Mode:
     def test_near_fp64_accuracy(self, rng, unit):
         a = rng.normal(size=(8, 2))

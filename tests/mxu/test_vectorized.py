@@ -296,6 +296,24 @@ class TestProductFault:
                 scalar_mma_fp32c(a, b, 0.0, product_fault=pf),
             )
 
+    @pytest.mark.parametrize("mode, k_chunk", [(MXUMode.FP32, 4), (MXUMode.FP32C, 2)])
+    def test_chain_engines_agree_on_fault(self, rng, mode, k_chunk):
+        # A fault names a product slot of the whole chain; the scalar
+        # engine, one MMA at a time, flips it in the MMA that holds it.
+        a, b = random_fp32(rng, (3, 7), 4), random_fp32(rng, (7, 3), 4)
+        if mode is MXUMode.FP32C:
+            a = a + 1j * random_fp32(rng, (3, 7), 4)
+            b = b + 1j * random_fp32(rng, (7, 3), 4)
+        vector, scalar = BitLevelMXU(engine="vector"), BitLevelMXU(engine="scalar")
+        clean = vector.chain(a, b, 0.0, mode, k_chunk)
+        changed = 0
+        for slot in range(1, product_slot_count(mode, 7), 5):
+            pf = ProductFault(slot=slot, element=(1, 2), bit=22)
+            v = vector.chain(a, b, 0.0, mode, k_chunk, product_fault=pf)
+            assert biteq(v, scalar.chain(a, b, 0.0, mode, k_chunk, product_fault=pf))
+            changed += not biteq(v, clean)
+        assert changed > 0
+
     def test_fault_only_hits_named_element(self, rng):
         a, b = random_fp32(rng, (3, 4), 2), random_fp32(rng, (4, 3), 2)
         clean = one_mma(a, b, 0.0)

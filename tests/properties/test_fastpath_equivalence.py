@@ -2,7 +2,7 @@
 
 Every execution-path optimisation in this repo claims *bit-identical*
 results: the fused grouped reduction, the float64 fast path with windowed
-fallback, the split-plan driver, and the parallel batch engine. This
+fallback, the one-call K-chain driver, and the parallel batch engine. This
 suite holds all of them to that claim — against :func:`reference_mma`, a
 test-local MMA built from the unoptimised primitives (every lane product
 of :func:`~repro.mxu.dataflow.lane_products`, one
@@ -106,11 +106,22 @@ def reference_gemm(unit, a, b, c, mode, mma=None):
 
 
 class _ReferenceMMA:
-    """Every MMA computed by :func:`reference_mma`, so a production
-    driver runs over the reference datapath."""
+    """Every MMA of a chain computed by :func:`reference_mma`, so a
+    production driver runs over the reference datapath."""
 
-    def mma_parts(self, a, b, a_parts, b_parts, c, mode, *, c_quantized=False):
-        return reference_mma(self, a, b, c, mode)
+    def chain(self, a, b, c, mode, k_chunk=None, *, c_quantized=False):
+        out_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
+            a.shape[-2],
+            b.shape[-1],
+        )
+        acc = np.broadcast_to(c, out_shape)
+        step = a.shape[-1] if k_chunk is None else k_chunk
+        starts = [0] if k_chunk is None else range(0, a.shape[-1], step)
+        for k0 in starts:
+            acc = reference_mma(
+                self, a[..., k0 : k0 + step], b[..., k0 : k0 + step, :], acc, mode
+            )
+        return np.array(acc)
 
 
 class ReferenceTensorCore(_ReferenceMMA, TensorCoreMXU):
@@ -375,25 +386,30 @@ class TestPlanVsLegacyDriver:
         class Counting(ReferenceM3XU):
             calls = 0
 
-            def mma_parts(self, *args, **kwargs):
+            def chain(self, *args, **kwargs):
                 Counting.calls += 1
-                return super().mma_parts(*args, **kwargs)
+                return super().chain(*args, **kwargs)
 
+        # The driver hands a unit the whole K-chain in one call ...
         assert biteq(TiledGEMM(Counting(), MXUMode.FP32, abft=False).run(a, b, c), base)
-        assert Counting.calls == chunks
-        # An armed fault on the last chunk fires, so every chunk ran
+        assert Counting.calls == 1
+        # ... and a fault-injecting wrapper runs it one MMA per unit call:
+        # an armed fault on the last chunk fires, so every chunk ran
         # through the wrapper.
+        Counting.calls = 0
         faulty = FaultyM3XU(
-            FaultSpec(FaultStage.SIGN_FLIP, call_index=chunks - 1, element=(0, 0))
+            FaultSpec(FaultStage.SIGN_FLIP, call_index=chunks - 1, element=(0, 0)),
+            Counting(),
         )
         out = TiledGEMM(faulty, MXUMode.FP32, abft=False).run(a, b, c)
+        assert Counting.calls == chunks
         assert faulty.calls == chunks and faulty.fired
         assert out[0, 0] == -base[0, 0]
         out[0, 0] = base[0, 0]
         assert biteq(out, base)
 
     def test_plan_only_differs_from_fastpath_only_never(self, rng):
-        # plan + reference-mma and per-chunk loop + fused-mma both equal
+        # driver + reference chain and per-chunk loop + fused mma both equal
         # the reference loop.
         a, b, c = real_operands(rng, 8, 29, 6)
         base = reference_gemm(M3XU(), a, b, c, MXUMode.FP32)
@@ -413,7 +429,7 @@ class TestPlanVsLegacyDriver:
 
 
 class TestBatchedAndParallel:
-    """Batched plan path == reference loop; workers=1 == workers=4."""
+    """Batched chain path == reference loop; workers=1 == workers=4."""
 
     def test_batched_sgemm(self, rng):
         a = rng.standard_normal((6, 8, 21))

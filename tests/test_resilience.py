@@ -115,8 +115,8 @@ class TestAbftGuard:
                 self.config = self.unit.config
                 self.fired = False
 
-            def mma_parts(self, *args, **kwargs):
-                out = self.unit.mma_parts(*args, **kwargs)
+            def chain(self, *args, **kwargs):
+                out = self.unit.chain(*args, **kwargs)
                 if not self.fired:
                     self.fired = True
                     out = np.array(out, copy=True)
@@ -139,8 +139,8 @@ class TestAbftGuard:
                 self.unit = M3XU()
                 self.config = self.unit.config
 
-            def mma_parts(self, *args, **kwargs):
-                out = np.array(self.unit.mma_parts(*args, **kwargs), copy=True)
+            def chain(self, *args, **kwargs):
+                out = np.array(self.unit.chain(*args, **kwargs), copy=True)
                 out[2, 2] = -out[2, 2] + 7.0
                 return out
 
