@@ -46,7 +46,7 @@ from repro.mxu.m3xu import M3XU
 from repro.mxu import parallel_bitlevel
 from repro.mxu.modes import MXUMode
 from repro.mxu.parallel_bitlevel import DEFAULT_BITLEVEL_CHUNK, sharded_bitlevel_gemm
-from repro.mxu.vectorized import BitLevelMXU, fp32_lane_fields
+from repro.mxu.vectorized import BitLevelMXU
 from repro.parallel import resolve_workers
 from repro.resilience.campaign import BITLEVEL_STAGES, CampaignConfig, run_campaign
 from repro.types.formats import FP32
@@ -310,26 +310,24 @@ def test_bitlevel_campaign(benchmark):
 
 
 def test_sharded_transport_large_a_planes(monkeypatch):
-    """A sharded bit-level GEMM with large A planes at 2 workers.
+    """A sharded bit-level GEMM with a large dense A at 2 workers.
 
-    A's lane-field planes are derived once per call in the parent and
-    travel with every column block's task, so each must cross the
-    shared-memory transport once per call, and no segment may outlive
-    the call.
+    A is quantised once per call in the parent and travels with every
+    column block's task, so it must cross the shared-memory transport
+    once per call, and no segment may outlive the call.
     """
     rng = np.random.default_rng(21)
-    # A's planes are each at least 1 MiB, so they ride shared memory; the
-    # B and C column blocks (two columns each) pickle.
+    # A is at least 1 MiB, so it rides shared memory; the B and C column
+    # blocks (two columns each) pickle.
     monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 2)
     aq = quantize(rng.standard_normal((512, 1024)), FP32)
     bq = quantize(rng.standard_normal((1024, 4)), FP32)
-    planes = fp32_lane_fields(aq)
-    assert all(plane.nbytes >= parallel.SHM_MIN_BYTES for plane in planes)
+    assert aq.nbytes >= parallel.SHM_MIN_BYTES
     segments_before = _psm_names()
     publishes = parallel.pool_info()["arena"]["publishes"]
     sharded = sharded_bitlevel_gemm(aq, bq, engine="vector", workers=2)
-    # Once per plane, not once per plane and column block.
-    assert parallel.pool_info()["arena"]["publishes"] == publishes + len(planes)
+    # Once per call, not once per column block.
+    assert parallel.pool_info()["arena"]["publishes"] == publishes + 1
     assert _psm_names() == segments_before
     assert sharded.tobytes() == sharded_bitlevel_gemm(
         aq, bq, engine="vector", workers=1

@@ -316,6 +316,18 @@ _SENTINEL_I16 = np.int16(-(1 << 14))
 _F32_LSB_LIMIT = 1 << 13
 
 
+def _check_window_depth(acc_bits: int, n_slots: int) -> None:
+    """Raise :class:`ValueError` unless an *acc_bits* window can reduce
+    *n_slots* addends per row without overflowing its int64 partial sums
+    (:func:`segmented_windowed_sum_f32`'s limits)."""
+    if acc_bits < 8:
+        raise ValueError("accumulator width must be >= 8 bits")
+    if acc_bits + int(np.ceil(np.log2(max(n_slots, 1)))) + 1 > 63:
+        raise ValueError(
+            f"acc_bits={acc_bits} with {n_slots} slots overflows the int64 window"
+        )
+
+
 def segmented_windowed_sum_f32(
     signed_sig: np.ndarray,
     lsb_exp: np.ndarray,
@@ -392,13 +404,8 @@ def segmented_windowed_sum_f32(
         raise ValueError("signed_sig and lsb_exp must have identical shapes")
     if not sig_arr.ndim:
         raise ValueError("addend slots must have at least one axis")
-    if acc_bits < 8:
-        raise ValueError("accumulator width must be >= 8 bits")
     n_slots = sig_arr.shape[-1]
-    if acc_bits + int(np.ceil(np.log2(max(n_slots, 1)))) + 1 > 63:
-        raise ValueError(
-            f"acc_bits={acc_bits} with {n_slots} slots overflows the int64 window"
-        )
+    _check_window_depth(acc_bits, n_slots)
     lead = sig_arr.shape[:-1]
     if n_slots == 0:
         return (

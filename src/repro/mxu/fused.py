@@ -11,41 +11,45 @@ addends tensor (:func:`~repro.mxu.dataflow.lane_products`) and runs the
 full alignment machinery (:func:`~repro.arith.accumulator.aligned_sum`)
 over it. Two pieces do the work:
 
-1. **Float64 fast path** — for wide accumulators (M3XU's 48-bit
-   registers) each chunk is first computed as a plain BLAS ``matmul`` in
-   float64, written in place into buffers allocated once per chain. A
-   vectorised soundness check then proves, per output element, that the
-   windowed path could not round to a different FP32 value: both the
-   windowed sum and the float64 sum lie within a rigorous error radius
-   ``err`` of the exact sum, so whenever ``quantize(fast - err) ==
-   quantize(fast + err)`` (quantisation is monotonic) every value in
-   between — the windowed sum included — quantises identically.
+1. **Float64 fast path** (:func:`_fast_chain`) — for wide accumulators
+   (M3XU's 48-bit registers) each chunk is first computed as a plain BLAS
+   ``matmul`` in float64, written in place into buffers allocated once
+   per chain. A vectorised soundness check then proves, per output
+   element, that the windowed path could not round to a different FP32
+   value: both the windowed sum and the float64 sum lie within a rigorous
+   error radius ``err`` of the exact sum (:func:`_radius`), so whenever
+   ``quantize(fast - err) == quantize(fast + err)`` (quantisation is
+   monotonic) every value in between — the windowed sum included —
+   quantises identically.
 
 2. **Windowed fallback** — elements that fail the check (results near an
    FP32 rounding boundary, heavy cancellation, non-finite data, exact
    zeros whose sign the window model canonicalises) are found with one
-   flat nonzero per chunk and recomputed through the exact grouped
-   windowed accumulation (:func:`~repro.arith.accumulator.aligned_sum_groups`)
-   before the next chunk reads them. Only their rows of A and columns of
-   B are gathered and split (:func:`~repro.mxu.dataflow.resolve_parts`),
-   so no whole-operand split exists on this path. Narrow windows (the
-   baseline Tensor Core's ~27 bits), FP64 mode and broadcast batches take
-   the windowed path for every element, splitting one chunk at a time.
+   flat nonzero per chunk and recomputed by the caller's per-element
+   reduction before the next chunk reads them. Here that is the exact
+   grouped windowed accumulation
+   (:func:`~repro.arith.accumulator.aligned_sum_groups`) in
+   :func:`_fallback_windowed`; the bit-level vector engine runs the same
+   loop with its running-anchor datapath instead
+   (:mod:`repro.mxu.vectorized`). Only the failing elements' rows of A
+   and columns of B are gathered and split
+   (:func:`~repro.mxu.dataflow.resolve_parts`), so no whole-operand split
+   exists on this path. Narrow windows (the baseline Tensor Core's ~27
+   bits), FP64 mode and broadcast batches take the windowed path for
+   every element, splitting one chunk at a time.
 
 The error radius is anchored on an upper bound of the largest addend:
 ``bound = rowmax(|A|) * colmax(|B|)`` (an outer product — O(MK + KN + MN)
 instead of O(MNK); one pass over each operand yields every chunk's
-maxima) joined with ``|C|``. Per-addend alignment rounding is at most one
-window-LSB ``2**(2 - acc_bits) * bound``, and float64 summation of
-``t*K + 1`` terms obeys the standard ``(n*u)``-style bound; both are
-inflated 4x for slack. The equivalence property suite
+maxima) joined with ``|C|``. The equivalence property suite
 (``tests/properties/test_fastpath_equivalence.py``) asserts bit-identity
 against the materialised reference across modes and edge inputs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -66,6 +70,12 @@ __all__ = [
 #: round nearly every reduction, so the float64 proof almost never fires;
 #: below this width the fused windowed path is used unconditionally.
 FAST_MIN_ACC_BITS = 40
+
+#: ``fallback(a, b, c_sel, idx)``: the FP32 results of one chunk's
+#: windowed reduction at the output elements *idx* (an ``np.nonzero``-style
+#: index tuple), given the chunk's operands and the accumulator *c_sel* at
+#: those elements.
+Fallback = Callable[[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]], np.ndarray]
 
 
 def _routes(mode: MXUMode, accumulator: str) -> list[tuple[str, str, bool]]:
@@ -117,16 +127,17 @@ def _blas_terms(
 
 
 def _fallback_windowed(
-    a: np.ndarray,
-    b: np.ndarray,
     mode: MXUMode,
     accumulator: str,
-    c_sel: np.ndarray,
-    idx: tuple[np.ndarray, ...],
     acc_bits: int,
     rounding: RoundingMode,
+    a: np.ndarray,
+    b: np.ndarray,
+    c_sel: np.ndarray,
+    idx: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Exact windowed sums of one chunk for the selected output elements.
+    """Exact windowed sums of one chunk for the selected output elements,
+    rounded to FP32 (a :data:`Fallback` once the first four are bound).
 
     *a*/*b* are the chunk's operands, *idx* an ``np.nonzero``-style index
     tuple over the output shape and *c_sel* the accumulator at those
@@ -148,7 +159,34 @@ def _fallback_windowed(
         addends.append(-p if negate else p)
     addends.append(c_sel[:, None])
     group = np.concatenate(addends, axis=-1)
-    return aligned_sum_groups([group], acc_bits=acc_bits, mode=rounding)
+    return quantize(aligned_sum_groups([group], acc_bits=acc_bits, mode=rounding), FP32)
+
+
+def _radius(lanes: int, k: int, terms: int, acc_bits: int) -> float:
+    """Error radius of one chunk, per unit of ``max(bound, |C|)``.
+
+    A chunk adds ``n = lanes*k + 1`` addends into the window — its lane
+    products and C — none larger than ``M = max(bound, |C|)``. Under
+    either alignment discipline the window ends within ``n * 2**(2 -
+    acc_bits) * M`` of the exact sum:
+
+    * one anchor per MMA (:func:`_fallback_windowed`) rounds each addend
+      once onto the window, at most one window LSB ``2**(2 - acc_bits) *
+      M`` each;
+    * a running anchor raised slot by slot
+      (:class:`~repro.mxu.bitlevel.BitAccumulator`, the vector engine's
+      fallback) makes at most ``n`` alignments and at most ``n``
+      re-roundings of the partial sum when the anchor rises. Each is
+      within one LSB of the window at that moment, and the anchor only
+      rises, so within one LSB of the final window, ``2**(1 - acc_bits)
+      * M``: ``2n`` errors of that size.
+
+    The float64 BLAS sum of ``terms*k`` products plus C obeys the
+    standard ``(n*u)``-style bound. Both terms are inflated 4x for slack,
+    so the radius holds for whichever discipline the fallback runs.
+    """
+    window = 4.0 * (lanes * k + 1) * 2.0 ** (2 - acc_bits)
+    return window + 4.0 * (terms * k + 4) ** 2 * 2.0**-53
 
 
 def _fast_chain(
@@ -159,12 +197,13 @@ def _fast_chain(
     accumulator: str,
     bounds: list[tuple[int, int]],
     acc_bits: int,
-    rounding: RoundingMode,
+    fallback: Fallback,
 ) -> np.ndarray:
-    """BLAS chain with per-element windowed fallback (see module doc).
+    """BLAS chain with per-element *fallback* reduction (see module doc).
 
     *acc* holds the initial accumulator and is updated in place, chunk by
-    chunk; every temporary is allocated once for the whole chain.
+    chunk; every temporary is allocated once for the whole chain. A chain
+    of no chunks leaves *acc* untouched.
     """
     terms = _blas_terms(a, b, mode, accumulator)
     (a0, b0, _), rest = terms[0], terms[1:]
@@ -200,11 +239,7 @@ def _fast_chain(
             np.multiply(arow[..., i, None], bcol[..., i : i + 1, :], out=err)
             np.maximum(err, np.abs(acc, out=tmp), out=err)
             np.add(fast, acc, out=fast)
-
-            k = k1 - k0
-            slack = 4.0 * (n_lanes * k + 1) * 2.0 ** (2 - acc_bits)
-            slack += 4.0 * (len(terms) * k + 4) ** 2 * 2.0**-53
-            np.multiply(err, slack, out=err)
+            np.multiply(err, _radius(n_lanes, k1 - k0, len(terms), acc_bits), out=err)
             # float64 arithmetic, one RNE store into FP32 per interval end.
             np.subtract(fast, err, out=lo, casting="same_kind")
             np.add(fast, err, out=hi, casting="same_kind")
@@ -220,17 +255,9 @@ def _fast_chain(
             c_sel = flat_acc[sel]
             acc[...] = lo
             if sel.size:
-                wide = _fallback_windowed(
-                    a[..., k0:k1],
-                    b[..., k0:k1, :],
-                    mode,
-                    accumulator,
-                    c_sel,
-                    np.unravel_index(sel, shape),
-                    acc_bits,
-                    rounding,
+                flat_acc[sel] = fallback(
+                    a[..., k0:k1], b[..., k0:k1, :], c_sel, np.unravel_index(sel, shape)
                 )
-                flat_acc[sel] = quantize(wide, FP32)
     return acc
 
 
@@ -282,7 +309,8 @@ def accumulate_mma(
         and k >= 1
         and a.shape[:-2] == b.shape[:-2]  # fallback gather needs equal batches
     ):
-        return _fast_chain(a, b, acc, mode, accumulator, bounds, acc_bits, rounding)
+        fallback = partial(_fallback_windowed, mode, accumulator, acc_bits, rounding)
+        return _fast_chain(a, b, acc, mode, accumulator, bounds, acc_bits, fallback)
     for k0, k1 in bounds:
         groups = grouped_lane_products(
             resolve_parts(a[..., k0:k1], mode),

@@ -9,11 +9,10 @@ independently, in any order, on any worker, and the concatenated result
 is bit-identical to the serial driver. This module does exactly that:
 
 * :func:`sharded_bitlevel_gemm` splits the N dimension into blocks of
-  :data:`DEFAULT_BITLEVEL_CHUNK` columns (64 — also the cache-blocking
-  sweet spot for the vector engine's slot buffers) and dispatches the
-  blocks through :func:`repro.parallel.parallel_map`, so large operands
-  ride the shared-memory transport and the persistent fork-safe pool
-  provides the workers;
+  :data:`DEFAULT_BITLEVEL_CHUNK` columns and dispatches the blocks
+  through :func:`repro.parallel.parallel_map`, so large operands ride
+  the shared-memory transport and the persistent fork-safe pool provides
+  the workers;
 * worker count follows ``REPRO_WORKERS`` (or the explicit argument);
   ``workers<=1`` — and any call made from *inside* a pool worker — runs
   the same block loop serially in-process, so nested calls can never
@@ -21,25 +20,19 @@ is bit-identical to the serial driver. This module does exactly that:
 * every worker count produces the same bits: blocks are column-disjoint,
   results are reassembled in submission order, and each block's chain is
   one :meth:`BitLevelMXU.chain <repro.mxu.vectorized.BitLevelMXU.chain>`
-  call, or the FP32 whole-chain kernel
-  (:func:`~repro.mxu.vectorized.chained_vector_fp32`) on A's pre-split
-  lane fields.
+  call.
 
-**Operand transport.** The A operand is shared by every column block,
-so the FP32 vector path derives A's multiplier-lane fields
-(:func:`~repro.mxu.vectorized.fp32_lane_fields`) once per call in the
-parent, and every other engine/mode quantises dense A once. Every column
-block's task carries the same A arrays, dense or as lane fields, so
-:func:`~repro.parallel.parallel_map` ships each one once per call:
-through one shared-memory segment when it is large, pickled otherwise.
+**Operand transport.** The A operand is shared by every column block:
+the parent quantises dense A once, and every block's task carries that
+same array, so :func:`~repro.parallel.parallel_map` ships it once per
+call — through one shared-memory segment when it is large, pickled
+otherwise.
 
 The column block size is a pure performance knob; it is *not* a rounding
 boundary (those remain the K-chunk seams of the tiled driver).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
@@ -49,33 +42,17 @@ from ..types.quantize import quantize, quantize_complex
 from ..types.rounding import RoundingMode
 from .config import M3XU_CONFIG
 from .modes import MXUMode
-from .vectorized import (
-    BitLevelMXU,
-    chained_vector_fp32,
-    fp32_lane_fields,
-    resolve_bitlevel_engine,
-)
+from .vectorized import BitLevelMXU, resolve_bitlevel_engine
 
 __all__ = [
     "DEFAULT_BITLEVEL_CHUNK",
     "sharded_bitlevel_gemm",
 ]
 
-#: Output-column block size of a parallel run. 64 columns keeps the vector
-#: engine's slot buffers (m x 64 x slots, float32 + int16) inside L2 while
-#: leaving enough blocks per GEMM to feed several workers.
+#: Output-column block size of a parallel run. Each block is one
+#: ``BitLevelMXU.chain`` call; 64 columns leave enough blocks per GEMM to
+#: feed several workers.
 DEFAULT_BITLEVEL_CHUNK = 64
-
-
-def _resolve_a_entry(a_entry: Any) -> tuple[np.ndarray | None, tuple | None]:
-    """Unpack a task payload's A operand: ``(dense, lane fields)``.
-
-    The payload carries either a dense ndarray or a ``("fields", hi, lo,
-    exp)`` tuple of pre-split lane fields.
-    """
-    if isinstance(a_entry, tuple) and a_entry and a_entry[0] == "fields":
-        return None, a_entry[1:]
-    return a_entry, None
 
 
 def _chain_columns(payload: tuple) -> np.ndarray:
@@ -83,25 +60,10 @@ def _chain_columns(payload: tuple) -> np.ndarray:
 
     Module-level (pickleable) task function for :func:`parallel_map`. The
     payload is a flat tuple so the shared-memory transport can walk it
-    and route each operand array individually; the A slot additionally
-    admits the pre-split form of :func:`_resolve_a_entry`.
+    and route each operand array individually.
     """
-    a_entry, b_cols, c_cols, mode_value, engine, acc_bits, rounding_value, k_chunk = (
-        payload
-    )
-    rounding = RoundingMode(rounding_value)
-    a, a_fields = _resolve_a_entry(a_entry)
-    if a_fields is not None:
-        return chained_vector_fp32(
-            None,
-            b_cols,
-            c_cols,
-            k_chunk=k_chunk,
-            acc_bits=acc_bits,
-            rounding=rounding,
-            a_fields=a_fields,
-        )
-    unit = BitLevelMXU(engine, acc_bits=acc_bits, rounding=rounding)
+    a, b_cols, c_cols, mode_value, engine, acc_bits, rounding_value, k_chunk = payload
+    unit = BitLevelMXU(engine, acc_bits=acc_bits, rounding=RoundingMode(rounding_value))
     return unit.chain(a, b_cols, c_cols, MXUMode(mode_value), k_chunk, c_quantized=True)
 
 
@@ -173,18 +135,12 @@ def sharded_bitlevel_gemm(
         return acc0.copy()
 
     # Column blocks are the *parallel* grain; a serial run hands the whole
-    # width to one chain so the kernel's internal cache blocking sets the
-    # pace (bit-identical either way — columns never interact).
+    # width to one chain (bit-identical either way — columns never
+    # interact).
     blk = n if resolve_workers(workers) <= 1 else DEFAULT_BITLEVEL_CHUNK
-
-    # The whole-chain FP32 vector kernel never touches dense A: ship its
-    # lane fields, derived once here, instead.
-    a_entry: Any = aq
-    if engine_name == "vector" and mode is MXUMode.FP32:
-        a_entry = ("fields",) + tuple(fp32_lane_fields(aq))
     tasks = [
         (
-            a_entry,
+            aq,
             np.ascontiguousarray(bq[:, j0 : j0 + blk]),
             np.ascontiguousarray(acc0[:, j0 : j0 + blk]),
             mode.value,

@@ -2,7 +2,7 @@
 
 :mod:`repro.mxu.bitlevel` executes the RTL-fidelity FP32/FP32C datapath
 one scalar dot product at a time — perfect as an oracle, far too slow for
-campaign-scale work. This module re-implements the same datapath on whole
+campaign-scale work. This module evaluates the same datapath on whole
 tiles, bit-identically:
 
 * **Splitting** (Fig. 3a, Eq. 3-8) — the sign/exponent/mantissa fields of
@@ -11,33 +11,42 @@ tiles, bit-identically:
   shifts/masks of those arrays. Subnormals (no hidden bit), ±0 and the
   finiteness/representability contract are handled by masks and upfront
   checks, exactly as the scalar :func:`~repro.mxu.bitlevel.split_fp32_bits`.
-* **Multiplying** — every 12x12-bit multiplier lane of one MMA becomes a
-  single elementwise *float32* product over the ``(M, N, K)`` tile
-  (exact: the pre-signed slices carry at most 12 bits each), written
-  straight into a strided column view of one preallocated ``(M, N,
-  slots)`` buffer ordered exactly as the scalar loop visits the slots
-  (k-major, lane-minor).
-* **Shifted 48-bit accumulation** (Fig. 3b) — the packed product slots
-  feed :func:`~repro.arith.accumulator.segmented_windowed_sum_f32`, the
+* **Proof first** — each chunk of a K-chain is first a float64 BLAS
+  product, and the soundness interval of the value level's loop
+  (:func:`repro.mxu.fused._fast_chain`) settles every output element
+  whose FP32 result no windowed sum within the error radius could
+  change. The radius bounds the running-anchor window's error as well
+  as the single-anchor one (:func:`repro.mxu.fused._radius`), so the
+  proven elements are exactly what the datapath below would produce.
+* **Multiplying** — the elements the proof cannot settle (near an FP32
+  rounding boundary, exact zeros, a non-finite C) gather their rows of A
+  and columns of B as ``(n, K)`` panels. Every 12x12-bit multiplier lane
+  is one elementwise *float32* product of those panels (exact: the
+  pre-signed slices carry at most 12 bits each), written straight into
+  a strided column view of one ``(n, lanes*K + 1)`` slot buffer ordered
+  exactly as the scalar loop visits the slots (k-major, lane-minor),
+  with the C operand as the last slot.
+* **Shifted 48-bit accumulation** (Fig. 3b) — the slot buffer feeds
+  :func:`~repro.arith.accumulator.segmented_windowed_sum_f32`, the
   segmented exact reformulation of the
   :class:`~repro.mxu.bitlevel.BitAccumulator` discipline (masked-cummax
   anchor trajectory, exact per-segment sums, re-round-on-anchor-raise
   merge), held bit-identical to the scalar accumulator by the property
-  suite. The single-anchor
+  suite, and :func:`~repro.arith.accumulator.int_window_to_float` rounds
+  the window to FP32. The single-anchor
   :func:`~repro.arith.accumulator.aligned_sum_groups` kernel is *not*
   reused for this: it rounds each addend against the final anchor, which
   diverges from the sequential discipline once the exponent span exceeds
   the 48-bit window, and the acceptance bar here is strict bit-identity
-  with the scalar oracle. The C operand is the last slot of every MMA,
-  so it is folded in afterwards, one ``(M, N)`` plane per chunk
-  (:func:`_chain_c_merge`).
+  with the scalar oracle.
 * **Complex sign flips** (Eq. 9) — the imag*imag subtraction negates the
   B-side slices of that pairing in the real accumulator.
 
 The vector engine is one kernel per mode — :func:`chained_vector_fp32`
 and :func:`chained_vector_fp32c` — evaluating a whole K-chain of MMAs;
-a single MMA is the one-chunk chain. Engine selection:
-``REPRO_BITLEVEL=vector`` (default) or ``scalar``
+a single MMA is the one-chunk chain. A product fault sends its chunk
+through the datapath for every element, so the faulted lane always
+runs. Engine selection: ``REPRO_BITLEVEL=vector`` (default) or ``scalar``
 (:func:`resolve_bitlevel_engine`); the scalar functions here walk the
 same slot ordering through :class:`~repro.mxu.bitlevel.BitAccumulator`
 and are retained as the oracle the property suite compares against.
@@ -52,21 +61,22 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from ..arith.accumulator import (
-    _ANCHOR_SENTINEL,
-    _rne_shift_positive,
+    _check_window_depth,
     int_window_to_float,
     segmented_windowed_sum_f32,
 )
 from ..types.bits import fp32_bits
 from ..types.formats import FP32, FloatFormat
 from ..types.quantize import quantize, quantize_complex
-from ..types.rounding import RoundingMode, round_significand
+from ..types.rounding import RoundingMode
 from .config import M3XU_CONFIG, MXUConfig
+from .fused import _fast_chain
 from .modes import MXUMode, chunk_bounds, step_plan
 
 __all__ = [
@@ -129,11 +139,22 @@ PRODUCT_BITS = 24  # a 12x12-bit multiplier lane result
 #: One operand's multiplier-lane fields ``(hi, lo, exp)`` (:func:`fp32_lane_fields`).
 LaneFields = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-#: The chained kernel's batching: output columns x chunks per product
-#: reduction, sized to keep the slot buffers cache-resident. Neither
-#: changes a bit.
-_CHAIN_BLOCK = 64
-_CHAIN_GROUP = 2
+_COMPONENT = {"real": 0, "imag": 1}
+
+#: Each accumulation register's ``(A component, B component, negate)``
+#: pairings in slot order; component 0 is the real part (all of an FP32
+#: operand), 1 the imaginary part.
+_PAIRINGS: dict[MXUMode, dict[str, tuple[tuple[int, int, int], ...]]] = {
+    MXUMode.FP32: {"real": ((0, 0, 0),)},
+    MXUMode.FP32C: {
+        reg: tuple(
+            (_COMPONENT[ca], _COMPONENT[cb], negate)
+            for ca, cb, negate, target in _COMPONENT_SCHEDULE
+            if target == reg
+        )
+        for reg in _COMPONENT
+    },
+}
 
 
 def resolve_bitlevel_engine(engine: str | None = None) -> str:
@@ -153,11 +174,9 @@ def resolve_bitlevel_engine(engine: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def fp32_bit_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sign, biased_exponent, mantissa)`` int64 arrays of FP32 values.
+def _register_bits(x: np.ndarray) -> np.ndarray:
+    """``uint32`` bit patterns of finite FP32 values: the operand contract.
 
-    The vector path's data-assignment front end: one float32 store and a
-    ``uint32`` bit view replace the per-element ``encode`` round trip.
     Raises :class:`NonFiniteOperandError` for non-finite input (the
     bit-level model is defined on finite operands) and plain
     :class:`ValueError` for finite values that are not exactly
@@ -167,7 +186,17 @@ def fp32_bit_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x64 = np.asarray(x, dtype=np.float64)
     if not bool(np.all(np.isfinite(x64))):
         raise NonFiniteOperandError("bit-level model handles finite operands")
-    bits = fp32_bits(x64)
+    return fp32_bits(x64)
+
+
+def fp32_bit_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sign, biased_exponent, mantissa)`` int64 arrays of FP32 values.
+
+    The vector path's data-assignment front end: one float32 store and a
+    ``uint32`` bit view replace the per-element ``encode`` round trip.
+    Raises like :func:`_register_bits`.
+    """
+    bits = _register_bits(x)
     sign = (bits >> np.uint32(_FIELD_SHIFT_SIGN)).astype(np.int64)
     biased = ((bits >> np.uint32(_FIELD_SHIFT_EXP)) & np.uint32(_EXP_MASK)).astype(
         np.int64
@@ -266,25 +295,6 @@ def _require_tile(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
     return a.shape[0], a.shape[1], b.shape[1]
 
 
-def _alloc_slots(m: int, n: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Preallocated packed ``(signed sig, lsb)`` slot buffers.
-
-    One ``(M, N, slots)`` allocation per tensor — the product lanes are
-    written straight into strided column views, so no
-    ``stack``/``concatenate`` copies the slot tensors a second time.
-    Significands are *signed float32*: a 12x12-bit lane
-    product is at most 24 bits, which float32 carries exactly together
-    with its sign (the sign of an IEEE product is the XOR of the operand
-    signs even for zeros, so no separate sign tensor is needed), and the
-    float multiply is the cheapest SIMD path numpy has. LSB weights live
-    in int16 — FP32 slice exponents span a few hundred either way.
-    """
-    return (
-        np.empty((m, n, n_cols), dtype=np.float32),
-        np.empty((m, n, n_cols), dtype=np.int16),
-    )
-
-
 def _signed_parts(
     sign: np.ndarray, hi: np.ndarray, lo: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -308,8 +318,6 @@ def fp32_lane_fields(x: np.ndarray) -> LaneFields:
     ``hi``/``lo`` are the pre-signed float32 12-bit slices
     (:func:`_signed_parts`) and ``exp`` the int16 effective slice
     exponent — everything :func:`_fill_lane_slots` needs, derived once.
-    The sharded driver derives A's fields once per call and ships them to
-    every column block.
     """
     sign, biased, hi, lo = split_fp32_fields(x)
     hi_signed, lo_signed = _signed_parts(sign, hi, lo)
@@ -319,270 +327,184 @@ def fp32_lane_fields(x: np.ndarray) -> LaneFields:
 def _fill_lane_slots(
     sig: np.ndarray,
     lsb: np.ndarray,
-    a_fields: LaneFields,
-    b_fields: LaneFields,
+    a_lanes: LaneFields,
+    b_lanes: LaneFields,
     base: int,
     stride: int,
     negate: int = 0,
 ) -> None:
     """Write one (A, B) component pairing's multiplier lanes into the slot
     buffers at columns ``base + lane + k*stride`` (k-major, lane-minor —
-    the scalar loop's visit order). Operands arrive as precomputed
-    :func:`fp32_lane_fields`.
+    the scalar loop's visit order). Operands arrive as the
+    :func:`fp32_lane_fields` of ``(n, K)`` panels, row ``i`` of A's panel
+    meeting row ``i`` of B's.
 
-    Each 12x12-bit lane is a single broadcast float32 multiply
-    ``(M, 1, K) x (1, N, K)`` evaluated directly into the strided column
-    view — exact, since both slices carry at most 12 bits — with the
-    product sign folded into the pre-signed slices (``negate`` flips the
-    B side, implementing the FP32C imag*imag subtraction; negating the
-    pre-signed slice is bit-identical to re-signing the raw slice, IEEE
-    multiply signs being XORs even for zeros); every lane's product LSB
-    sits at ``2^(Ea + Eb - 46 + shift)``.
+    Each 12x12-bit lane is a single elementwise float32 multiply
+    evaluated directly into the strided column view — exact, since both
+    slices carry at most 12 bits — with the product sign folded into the
+    pre-signed slices (``negate`` flips the B side, implementing the
+    FP32C imag*imag subtraction; negating the pre-signed slice is
+    bit-identical to re-signing the raw slice, IEEE multiply signs being
+    XORs even for zeros); every lane's product LSB sits at ``2^(Ea + Eb -
+    46 + shift)``.
     """
-    ah, al, ae = a_fields
-    bh, bl, be = b_fields
+    ah, al, ae = a_lanes
+    bh, bl, be = b_lanes
     a_parts = (ah, al)
     b_parts = (np.negative(bh), np.negative(bl)) if negate else (bh, bl)
     k = ah.shape[1]
-    pair_exp = ae[:, None, :] + be.T[None, :, :]
+    pair_exp = ae + be
     for lane, (ia, ib, shift) in enumerate(_LANE_SCHEDULE):
         col = slice(base + lane, base + stride * k, stride)
-        np.multiply(
-            a_parts[ia][:, None, :], b_parts[ib].T[None, :, :], out=sig[:, :, col]
-        )
-        np.add(pair_exp, np.int16(shift - 46), out=lsb[:, :, col])
+        np.multiply(a_parts[ia], b_parts[ib], out=sig[:, col])
+        np.add(pair_exp, np.int16(shift - 46), out=lsb[:, col])
 
 
-def _flip_product_bit(sig: np.ndarray, element: tuple[int, int], slot: int, bit: int) -> None:
+def _flip_product_bit(sig: np.ndarray, row: int, slot: int, bit: int) -> None:
     """XOR one bit of a packed slot's 24-bit product significand."""
-    em, en = element
-    val = float(sig[em, en, slot])
+    val = float(sig[row, slot])
     mag = int(abs(val)) ^ (1 << bit)
-    sig[em, en, slot] = np.float32(-mag if np.signbit(val) else mag)
+    sig[row, slot] = np.float32(-mag if np.signbit(val) else mag)
 
 
-def _chain_c_merge(
-    value_p: np.ndarray,
-    anchor_p: np.ndarray,
-    c: np.ndarray,
+def _components(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+
+
+def _running_anchor_fallback(
+    pairings: Sequence[tuple[int, int, int]],
     acc_bits: int,
     rounding: RoundingMode,
+    fault: ProductFault | None,
+    a: np.ndarray,
+    b: np.ndarray,
+    c_sel: np.ndarray,
+    idx: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Fold the C operand into a chunk's precomputed product reduction.
+    """One chunk of one register through the true datapath, for the
+    selected output elements (a :data:`~repro.mxu.fused.Fallback` once the
+    first four are bound).
 
-    ``value_p``/``anchor_p`` are the windowed sum and final anchor of the
-    chunk's *product* slots (``_ANCHOR_SENTINEL`` where all products were
-    zero). The C operand is the last slot of the accumulation order, so
-    finishing the chunk is one more step of the sequential discipline:
-    align C against ``max(anchor_p, c_top)`` (below-window addends round
-    like any other slot), re-round the product partial iff C raises a
-    non-empty anchor (an empty partial is zero, so its re-round is a
-    no-op) — same shift clamps as the segmented merge — add, then round
-    the window to FP32.
+    Gathers the elements' rows of A and columns of B as ``(n, K)``
+    panels, splits them into lane fields, and writes every lane product
+    in the scalar slot order — k-major, then *pairings*, then lane — with
+    C as the last slot: an ``(n, lanes*K + 1)`` buffer of signed float32
+    significands and int16 LSB weights. :func:`segmented_windowed_sum_f32`
+    runs the running-anchor window over each row and
+    :func:`int_window_to_float` rounds it to FP32, so each value is
+    bit-identical to the scalar :class:`~repro.mxu.bitlevel.BitAccumulator`
+    over the same slots. *fault* (chunk-local slot) flips one product bit
+    of the faulted element's row. A non-finite C raises
+    :class:`NonFiniteOperandError` in its field extraction.
     """
-    cs, csig, clsb = _c_slot(c)
-    nzc = csig > 0
-    # bit_length via frexp: C significands are < 2**24, exact in float64.
-    ctop = clsb + np.frexp(csig.astype(np.float64))[1] - 1
-    ctop = np.where(nzc, ctop, _ANCHOR_SENTINEL)
-    anchor = np.maximum(anchor_p, ctop)
-    rel = clsb - anchor + (acc_bits - 1)
-    aligned = np.zeros_like(csig)
-    pos = nzc & (rel >= 0)
-    np.copyto(aligned, csig << np.clip(rel, 0, 63), where=pos)
-    below = nzc & ~pos
-    if np.any(below):
-        aligned[below] = round_significand(csig[below], -rel[below], rounding)
-    np.negative(aligned, out=aligned, where=cs != 0)
-
-    value = np.array(value_p)
-    fix = np.flatnonzero(
-        ((ctop > anchor_p) & (anchor_p != _ANCHOR_SENTINEL)).reshape(-1)
-    )
-    if fix.size:
-        flat = value.reshape(-1)
-        partial = flat[fix]
-        neg = partial < 0
-        mag = np.where(neg, -partial, partial)
-        # Magnitudes stay below 2**53, so shift 62 (the reference's
-        # everything-rounds-away point) maps to 63 under RNE and is
-        # already exact under truncation.
-        shift = np.clip((ctop - anchor_p).reshape(-1)[fix], 1, 63)
-        if rounding is RoundingMode.NEAREST_EVEN:
-            np.copyto(shift, np.int64(63), where=shift >= 62)
-            mag = _rne_shift_positive(mag, shift)
-        else:
-            mag = mag >> shift
-        np.negative(mag, out=mag, where=neg)
-        flat[fix] = mag
-    value += aligned
-    # anchor is _ANCHOR_SENTINEL exactly when both sides were empty, which
-    # is also the sentinel window convention — no special case needed.
-    window = anchor - (acc_bits - 1)
+    mi, ni = idx
+    a_lanes = [fp32_lane_fields(x) for x in _components(a[mi])]
+    b_lanes = [fp32_lane_fields(x) for x in _components(b[:, ni].T)]
+    stride = _LANES_PER_PAIR * len(pairings)
+    n_prod = stride * a.shape[1]
+    sig = np.empty((mi.size, n_prod + 1), dtype=np.float32)
+    lsb = np.empty((mi.size, n_prod + 1), dtype=np.int16)
+    for i, (ia, ib, negate) in enumerate(pairings):
+        _fill_lane_slots(
+            sig, lsb, a_lanes[ia], b_lanes[ib],
+            base=i * _LANES_PER_PAIR, stride=stride, negate=negate,
+        )
+    cs, csig, clsb = _c_slot(c_sel)
+    # A 24-bit significand with its sign is exact in float32.
+    sig[:, n_prod] = np.where(cs != 0, -csig, csig)
+    lsb[:, n_prod] = clsb
+    if fault is not None:
+        em, en = fault.element
+        for row in np.flatnonzero((mi == em) & (ni == en)):
+            _flip_product_bit(sig, int(row), fault.slot, fault.bit)
+    value, window = segmented_windowed_sum_f32(sig, lsb, acc_bits=acc_bits, mode=rounding)
     return int_window_to_float(value, window, FP32)
 
 
-def _k_window(
-    fields: LaneFields, k0: int, k1: int, pad: int, axis: int
-) -> LaneFields:
-    """Lane fields of the K range ``[k0, k1)``, zero-padded by *pad* along K.
-
-    *axis* is the K axis (1 for A fields, 0 for B fields). Zero products
-    are non-events in the window discipline, so a chunk padded to full
-    width is bit-identical to the short one; a zero's fields are
-    ``hi = lo = 0`` with effective exponent -126.
-    """
-    window = (slice(None), slice(k0, k1)) if axis == 1 else (slice(k0, k1), slice(None))
-    hi, lo, exp = (f[window] for f in fields)
-    if pad:
-        width = ((0, 0), (0, pad)) if axis == 1 else ((0, pad), (0, 0))
-        hi, lo = np.pad(hi, width), np.pad(lo, width)
-        exp = np.pad(exp, width, constant_values=-126)
-    return hi, lo, exp
-
-
-def _chain_partials(
-    a_comps: Sequence[LaneFields],
-    b_comps: Sequence[np.ndarray],
-    registers: Sequence[Sequence[tuple[int, int, int]]],
-    faults: Sequence[ProductFault | None],
+def _register_chain(
+    a: np.ndarray,
+    b: np.ndarray,
+    acc: np.ndarray,
+    mode: MXUMode,
+    accumulator: str,
     k_chunk: int,
     acc_bits: int,
     rounding: RoundingMode,
-    block: int,
-    group: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every chunk's product-slot reduction, per accumulation register.
-
-    *a_comps* are the A operand components' lane fields over the whole K
-    range, *b_comps* the dense B components ``(K, N)``. Each register is a
-    list of ``(A component, B component, negate)`` pairings; they fill the
-    register's slot buffer at stride ``4 * len(pairings)`` — k-major, then
-    pairing, then lane, the scalar loop's visit order. *faults* holds each
-    register's product fault in register-local slot numbering; it is
-    flipped in the buffer of the column block and chunk group that hold
-    that slot. Returns, per register, the ``(value, anchor)`` int64 arrays
-    of shape ``(chunks, M, N)``: each chunk's windowed product sum and its
-    final anchor (``_ANCHOR_SENTINEL`` where all products were zero).
-    """
-    m_dim, k_total = a_comps[0][0].shape
-    n_dim = b_comps[0].shape[1]
-    n_chunks = -(-k_total // k_chunk)
-    # Chunk-major layout: the sequential merge loop walks whole (M, N)
-    # planes, so keep each plane contiguous.
-    out = [
-        (
-            np.empty((n_chunks, m_dim, n_dim), dtype=np.int64),
-            np.empty((n_chunks, m_dim, n_dim), dtype=np.int64),
-        )
-        for _ in registers
-    ]
-    for j0 in range(0, n_dim, block):
-        j1 = min(n_dim, j0 + block)
-        b_fields = [fp32_lane_fields(np.ascontiguousarray(x[:, j0:j1])) for x in b_comps]
-        for g0 in range(0, n_chunks, group):
-            n_g = min(group, n_chunks - g0)
-            kg0 = g0 * k_chunk
-            kg1 = min(k_total, (g0 + n_g) * k_chunk)
-            pad = n_g * k_chunk - (kg1 - kg0)
-            af_g = [_k_window(f, kg0, kg1, pad, axis=1) for f in a_comps]
-            bf_g = [_k_window(f, kg0, kg1, pad, axis=0) for f in b_fields]
-            for pairings, fault, (value_p, anchor_p) in zip(registers, faults, out):
-                stride = _LANES_PER_PAIR * len(pairings)
-                spc = stride * k_chunk  # product slots per chunk
-                sig, lsb = _alloc_slots(m_dim, j1 - j0, n_g * spc)
-                for i, (ia, ib, negate) in enumerate(pairings):
-                    _fill_lane_slots(
-                        sig, lsb, af_g[ia], bf_g[ib],
-                        base=i * _LANES_PER_PAIR, stride=stride, negate=negate,
-                    )
-                if fault is not None:
-                    col = fault.slot - kg0 * stride
-                    em, en = fault.element
-                    if 0 <= col < (kg1 - kg0) * stride and j0 <= en < j1:
-                        _flip_product_bit(sig, (em, en - j0), col, fault.bit)
-                vp, wp = segmented_windowed_sum_f32(
-                    sig.reshape(m_dim, j1 - j0, n_g, spc),
-                    lsb.reshape(m_dim, j1 - j0, n_g, spc),
-                    acc_bits=acc_bits,
-                    mode=rounding,
-                )
-                value_p[g0 : g0 + n_g, :, j0:j1] = vp.transpose(2, 0, 1)
-                # The f32 kernel's sentinel window maps back to the sentinel
-                # anchor exactly, so this recovers the product anchors.
-                anchor_p[g0 : g0 + n_g, :, j0:j1] = wp.transpose(2, 0, 1) + (acc_bits - 1)
-    return out
-
-
-def _chain_merge(
-    value_p: np.ndarray,
-    anchor_p: np.ndarray,
-    c: np.ndarray,
-    acc_bits: int,
-    rounding: RoundingMode,
+    fault: ProductFault | None,
 ) -> np.ndarray:
-    """One register's sequential chain: fold C into chunk 0, round to FP32,
-    feed the result to chunk 1 as its C, and so on."""
-    acc = c
-    for j in range(value_p.shape[0]):
-        acc = _chain_c_merge(value_p[j], anchor_p[j], acc, acc_bits, rounding)
+    """One accumulation register's K-chain, in place on *acc*.
+
+    Each chunk runs through the value level's BLAS-and-interval loop
+    (:func:`~repro.mxu.fused._fast_chain`); only the elements its radius
+    cannot settle take :func:`_running_anchor_fallback`. A product
+    *fault* (register-local slot) splits the chain around its chunk,
+    which runs every element through the fallback with the bit flipped.
+    """
+    pairings = _PAIRINGS[mode][accumulator]
+    per_k = _LANES_PER_PAIR * len(pairings)
+    # Check the fallback's window depth now, not only once an element
+    # falls back.
+    _check_window_depth(acc_bits, per_k * k_chunk + 1)
+    fallback = partial(_running_anchor_fallback, pairings, acc_bits, rounding, None)
+    k_total = a.shape[1]
+
+    def fast(k0: int, k1: int) -> None:
+        _fast_chain(
+            a[:, k0:k1], b[k0:k1], acc, mode, accumulator,
+            chunk_bounds(k1 - k0, k_chunk), acc_bits, fallback,
+        )
+
+    if fault is None:
+        fast(0, k_total)
+        return acc
+    k0 = fault.slot // (per_k * k_chunk) * k_chunk
+    k1 = min(k0 + k_chunk, k_total)
+    fast(0, k0)
+    flat = acc.reshape(-1)
+    flat[:] = _running_anchor_fallback(
+        pairings, acc_bits, rounding, replace(fault, slot=fault.slot - k0 * per_k),
+        a[:, k0:k1], b[k0:k1], flat, np.unravel_index(np.arange(flat.size), acc.shape),
+    )
+    fast(k1, k_total)
     return acc
 
 
 def chained_vector_fp32(
-    a: np.ndarray | None,
+    a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray | float = 0.0,
     *,
     k_chunk: int = 4,
     acc_bits: int = 48,
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
-    a_fields: LaneFields | None = None,
     product_fault: ProductFault | None = None,
 ) -> np.ndarray:
-    """A whole FP32 K-chain of MMAs with one batched product reduction.
+    """A whole FP32 K-chain of MMAs, proven in float64 where it can be.
 
     Bit-identical to chaining :func:`scalar_mma_fp32` ``k_chunk`` columns
-    at a time (the property suite asserts it), but restructured around
-    the observation that the C operand is the *last* slot of every
-    chunk's accumulation order: the 16 product slots of a chunk depend
-    only on A and B, so their windowed sums and anchor trajectories are
-    precomputed in batched :func:`segmented_windowed_sum_f32` calls —
-    :data:`_CHAIN_BLOCK` output columns x :data:`_CHAIN_GROUP` chunks per
-    call — and the sequential part of the chain (fold in C, round to
-    FP32, feed the next chunk) touches one full-width ``(M, N)`` slot per
-    chunk (:func:`_chain_c_merge`) instead of re-reducing all
-    ``4*k_chunk + 1`` slots. A single MMA is the one-chunk chain
-    ``k_chunk = K``.
+    at a time (the property suite asserts it). Each chunk is first a
+    float64 BLAS product with the soundness interval of
+    :func:`~repro.mxu.fused._fast_chain`, whose radius bounds the 48-bit
+    window's error under the running-anchor discipline too
+    (:func:`~repro.mxu.fused._radius`). Only the elements the interval
+    cannot settle — near an FP32 rounding boundary, exact zeros, a
+    non-finite C — run the lane-product datapath
+    (:func:`_running_anchor_fallback`). A single MMA is the one-chunk
+    chain ``k_chunk = K``.
 
-    The operand split that feeds the multiplier lanes is derived *once*
-    per whole operand — A up front (or taken precomputed from
-    ``a_fields``, as the sharded driver ships it, in which case ``a`` may
-    be ``None``), B once per column block — and sliced per chunk group.
-    Splitting commutes with slicing elementwise, so this is bit-identical
-    to splitting each chunk's slice.
-
-    ``product_fault`` flips one bit of one multiplier-lane product,
-    addressed by its slot over the whole chain (``k*4 + lane``).
+    A non-finite A, B or C raises :class:`NonFiniteOperandError`, as does
+    the chunk after an FP32 overflow (its C is the non-finite register);
+    an overflow in the last chunk returns ±inf. Any operand that is not
+    an FP32 value raises :class:`ValueError`. ``product_fault`` flips one
+    bit of one multiplier-lane product, addressed by its slot over the
+    whole chain (``k*4 + lane``).
     """
     if k_chunk < 1:
         raise ValueError("k_chunk must be >= 1")
+    a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a_fields is None:
-        if a is None:
-            raise ValueError("chained_vector_fp32 needs a or a_fields")
-        a = np.asarray(a, dtype=np.float64)
-        m_dim, k_total, n_dim = _require_tile(a, b)
-        a_fields = fp32_lane_fields(a)
-    else:
-        if b.ndim != 2:
-            raise ValueError("bit-level MMA takes 2-D operand tiles")
-        m_dim, k_total = a_fields[0].shape
-        n_dim = b.shape[1]
-        if b.shape[0] != k_total:
-            raise ValueError(
-                f"K mismatch: A fields ({m_dim}, {k_total}) @ B{b.shape}"
-            )
+    m_dim, k_total, n_dim = _require_tile(a, b)
+    _register_bits(a)
     c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), (m_dim, n_dim))
     if product_fault is not None:
         _check_fault(
@@ -590,11 +512,12 @@ def chained_vector_fp32(
         )
     if k_total == 0 or n_dim == 0 or m_dim == 0:
         return c_arr.copy()
-    ((value_p, anchor_p),) = _chain_partials(
-        [a_fields], [b], [[(0, 0, 0)]], [product_fault],
-        k_chunk, acc_bits, rounding, _CHAIN_BLOCK, _CHAIN_GROUP,
+    _register_bits(b)
+    _register_bits(c_arr)
+    return _register_chain(
+        a, b, np.array(c_arr), MXUMode.FP32, "real", k_chunk, acc_bits, rounding,
+        product_fault,
     )
-    return _chain_merge(value_p, anchor_p, c_arr, acc_bits, rounding)
 
 
 def _fp32c_local_fault(
@@ -622,17 +545,17 @@ def chained_vector_fp32c(
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
     product_fault: ProductFault | None = None,
 ) -> np.ndarray:
-    """A whole FP32C K-chain of MMAs (Fig. 3(c)) through the chained kernel.
+    """A whole FP32C K-chain of MMAs (Fig. 3(c)), proven where it can be.
 
     Bit-identical to chaining :func:`scalar_mma_fp32c` ``k_chunk`` columns
     at a time (the default, 2, is the M3XU FP32C instruction K). Each
-    accumulation register runs the
-    :func:`chained_vector_fp32` pipeline over its two component pairings
-    — rr and the sign-flipped ii for the real register, ri and ir for the
-    imaginary one — interleaved at stride 8 as the scalar loop visits
-    them, then folds its own C component chunk by chunk.
-    ``product_fault`` addresses the global FP32C slot (``k*16 +
-    component*4 + lane``).
+    accumulation register runs the :func:`chained_vector_fp32` pipeline
+    over its two component pairings — rr and the sign-flipped ii for the
+    real register, ri and ir for the imaginary one, interleaved in the
+    fallback's slots as the scalar loop visits them — with its own C
+    component. Operand contract as :func:`chained_vector_fp32`, per
+    component. ``product_fault`` addresses the global FP32C slot
+    (``k*16 + component*4 + lane``).
     """
     if k_chunk < 1:
         raise ValueError("k_chunk must be >= 1")
@@ -646,33 +569,21 @@ def chained_vector_fp32c(
         )
     if k_total == 0 or n_dim == 0 or m_dim == 0:
         return c_arr.copy()
-    component = {"real": 0, "imag": 1}
-    registers = [
-        [
-            (component[ca], component[cb], negate)
-            for ca, cb, negate, reg in _COMPONENT_SCHEDULE
-            if reg == accumulator
-        ]
-        for accumulator in ("real", "imag")
-    ]
-    faults = [
-        None if product_fault is None else _fp32c_local_fault(product_fault, accumulator)
-        for accumulator in ("real", "imag")
-    ]
-    (re_v, re_a), (im_v, im_a) = _chain_partials(
-        [
-            fp32_lane_fields(np.ascontiguousarray(a.real)),
-            fp32_lane_fields(np.ascontiguousarray(a.imag)),
-        ],
-        [b.real, b.imag],
-        registers, faults,
-        k_chunk, acc_bits, rounding, _CHAIN_BLOCK, _CHAIN_GROUP,
+    for x in (a, b, c_arr):
+        for part in _components(x):
+            _register_bits(part)
+    re, im = (
+        _register_chain(
+            a, b, np.array(c_part), MXUMode.FP32C, accumulator, k_chunk, acc_bits,
+            rounding,
+            None if product_fault is None else _fp32c_local_fault(product_fault, accumulator),
+        )
+        for accumulator, c_part in zip(_COMPONENT, _components(c_arr))
     )
     # Component-wise assembly: ``re + 1j*im`` would turn an overflowed
     # ±inf register into NaN via the complex multiply's 0*inf terms.
     result = np.empty((m_dim, n_dim), dtype=np.complex128)
-    result.real = _chain_merge(re_v, re_a, c_arr.real, acc_bits, rounding)
-    result.imag = _chain_merge(im_v, im_a, c_arr.imag, acc_bits, rounding)
+    result.real, result.imag = re, im
     return result
 
 
@@ -817,11 +728,13 @@ class BitLevelMXU:
     """The bit-level datapath behind the ``mma``/``chain`` contract.
 
     Drop-in MXU model for :class:`~repro.gemm.tiled.TiledGEMM` (and thus
-    for ABFT-guarded runs and fault campaigns): every MMA executes the
-    true split -> 12x12 multiply -> shifted 48-bit accumulate pipeline,
-    with the engine (vectorized or scalar oracle) chosen per
-    :func:`resolve_bitlevel_engine`. FP32 and FP32C only; the slices are
-    derived from the operand bits, which is the point.
+    for ABFT-guarded runs and fault campaigns): every MMA gives the bits
+    of the true split -> 12x12 multiply -> shifted 48-bit accumulate
+    pipeline, with the engine (vectorized or scalar oracle) chosen per
+    :func:`resolve_bitlevel_engine`. The scalar oracle executes it for
+    every element; the vector engine wherever its float64 proof cannot
+    settle one, and always for a faulted chunk. FP32 and FP32C only; the
+    slices are derived from the operand bits, which is the point.
     """
 
     #: Marks bit-level capability for drivers and fault injectors.

@@ -312,9 +312,9 @@ class TestShardedIntegration:
         out1 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2)
         out2 = sharded_bitlevel_gemm(a, b, engine="vector", workers=2)
         assert out1.tobytes() == out2.tobytes()
-        # Per call: A's three lane-field planes once, however many column
-        # blocks carry them, plus each block's own B and C.
-        assert pool_info()["arena"]["publishes"] == before + 2 * (3 + 2 * blocks)
+        # Per call: dense A once, however many column blocks carry it,
+        # plus each block's own B and C.
+        assert pool_info()["arena"]["publishes"] == before + 2 * (1 + 2 * blocks)
         probes = parallel_map(
             _worker_attaches, [None, None], workers=2, chunk_size=1, timeout=60.0
         )

@@ -7,6 +7,9 @@ the scalar :class:`~repro.mxu.bitlevel.BitAccumulator` reference
 exponent spans, cancellation, the complex sign-flip), injected product
 faults, campaign runs, and parallel-worker fan-out. This suite holds the
 claim with exhaustive fixed corpora plus hypothesis-randomized sweeps.
+The engine settles most elements with a float64 proof and runs the lane
+products for the rest, so the adversarial corpus also runs with the
+proof forced to fail everywhere, which tests the fallback on full tiles.
 """
 
 import numpy as np
@@ -16,11 +19,13 @@ from hypothesis import strategies as st
 
 from repro.accuracy.study import BITLEVEL_SGEMM_IMPLS, sgemm_accuracy_study
 from repro.gemm.tiled import mxu_cgemm, mxu_sgemm
+from repro.mxu import fused, vectorized
 from repro.mxu.bitlevel import bit_level_fp32_dot, bit_level_fp32c_dot
 from repro.mxu.faults import FaultSpec, FaultStage, FaultyM3XU
 from repro.mxu.modes import MXUMode
 from repro.mxu.vectorized import (
     BitLevelMXU,
+    NonFiniteOperandError,
     ProductFault,
     chained_vector_fp32,
     chained_vector_fp32c,
@@ -143,6 +148,113 @@ class TestAdversarialBitIdentity:
         assert v2[0, 0] == 0.0 and np.signbit(v2[0, 0])
 
 
+class TestAdversarialFallbackOnly(TestAdversarialBitIdentity):
+    """The adversarial corpus again, with the proof forced to fail."""
+
+    @pytest.fixture(autouse=True)
+    def _no_proof(self, monkeypatch):
+        # An infinite radius settles nothing: every chunk runs the
+        # lane-product fallback on the full tile.
+        monkeypatch.setattr(fused, "_radius", lambda *args: np.inf)
+
+    def test_fallback_sees_full_tiles(self, rng, monkeypatch):
+        rows = []
+        real = vectorized._running_anchor_fallback
+
+        def spy(*args):
+            out = real(*args)
+            rows.append(out.size)
+            return out
+
+        monkeypatch.setattr(vectorized, "_running_anchor_fallback", spy)
+        a = _rand_fp32(rng, (4, 10))
+        b = _rand_fp32(rng, (10, 3))
+        chained_vector_fp32(a, b, 0.0, k_chunk=4)
+        assert rows == [12, 12, 12]  # every element of all three chunks
+
+
+def _rand_fp32(rng, shape, complex_=False):
+    x = quantize(rng.standard_normal(shape), FP32)
+    if complex_:
+        x = quantize_complex(x + 1j * quantize(rng.standard_normal(shape), FP32), FP32)
+    return x
+
+
+class TestChainContract:
+    """Edges the float64 proof must hand to the fallback or reject."""
+
+    def test_negative_zero_c_returns_positive_zero(self):
+        # Every product and C are -0.0; the window has no sign to keep,
+        # so the empty sum is +0.0.
+        for chain, zero in ((chained_vector_fp32, -0.0), (chained_vector_fp32c, -0.0 - 0.0j)):
+            a = np.full((2, 8), zero)
+            b = np.ones((8, 3))
+            c = np.full((2, 3), zero)
+            got = chain(a, b, c, k_chunk=4)
+            assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+            assert biteq(got, np.zeros_like(got))
+
+    def _overflow_chain(self, chunk, sign=1.0):
+        # Three 4-wide chunks; 2^127 * 2 overflows FP32 in *chunk* only.
+        a = np.ones((1, 12))
+        b = np.zeros((12, 1))
+        a[0, 4 * chunk] = 2.0**127
+        b[4 * chunk, 0] = 2.0 * sign
+        return a, b
+
+    def test_overflow_in_a_middle_chunk_raises(self):
+        a, b = self._overflow_chain(chunk=1)
+        with pytest.raises(NonFiniteOperandError):
+            chained_vector_fp32(a, b, 0.0)
+        with pytest.raises(NonFiniteOperandError):
+            BitLevelMXU(engine="scalar").chain(a, b, 0.0, MXUMode.FP32, 4)
+
+    def test_overflow_in_the_last_chunk_returns_inf(self):
+        for sign in (1.0, -1.0):
+            a, b = self._overflow_chain(chunk=2, sign=sign)
+            got = chained_vector_fp32(a, b, 0.0)
+            assert biteq(got, np.array([[sign * np.inf]]))
+            want = BitLevelMXU(engine="scalar").chain(a, b, 0.0, MXUMode.FP32, 4)
+            assert biteq(got, want)
+
+    def test_non_fp32_c_raises_where_the_proof_would_pass(self, rng, monkeypatch):
+        def must_not_fall_back(*args):
+            raise AssertionError("the proof should settle every element")
+
+        for chain, complex_ in ((chained_vector_fp32, False), (chained_vector_fp32c, True)):
+            a = _rand_fp32(rng, (3, 8), complex_)
+            b = _rand_fp32(rng, (8, 2), complex_)
+            c = np.full((3, 2), 0.1 + (0.1j if complex_ else 0.0))
+            cq = quantize_complex(c, FP32) if complex_ else quantize(c, FP32)
+            with monkeypatch.context() as mp:
+                mp.setattr(vectorized, "_running_anchor_fallback", must_not_fall_back)
+                chain(a, b, cq)
+                with pytest.raises(ValueError, match="not representable in FP32"):
+                    chain(a, b, c)
+
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
+    @pytest.mark.parametrize("chunk", [0, 1, 2])
+    def test_product_fault_in_any_chunk_matches_oracle(self, rng, mode, chunk):
+        fp32c = mode is MXUMode.FP32C
+        k_chunk = 2 if fp32c else 4
+        a = _rand_fp32(rng, (3, 3 * k_chunk), fp32c)
+        b = _rand_fp32(rng, (3 * k_chunk, 2), fp32c)
+        c = _rand_fp32(rng, (3, 2), fp32c)
+        per_k = product_slot_count(mode, 1)
+        # The H*H lane's top bit of the chunk's last K column: large
+        # enough that the flip always reaches the output.
+        fault = ProductFault(
+            slot=((chunk + 1) * k_chunk - 1) * per_k, element=(2, 1), bit=23
+        )
+        got, want, clean = (
+            BitLevelMXU(engine=engine).chain(a, b, c, mode, k_chunk, product_fault=pf)
+            for engine, pf in (("vector", fault), ("scalar", fault), ("vector", None))
+        )
+        assert biteq(got, want)
+        assert got[2, 1] != clean[2, 1]
+        assert biteq(np.delete(got.ravel(), 5), np.delete(clean.ravel(), 5))
+
+
 class TestGemmEngineIdentity:
     def test_sgemm_engines_identical(self, rng, monkeypatch):
         a = rng.standard_normal((9, 17)) * 10.0 ** rng.integers(-5, 5, (9, 17))
@@ -217,13 +329,14 @@ class TestFaultInjectionParity:
 
 
 class TestCampaignEngineIdentity:
-    def test_campaign_records_identical_across_engines(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["fp32", "fp32c"])
+    def test_campaign_records_identical_across_engines(self, mode, monkeypatch):
         records = {}
         for engine in ("vector", "scalar"):
             monkeypatch.setenv("REPRO_BITLEVEL", engine)
             cfg = CampaignConfig(
                 trials=10, m=10, n=8, k=8, engine="bitlevel",
-                stages=BITLEVEL_STAGES,
+                stages=BITLEVEL_STAGES, mode=mode,
             )
             records[engine] = run_campaign(cfg).records
         assert records["vector"] == records["scalar"]

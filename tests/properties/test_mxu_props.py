@@ -77,6 +77,23 @@ def test_fp32c_conjugate_symmetry(re_vals, im_vals):
     np.testing.assert_array_equal(d_conj, np.conj(d))
 
 
+def _scaling_commutes(a, a_s, d1, d2):
+    """Where binary scaling commutes with every rounding in the unit.
+
+    Both A and the scaled A must be in the normal range (a subnormal
+    operand is split without its hidden bit, and subnormal quantisation
+    legitimately drops bits), and each result must have been rounded on
+    the normal grid: finite and at least 2^-125, since an exact sum just
+    below 2^-126 can round up to it on the subnormal grid.
+    """
+    for x in (a, a_s):
+        nz = x[x != 0.0]
+        if nz.size and np.min(np.abs(nz)) < 2.0**-126:
+            return np.zeros(d1.shape, dtype=bool)
+    keep = np.isfinite(d1) & np.isfinite(d2)
+    return keep & (np.abs(d1) >= 2.0**-125) & (np.abs(d2) >= 2.0**-125)
+
+
 @given(
     vals=st.lists(small_floats, min_size=8, max_size=8),
     scale_pow=st.integers(min_value=-40, max_value=40),
@@ -84,22 +101,31 @@ def test_fp32c_conjugate_symmetry(re_vals, im_vals):
 @settings(max_examples=40, deadline=None)
 def test_fp32_mma_scale_invariance(vals, scale_pow):
     """Scaling A by a power of two scales D by the same factor exactly
-    (binary scaling commutes with every rounding in the unit)."""
+    wherever :func:`_scaling_commutes` holds."""
     a = _fp32_matrix(vals[:4], 1, 4)
     b = _fp32_matrix(vals[4:], 4, 1)
     s = 2.0**scale_pow
     a_s = quantize(a * s, FP32)
-    # Exact equivariance requires the scaled operands to stay in the
-    # normal range (subnormal quantisation legitimately drops bits).
-    nz = a_s[a_s != 0.0]
-    if nz.size and np.min(np.abs(nz)) < 2.0**-126:
-        return
     d1 = _UNIT.mma_fp32(a, b, 0.0)
     d2 = _UNIT.mma_fp32(a_s, b, 0.0)
-    # Stay well clear of the subnormal boundary: near 2^-126 the scaled
-    # result's rounding grid coarsens and exact equivariance ends.
-    finite = np.isfinite(d2) & np.isfinite(d1 * s) & (np.abs(d1 * s) >= 2.0**-100)
-    np.testing.assert_array_equal(d2[finite], (d1 * s)[finite])
+    keep = _scaling_commutes(a, a_s, d1, d2)
+    np.testing.assert_array_equal(d2[keep], (d1 * s)[keep])
+
+
+def test_scaling_stops_commuting_on_the_subnormal_grid():
+    """The counterexample the scale-invariance filter must exclude: the
+    unscaled 511.5 * 2^-149 ties on the subnormal grid and rounds to even,
+    2^-140, while the scaled result keeps all ten bits."""
+    a = np.array([[2.0**-149, 0.0, 0.0, 0.0]])
+    b = np.array([[511.5], [0.0], [0.0], [0.0]])
+    s = 2.0**40
+    a_s = quantize(a * s, FP32)
+    d1 = _UNIT.mma_fp32(a, b, 0.0)
+    d2 = _UNIT.mma_fp32(a_s, b, 0.0)
+    assert d1[0, 0] == 2.0**-140
+    assert d2[0, 0] == 511.5 * 2.0**-109
+    assert d2[0, 0] != d1[0, 0] * s
+    assert not _scaling_commutes(a, a_s, d1, d2).any()
 
 
 @given(vals=st.lists(small_floats, min_size=8, max_size=8))

@@ -3,13 +3,14 @@
 :func:`segmented_windowed_sum_f32` replaces the slot walk of
 :class:`~repro.mxu.bitlevel.BitAccumulator` with a segmented reduction
 whose step count is the number of anchor raises; the chained GEMM kernel
-in :mod:`repro.mxu.vectorized` additionally folds the C operand of every
-K-chunk through a two-slot merge. Both claim *bit-identity* with the
-scalar accumulator. This suite holds them to it on the trajectories
-where segmented algorithms classically go wrong: anchor raises exactly
-at block boundaries, long zero runs, sign cancellation down to the
-window LSB, midpoint ties under both rounding modes, reductions too deep
-for exact float64 segment sums, and hypothesis-driven random sweeps.
+in :mod:`repro.mxu.vectorized` proves most K-chunks in float64 and runs
+the rest through it with the C operand as the last slot. Both claim
+*bit-identity* with the scalar accumulator. This suite holds them to it
+on the trajectories where segmented algorithms classically go wrong:
+anchor raises exactly at block boundaries, long zero runs, sign
+cancellation down to the window LSB, midpoint ties under both rounding
+modes, reductions too deep for exact float64 segment sums, and
+hypothesis-driven random sweeps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith.accumulator import _ANCHOR_SENTINEL, segmented_windowed_sum_f32
-from repro.mxu import vectorized
 from repro.mxu.bitlevel import BitAccumulator
 from repro.mxu.modes import MXUMode
 from repro.mxu.vectorized import (
@@ -326,13 +326,10 @@ class TestChainedKernel:
         c = quantize(rng.standard_normal((m, n)), FP32)
         fault = _random_fault(rng, MXUMode.FP32, k, m, n) if faulty else None
         want = self._per_chunk(a, b, c, k_chunk, acc_bits, mode, fault)
-        # A 3-column block puts block seams inside these small tiles.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(vectorized, "_CHAIN_BLOCK", 3)
-            got = chained_vector_fp32(
-                a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
-                product_fault=fault,
-            )
+        got = chained_vector_fp32(
+            a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
+            product_fault=fault,
+        )
         assert biteq(got, want)
 
     @settings(max_examples=30, deadline=None)
@@ -369,18 +366,6 @@ class TestChainedKernel:
             a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
             product_fault=fault,
         )
-        assert biteq(got, want)
-
-    @pytest.mark.parametrize("block,group", [(1, 1), (2, 3), (5, 2), (64, 8)])
-    def test_block_group_knobs_never_change_bits(self, block, group, monkeypatch):
-        rng = np.random.default_rng(11)
-        a = quantize(rng.standard_normal((7, 13)), FP32)
-        b = quantize(rng.standard_normal((13, 6)), FP32)
-        c = quantize(rng.standard_normal((7, 6)), FP32)
-        want = chained_vector_fp32(a, b, c)
-        monkeypatch.setattr(vectorized, "_CHAIN_BLOCK", block)
-        monkeypatch.setattr(vectorized, "_CHAIN_GROUP", group)
-        got = chained_vector_fp32(a, b, c)
         assert biteq(got, want)
 
     def test_adversarial_magnitudes_and_zeros(self):
