@@ -61,10 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--resume", action="store_true",
                      help="replay the checkpoint journal before computing")
     rep.add_argument("--retries", type=int, default=None,
-                     help="retries per failed experiment (default: REPRO_RETRIES)")
+                     help="retries per failed experiment (default: 0)")
     rep.add_argument("--task-timeout", type=float, default=None, dest="task_timeout",
                      help="per-experiment timeout in seconds "
-                          "(default: REPRO_TASK_TIMEOUT)")
+                          "(default: none)")
 
     gemm = sub.add_parser("gemm", help="model one GEMM problem")
     gemm.add_argument("--m", type=int, required=True)

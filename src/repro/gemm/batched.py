@@ -64,34 +64,23 @@ def _batched(
     mxu: M3XU | None,
     workers: int | None = None,
     abft: bool | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
 ) -> np.ndarray:
     unit = mxu or M3XU()
     _check_batched(a, b)
     n_workers = resolve_workers(workers)
-    has_deadline = timeout is not None and timeout > 0
     # Stateful units (e.g. the one-shot fault wrapper) must see the whole
     # batch as one call sequence — fanning out would run a pickled copy of
     # the unit per worker, firing its state machine once per slice against
-    # slice-local indices. A deadline always routes through parallel_map
-    # (the timeout is enforced by killing hung pool workers), even for a
-    # single-slice batch.
-    if not has_deadline and (
-        n_workers <= 1 or a.shape[0] <= 1 or getattr(unit, "requires_serial", False)
-    ):
+    # slice-local indices.
+    if n_workers <= 1 or a.shape[0] <= 1 or getattr(unit, "requires_serial", False):
         out = _batched_serial(a, b, mode, unit)
     else:
-        if getattr(unit, "requires_serial", False):
-            n_workers = 1
         ranges = split_ranges(a.shape[0], n_workers)
         pieces = parallel_map(
             _batched_worker,
             [(a[lo:hi], b[lo:hi], mode, unit) for lo, hi in ranges],
             workers=n_workers,
             chunk_size=1,
-            timeout=timeout,
-            retries=retries,
         )
         out = np.concatenate(pieces, axis=0)
     if resolve_abft(abft):
@@ -130,21 +119,15 @@ def batched_mxu_sgemm(
     mxu: M3XU | None = None,
     workers: int | None = None,
     abft: bool | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
 ) -> np.ndarray:
     """FP32 batched GEMM: ``(B, M, K) @ (B, K, N) -> (B, M, N)``.
 
     ``abft=True`` (or ``REPRO_ABFT=1``) checksum-verifies every matrix of
-    the result and transparently recomputes corrupted tiles. ``timeout``
-    is a per-slice wall-clock deadline in seconds enforced through
-    :func:`repro.parallel.parallel_map` (hung workers are killed, the
-    pool respawned); ``retries`` bounds re-attempts — the serving layer's
-    per-request deadline propagates through these.
+    the result and transparently recomputes corrupted tiles.
     """
     a = quantize(np.asarray(a, dtype=np.float64), FP32)
     b = quantize(np.asarray(b, dtype=np.float64), FP32)
-    return _batched(a, b, MXUMode.FP32, mxu, workers, abft, timeout, retries)
+    return _batched(a, b, MXUMode.FP32, mxu, workers, abft)
 
 
 def batched_mxu_cgemm(
@@ -153,16 +136,12 @@ def batched_mxu_cgemm(
     mxu: M3XU | None = None,
     workers: int | None = None,
     abft: bool | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
 ) -> np.ndarray:
     """FP32C batched GEMM over complex128 operands (``abft=True`` /
-    ``REPRO_ABFT=1`` adds per-matrix checksum verification; ``timeout`` /
-    ``retries`` propagate a wall-clock deadline into the pool fan-out as
-    in :func:`batched_mxu_sgemm`)."""
+    ``REPRO_ABFT=1`` adds per-matrix checksum verification)."""
     a = quantize_complex(np.asarray(a, dtype=np.complex128), FP32)
     b = quantize_complex(np.asarray(b, dtype=np.complex128), FP32)
-    return _batched(a, b, MXUMode.FP32C, mxu, workers, abft, timeout, retries)
+    return _batched(a, b, MXUMode.FP32C, mxu, workers, abft)
 
 
 def strided_batch_view(x: np.ndarray, rows: int, cols: int) -> np.ndarray:

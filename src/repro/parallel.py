@@ -53,8 +53,7 @@ every allowed attempt surface as structured
 :class:`~repro.resilience.failures.TaskFailure` records — in place of
 their results with ``return_failures=True``, or carried by a single
 :class:`~repro.resilience.failures.ParallelTaskError` otherwise. The
-policy defaults resolve from ``REPRO_TASK_TIMEOUT`` / ``REPRO_RETRIES`` /
-``REPRO_RETRY_BACKOFF`` and are inert when unset, leaving the fast paths
+policy is inert unless a call asks for it, leaving the fast paths
 bit-for-bit untouched; an ``on_result`` callback observes each completed
 task (index, result) as soon as it is produced, which is what the
 checkpoint journal hooks into.
@@ -649,8 +648,8 @@ def parallel_map(
     :data:`SHM_MIN_BYTES` travel via shared memory instead of pickle,
     one segment per distinct array per call.
 
-    Resilience (all optional; defaults resolve from the environment and
-    are inert when unset — see :func:`repro.resilience.resolve_policy`):
+    Resilience (all optional and inert when unset — see
+    :func:`repro.resilience.resolve_policy`):
 
     ``timeout``
         Per-task wall-clock budget in seconds. Enforced through the

@@ -31,15 +31,7 @@ from .abft import (
     sdc_threshold,
 )
 from .checkpoint import CHECKPOINT_ENV, CheckpointJournal
-from .failures import (
-    BACKOFF_ENV,
-    RETRIES_ENV,
-    TIMEOUT_ENV,
-    ParallelTaskError,
-    RetryPolicy,
-    TaskFailure,
-    resolve_policy,
-)
+from .failures import ParallelTaskError, RetryPolicy, TaskFailure, resolve_policy
 
 __all__ = [
     "ABFT_ENV",
@@ -54,9 +46,6 @@ __all__ = [
     "sdc_threshold",
     "CHECKPOINT_ENV",
     "CheckpointJournal",
-    "BACKOFF_ENV",
-    "RETRIES_ENV",
-    "TIMEOUT_ENV",
     "ParallelTaskError",
     "RetryPolicy",
     "TaskFailure",

@@ -1,23 +1,23 @@
-"""Structured task-failure records and the retry policy knobs.
+"""Structured task-failure records and the retry policy.
 
 This is the leaf module of :mod:`repro.resilience`: it defines the
 vocabulary the resilient execution engine (:mod:`repro.parallel`) speaks
 — what a failed task looks like after its retries are exhausted, and how
-timeouts/retries/backoff are resolved from explicit arguments or the
-environment. It deliberately imports nothing from the rest of the
-package so :mod:`repro.parallel` can depend on it without cycles.
+the explicit timeout/retries/backoff arguments of a call resolve into a
+policy. It deliberately imports nothing from the rest of the package so
+:mod:`repro.parallel` can depend on it without cycles.
 
-Environment knobs (all optional; explicit arguments win):
+The three arguments (all optional):
 
-``REPRO_TASK_TIMEOUT``
-    Per-task wall-clock budget in seconds (float). A task still running
-    past it is abandoned: its worker process is terminated, the pool is
+``timeout``
+    Per-task wall-clock budget in seconds. A task still running past it
+    is abandoned: its worker process is terminated, the pool is
     respawned, and the task is retried or reported as failed.
-``REPRO_RETRIES``
+``retries``
     How many times a failed (raised / timed out / pool-crashed) task is
     retried after its first attempt. Default 0: one attempt, exactly the
     pre-resilience behaviour.
-``REPRO_RETRY_BACKOFF``
+``backoff``
     Base delay in seconds between retry rounds. The actual delay grows
     exponentially with the attempt number and carries multiplicative
     jitter so retrying workers do not stampede in lockstep.
@@ -25,29 +25,15 @@ Environment knobs (all optional; explicit arguments win):
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from random import Random
 
 __all__ = [
-    "TIMEOUT_ENV",
-    "RETRIES_ENV",
-    "BACKOFF_ENV",
     "TaskFailure",
     "ParallelTaskError",
     "RetryPolicy",
     "resolve_policy",
 ]
-
-#: Environment variable: per-task timeout in seconds (unset: no timeout).
-TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-
-#: Environment variable: retries per task after the first attempt.
-RETRIES_ENV = "REPRO_RETRIES"
-
-#: Environment variable: base retry backoff in seconds.
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 
 #: Default base backoff between retry rounds (seconds).
 DEFAULT_BACKOFF = 0.05
@@ -151,52 +137,22 @@ class RetryPolicy:
         return [self.delay(attempt, rng) for attempt in range(1, n + 1)]
 
 
-def _env_number(
-    env: str,
-    kind: type[int] | type[float],
-    fallback: float | None,
-    minimum: float | None = None,
-) -> float | None:
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return fallback
-    try:
-        value = kind(raw)
-    except ValueError:
-        warnings.warn(
-            f"{env}={raw!r} is not a valid {kind.__name__}; using the default",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return fallback
-    if minimum is not None and value < minimum:
-        return fallback
-    return value
-
-
 def resolve_policy(
     timeout: float | None = None,
     retries: int | None = None,
     backoff: float | None = None,
     seed: int | None = None,
 ) -> RetryPolicy:
-    """Resolve a :class:`RetryPolicy` from explicit arguments, falling
-    back to the ``REPRO_TASK_TIMEOUT`` / ``REPRO_RETRIES`` /
-    ``REPRO_RETRY_BACKOFF`` environment knobs, then the inert defaults.
+    """Resolve a :class:`RetryPolicy` from explicit arguments; ``None``
+    takes the inert default (no deadline, no retry, default backoff).
 
     ``timeout <= 0`` disables the deadline; negative retries clamp to 0.
     ``seed`` controls the retry-jitter RNG (timing only, never data).
     """
-    if timeout is None:
-        timeout = _env_number(TIMEOUT_ENV, float, None)
     if timeout is not None and timeout <= 0:
         timeout = None
-    if retries is None:
-        retries = _env_number(RETRIES_ENV, int, 0)
-    retries = max(0, int(retries))
-    if backoff is None:
-        backoff = _env_number(BACKOFF_ENV, float, DEFAULT_BACKOFF)
-    backoff = max(0.0, float(backoff))
+    retries = max(0, int(retries or 0))
+    backoff = DEFAULT_BACKOFF if backoff is None else max(0.0, float(backoff))
     if seed is None:
         return RetryPolicy(retries=retries, timeout=timeout, backoff=backoff)
     return RetryPolicy(

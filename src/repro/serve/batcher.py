@@ -1,18 +1,22 @@
-"""Request coalescing: compatible small GEMMs become one batched GEMM.
+"""Request coalescing by group commit: compatible small GEMMs become one
+batched GEMM while the executor is busy.
 
 The serving workload is dominated by many small, identically shaped
 GEMMs (FFT radix stages, EPG recursions, fingerprint matches). Executing
 them one pool round-trip each wastes the batch axis the batched entry
 points (:mod:`repro.gemm.batched`) were built for: one fused K-chain
-call over the whole stack, fanned across workers.
+call over the whole stack.
 
-The batcher groups pending jobs by :class:`BatchKey` — op, GEMM shape,
-dtype kind and execution class (degrade level, ABFT flag) — and flushes
-a group when it reaches ``max_batch`` jobs or its oldest job has waited
-``max_wait`` seconds, whichever comes first. Batching is a pure
-scheduling transform: the batched entry points are bit-identical per
-matrix to the single-GEMM driver, so a coalesced request returns exactly
-the bytes it would have alone (asserted in ``tests/serve/``).
+Every admitted job goes through one FIFO and one dispatch task. A job
+that reaches an idle batcher is flushed at once, alone; jobs that arrive
+while a flush is running wait, and leave as the next round, grouped by
+:class:`BatchKey` — op, GEMM shape, and execution class (degrade level,
+ABFT flag) — in arrival order, at most ``max_batch`` jobs per group. So
+jobs coalesce exactly while the executor is busy, and no job ever waits
+on a timer. Batching is a pure scheduling transform: the batched entry
+points are bit-identical per matrix to the single-GEMM driver, so a
+coalesced request returns exactly the bytes it would have alone
+(asserted in ``tests/serve/``).
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, NamedTuple
 
-__all__ = ["BatchKey", "PendingJob", "Batcher"]
+__all__ = ["MAX_BATCH", "BatchKey", "PendingJob", "Batcher"]
+
+#: Most jobs one flushed group holds.
+MAX_BATCH = 8
 
 
 class BatchKey(NamedTuple):
@@ -36,6 +43,9 @@ class BatchKey(NamedTuple):
     #: job in the batch gets the assurance its response claims.
     level: int
     abft: bool
+    #: 0 for a coalescable job; otherwise the request's sequence number,
+    #: which no other job shares, so the job is flushed alone.
+    seq: int = 0
 
 
 @dataclass
@@ -49,64 +59,64 @@ class PendingJob:
     enqueued: float = field(default_factory=time.monotonic)
 
 
-class Batcher:
-    """Shape/dtype-compatible coalescing with a bounded wait window.
+def _groups(jobs: list[PendingJob], cap: int) -> list[tuple[BatchKey, list[PendingJob]]]:
+    """Jobs grouped by key, groups in order of their first job, each cut
+    at *cap* jobs."""
+    groups: list[tuple[BatchKey, list[PendingJob]]] = []
+    open_groups: dict[BatchKey, list[PendingJob]] = {}
+    for job in jobs:
+        group = open_groups.get(job.key)
+        if group is None or len(group) == cap:
+            group = open_groups[job.key] = []
+            groups.append((job.key, group))
+        group.append(job)
+    return groups
 
-    ``flush_cb(key, jobs)`` is awaited for every flushed group; it must
-    resolve each job's future. The batcher owns only grouping and
-    timing — execution, degradation and failure semantics live in the
-    server.
+
+class Batcher:
+    """Group commit over one FIFO of pending jobs.
+
+    ``flush_cb(key, jobs)`` is awaited for every group, one group at a
+    time; it must resolve each job's future. The batcher owns only
+    grouping and ordering — execution, degradation and failure semantics
+    live in the server.
     """
 
     def __init__(
         self,
         flush_cb: Callable[[BatchKey, list[PendingJob]], Awaitable[None]],
-        max_batch: int = 8,
-        max_wait: float = 0.002,
+        max_batch: int = MAX_BATCH,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._flush_cb = flush_cb
         self.max_batch = int(max_batch)
-        self.max_wait = max(0.0, float(max_wait))
-        self._buckets: dict[BatchKey, list[PendingJob]] = {}
-        self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
-        self._tasks: set[asyncio.Task[None]] = set()
+        self._pending: list[PendingJob] = []
+        self._task: asyncio.Task[None] | None = None
+        #: Groups of coalescable jobs flushed, and jobs that shared one.
         self.flushes = 0
         self.coalesced = 0
 
     # ------------------------------------------------------------------
     def submit(self, job: PendingJob) -> None:
-        """Enqueue one job; flushes its group when full, else arms the
-        wait-window timer on the group's first job."""
-        bucket = self._buckets.setdefault(job.key, [])
-        bucket.append(job)
-        if len(bucket) >= self.max_batch:
-            self._flush(job.key)
-        elif len(bucket) == 1:
-            if self.max_wait <= 0.0:
-                self._flush(job.key)
-            else:
-                loop = asyncio.get_running_loop()
-                self._timers[job.key] = loop.call_later(
-                    self.max_wait, self._flush, job.key
-                )
+        """Enqueue one job; starts the dispatch task if none is running."""
+        self._pending.append(job)
+        if self._task is None or self._task.done():
+            self._task = asyncio.get_running_loop().create_task(self._dispatch())
 
-    def _flush(self, key: BatchKey) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        jobs = self._buckets.pop(key, [])
-        if not jobs:
-            return
-        self.flushes += 1
-        if len(jobs) > 1:
-            self.coalesced += len(jobs)
-        task = asyncio.get_running_loop().create_task(self._run_flush(key, jobs))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    async def _dispatch(self) -> None:
+        # Each round takes every pending job; jobs submitted while its
+        # groups run form the next round.
+        while self._pending:
+            jobs, self._pending = self._pending, []
+            for key, group in _groups(jobs, self.max_batch):
+                await self._flush(key, group)
 
-    async def _run_flush(self, key: BatchKey, jobs: list[PendingJob]) -> None:
+    async def _flush(self, key: BatchKey, jobs: list[PendingJob]) -> None:
+        if key.seq == 0:
+            self.flushes += 1
+            if len(jobs) > 1:
+                self.coalesced += len(jobs)
         try:
             await self._flush_cb(key, jobs)
         except Exception as exc:  # repro: allow[RH403] futures carry the failure
@@ -116,20 +126,17 @@ class Batcher:
 
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return len(self._pending)
 
     async def drain(self) -> None:
-        """Flush everything and wait for in-flight flush tasks."""
-        for key in list(self._buckets):
-            self._flush(key)
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        """Wait until the dispatch task has flushed every pending job."""
+        while self._task is not None and not self._task.done():
+            await asyncio.gather(self._task, return_exceptions=True)
 
     def info(self) -> dict[str, Any]:
         return {
             "pending": self.pending(),
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait * 1e3,
             "flushes": self.flushes,
             "coalesced": self.coalesced,
         }

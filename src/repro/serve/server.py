@@ -9,10 +9,13 @@ on the repo's emulation stack with the full robustness kit engaged:
   rate limiting plus queue-depth backpressure. Overload produces
   structured ``REJECTED`` responses (``overload`` / ``queue_full``)
   instead of hangs or unbounded queues.
-* **Coalescing** (:mod:`repro.serve.batcher`): shape/dtype-compatible
-  small GEMMs are stacked into one batched GEMM
+* **Group commit** (:mod:`repro.serve.batcher`): every job goes through
+  one queue. A job that finds the executor idle runs at once; jobs that
+  arrive while it is busy leave together, and shape-compatible small
+  GEMMs among them are stacked into one batched GEMM
   (:func:`repro.gemm.batched.batched_mxu_sgemm` and friends) —
-  bit-identical per matrix to a lone request.
+  bit-identical per matrix to a lone request. Every group, coalesced or
+  alone, reaches the pool through one ``parallel_map`` dispatch.
 * **Content-addressed cache** (:mod:`repro.cache`): repeat payloads are
   served from the cache; at full fidelity the cached result is ABFT
   re-verified before it leaves the building.
@@ -44,20 +47,24 @@ of ``x``), ``mrf`` (dictionary-match correlation scores), ``ping``,
 resilience machinery: ``kill_worker`` SIGKILLs the executing pool
 worker, ``stall`` sleeps past the deadline inside the worker,
 ``poison`` runs the GEMM on a transient-fault datapath behind the ABFT
-guard.
+guard. A ``deadline_ms`` that is not a finite number, or a ``fault``
+that is not an object, is answered ``ERROR(bad_request)`` like any other
+malformed request; a valid ``deadline_ms`` is clamped to
+[1, ``max_deadline_ms``].
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import pathlib
 import tempfile
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -118,12 +125,9 @@ class ServeConfig:
     burst: float | None = None
     #: Degradation policy mode: ``auto`` | ``off`` | ``"0"``-``"3"``.
     degrade: str = "auto"
-    #: Coalescing window.
-    batch_max: int = 8
-    batch_wait_ms: float = 2.0
-    #: Pool fan-out width for batched execution (None: ``REPRO_WORKERS``).
+    #: Pool slices per coalesced group (None: ``REPRO_WORKERS``).
     workers: int | None = None
-    #: Retries for pool-routed work (None: ``REPRO_RETRIES``).
+    #: Retries for pool-routed work (None: no retry).
     retries: int | None = 1
     #: ABFT guard for served results (None: ``REPRO_ABFT`` gate).
     abft: bool | None = None
@@ -231,8 +235,9 @@ def _apply_preexec_fault(fault: dict[str, Any] | None) -> None:
 
 
 def _exec_job(payload: dict[str, Any]) -> np.ndarray:
-    """Execute one job (possibly fault-injected) — runs in a pool worker
-    for deadline-enforced requests, in-process for degraded ones."""
+    """Execute one slice of a group (possibly fault-injected): a stack of
+    gemm/cgemm operands, or one fft/mrf job. Runs in a pool worker for
+    deadline-enforced requests, in-process for degraded ones."""
     fault = payload.get("fault")
     _apply_preexec_fault(fault)
     unit = _build_unit(fault)
@@ -241,15 +246,12 @@ def _exec_job(payload: dict[str, Any]) -> np.ndarray:
     # (or refusing to return) the corrupted result is the contract.
     abft = True if poisoned else bool(payload.get("abft", False))
     op = payload["op"]
+    # workers=1: the server already cut the group into one slice per
+    # worker, and an in-process (SERIAL) slice must never reach the pool.
     if op == "gemm":
-        # repro: allow[AS604] runs inside the pool worker; the deadline is
-        # enforced by the outer parallel_map that shipped this job, and a
-        # nested fan-out collapses to the serial in-worker path anyway.
-        return batched_mxu_sgemm(payload["a"], payload["b"], mxu=unit, abft=abft)
+        return batched_mxu_sgemm(payload["a"], payload["b"], mxu=unit, workers=1, abft=abft)
     if op == "cgemm":
-        # repro: allow[AS604] same contract as the gemm branch above: the
-        # outer parallel_map deadline covers this nested (serial) call.
-        return batched_mxu_cgemm(payload["a"], payload["b"], mxu=unit, abft=abft)
+        return batched_mxu_cgemm(payload["a"], payload["b"], mxu=unit, workers=1, abft=abft)
     if op == "fft":
         from ..apps.fft import gemm_fft
 
@@ -297,19 +299,6 @@ class _JobOutcome:
     retries: int = 0
 
 
-@dataclass
-class _Job:
-    """Parsed, admitted request on its way through the pipeline."""
-
-    request_id: str
-    op: str
-    payload: dict[str, Any]
-    deadline: float  # absolute monotonic deadline
-    record: RequestRecord
-    level: DegradeLevel = DegradeLevel.NORMAL
-    t_admit: float = field(default_factory=time.monotonic)
-
-
 class GemmServer:
     """The asyncio GEMM service. ``await start()``; ``await stop()``."""
 
@@ -325,11 +314,7 @@ class GemmServer:
         self.policy = DegradePolicy(mode=cfg.degrade)
         self.cache = ResultCache(maxsize=cfg.cache_size)
         self.run_table = RunTable()
-        self.batcher = Batcher(
-            self._flush_batch,
-            max_batch=cfg.batch_max,
-            max_wait=cfg.batch_wait_ms / 1e3,
-        )
+        self.batcher = Batcher(self._flush_batch)
         self.degrade_counts = {int(level): 0 for level in DegradeLevel}
         self._server: asyncio.base_events.Server | None = None
         self._executor = ThreadPoolExecutor(
@@ -459,7 +444,8 @@ class GemmServer:
     async def _process_line(self, line: bytes) -> dict[str, Any]:
         t0 = time.monotonic()
         self._request_seq += 1
-        fallback_id = f"srv-{self._request_seq}"
+        seq = self._request_seq
+        fallback_id = f"srv-{seq}"
         try:
             request = json.loads(line)
             if not isinstance(request, dict):
@@ -499,7 +485,7 @@ class GemmServer:
         if reason is not None:
             return self._finish_rejected(record, t0, reason)
         try:
-            return await self._admitted(request, record, t0)
+            return await self._admitted(request, record, t0, seq)
         finally:
             self.admission.release()
 
@@ -507,50 +493,33 @@ class GemmServer:
     # Admitted-request pipeline
     # ------------------------------------------------------------------
     async def _admitted(
-        self, request: dict[str, Any], record: RequestRecord, t0: float
+        self, request: dict[str, Any], record: RequestRecord, t0: float, seq: int
     ) -> dict[str, Any]:
         try:
-            payload = self._parse_payload(request, record)
+            payload, deadline_ms = self._parse_payload(request, record)
         except ValueError as exc:
             return self._finish_error(record, t0, "bad_request", str(exc))
-
-        deadline_ms = float(request.get("deadline_ms") or self.config.deadline_ms)
-        deadline_ms = min(max(deadline_ms, 1.0), self.config.max_deadline_ms)
         deadline = t0 + deadline_ms / 1e3
 
         level = self.policy.decide(
             self.admission.pressure(exclude_self=True), self.breaker.state
         )
         self.degrade_counts[int(level)] += 1
-        job = _Job(
-            request_id=record.request_id,
-            op=record.op,
-            payload=payload,
-            deadline=deadline,
-            record=record,
-            level=level,
-        )
         record.degrade_level = int(level)
         record.degraded = level >= DegradeLevel.REFERENCE
 
-        future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
-        if self._batchable(job):
-            key = BatchKey(
-                op=job.op,
-                m=payload["a"].shape[-2],
-                k=payload["a"].shape[-1],
-                n=payload["b"].shape[-1],
-                level=int(level),
-                abft=self._abft_on,
-            )
-            self.batcher.submit(PendingJob(key, payload, future, deadline))
+        if (
+            record.op in ("gemm", "cgemm")
+            and payload["fault"] is None
+            and level <= DegradeLevel.NO_REVERIFY
+        ):
+            key = BatchKey(record.op, record.m, record.k, record.n,
+                           int(level), self._abft_on)
         else:
-            key = BatchKey(job.op, 0, 0, 0, int(level), self._abft_on)
-            task = asyncio.get_running_loop().create_task(
-                self._flush_batch(key, [PendingJob(key, payload, future, deadline)])
-            )
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            # Fault-injected, fft, mrf and degraded jobs run alone.
+            key = BatchKey(record.op, 0, 0, 0, int(level), self._abft_on, seq=seq)
+        future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
+        self.batcher.submit(PendingJob(key, payload, future, deadline))
 
         try:
             result = await asyncio.wait_for(
@@ -580,11 +549,25 @@ class GemmServer:
 
     def _parse_payload(
         self, request: dict[str, Any], record: RequestRecord
-    ) -> dict[str, Any]:
+    ) -> tuple[dict[str, Any], float]:
+        """The worker payload and the clamped deadline in ms; a malformed
+        request raises :class:`ValueError`."""
         cfg = self.config
         op = record.op
+        deadline_ms = request.get("deadline_ms")
+        if deadline_ms is None:
+            deadline_ms = cfg.deadline_ms
+        elif (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not math.isfinite(deadline_ms)
+        ):
+            raise ValueError(f"deadline_ms must be a finite number, not {deadline_ms!r}")
+        deadline_ms = min(max(float(deadline_ms), 1.0), cfg.max_deadline_ms)
         fault = request.get("fault") if cfg.fault_injection else None
         if fault is not None:
+            if not isinstance(fault, dict):
+                raise ValueError(f"fault must be an object, not {fault!r}")
             fault = dict(fault)
             if fault.get("kind") not in ("stall", "kill_worker", "poison"):
                 raise ValueError(f"unknown fault kind {fault.get('kind')!r}")
@@ -629,18 +612,10 @@ class GemmServer:
             payload["a"] = np.asarray(a, dtype=np.complex128)
             payload["b"] = np.asarray(b, dtype=np.complex128)
             record.m, record.k, record.n = a.shape[0], a.shape[1], b.shape[0]
-        return payload
-
-    def _batchable(self, job: _Job) -> bool:
-        return (
-            job.op in ("gemm", "cgemm")
-            and job.payload.get("fault") is None
-            and job.level <= DegradeLevel.NO_REVERIFY
-            and self.config.batch_max > 1
-        )
+        return payload, deadline_ms
 
     # ------------------------------------------------------------------
-    # Execution (batch flush -> executor thread -> pool)
+    # Execution (group -> executor thread -> pool)
     # ------------------------------------------------------------------
     async def _flush_batch(self, key: BatchKey, jobs: list[PendingJob]) -> None:
         loop = asyncio.get_running_loop()
@@ -664,7 +639,7 @@ class GemmServer:
     def _compute_batch(
         self, key: BatchKey, jobs: list[PendingJob]
     ) -> list[Any]:
-        """Runs on the single executor thread: cache, batch, dispatch.
+        """Runs on the single executor thread: cache, then one dispatch.
 
         Returns one :class:`_JobOutcome` or exception per job, in order.
         """
@@ -687,133 +662,99 @@ class GemmServer:
                 results[i] = self._safe(_reference_result, jobs[i].payload)
             return results
 
-        batchable = (
-            key.op in ("gemm", "cgemm")
-            and all(jobs[i].payload.get("fault") is None for i in misses)
-        )
-        if batchable:
-            self._run_batched(key, jobs, misses, results, level)
-        else:
-            for i in misses:
-                results[i] = self._run_single(jobs[i], level)
-
-        for i in misses:
-            if isinstance(results[i], _JobOutcome) and not results[i].cached:
-                self._cache_put(jobs[i], results[i].value)
+        outcomes = self._dispatch([jobs[i] for i in misses], level)
+        for i, outcome in zip(misses, outcomes):
+            results[i] = outcome
+            if isinstance(outcome, _JobOutcome):
+                self._cache_put(jobs[i], outcome.value)
         return results
 
-    def _run_batched(
-        self,
-        key: BatchKey,
-        jobs: list[PendingJob],
-        misses: list[int],
-        results: list[Any],
-        level: DegradeLevel,
-    ) -> None:
-        """Coalesced execution on the batched entry points.
+    def _dispatch(self, group: list[PendingJob], level: DegradeLevel) -> list[Any]:
+        """Run one group, coalesced or alone; one result per job.
 
-        The per-request deadline propagates as the pool task timeout —
-        the batch inherits the *tightest* member deadline, so a
-        coalesced request can never be held past its budget by its
-        batchmates.
+        A gemm/cgemm group is stacked (a lone request is a stack of one)
+        and cut into one slice per worker; an fft or mrf job is its own
+        slice. Each slice is one :func:`_exec_job` payload and fails only
+        its own jobs. The group inherits its *tightest* member deadline as
+        the pool task timeout, so no request is held past its budget by
+        its groupmates.
         """
-        stack_a = np.stack([jobs[i].payload["a"] for i in misses])
-        stack_b = np.stack([jobs[i].payload["b"] for i in misses])
-        entry = batched_mxu_sgemm if key.op == "gemm" else batched_mxu_cgemm
-        remaining = min(jobs[i].deadline for i in misses) - time.monotonic()
+        deadline = min(job.deadline for job in group)
+        remaining = deadline - time.monotonic()
         if remaining <= 0.0:
-            for i in misses:
-                results[i] = _JobFailed("deadline", "expired while queued")
-            return
+            return [_JobFailed("deadline", "expired while queued") for _ in group]
+        payload = dict(group[0].payload)
+        fault = payload["fault"]
         use_pool = level < DegradeLevel.SERIAL and self.breaker.allow_pool()
-        before = parallel.pool_info()
-        try:
-            if use_pool:
-                out = entry(
-                    stack_a, stack_b,
-                    workers=self.config.workers,
-                    abft=self._abft_on,
-                    timeout=remaining,
-                    retries=self.config.retries,
+        if not use_pool and fault is not None:
+            if fault["kind"] == "kill_worker":
+                # Never run a worker-kill in-process: that would kill the
+                # server. With the pool out of service the request sheds.
+                return [_JobFailed("circuit_open", "pool unavailable for fault job")]
+            if fault["kind"] == "stall":
+                # In-process stalls stay bounded by the deadline.
+                payload["fault"] = dict(
+                    fault, ms=min(float(fault.get("ms", 0.0)), remaining * 1e3)
                 )
-            else:
-                out = entry(stack_a, stack_b, workers=1, abft=self._abft_on)
-        except AbftUncorrectedError as exc:
-            for i in misses:
-                results[i] = exc
-            return
-        except Exception as exc:  # repro: allow[RH403] mapped to per-request failures
-            if use_pool:
-                self._observe_pool(before, ok=False)
-            failure = self._classify(exc)
-            for i in misses:
-                results[i] = failure
-            return
+        stacked = payload["op"] in ("gemm", "cgemm")
+        if stacked:
+            a = np.stack([job.payload["a"] for job in group])
+            b = np.stack([job.payload["b"] for job in group])
+            ranges = parallel.split_ranges(
+                len(group), parallel.resolve_workers(self.config.workers)
+            )
+            slices = [dict(payload, a=a[lo:hi], b=b[lo:hi]) for lo, hi in ranges]
+        else:
+            ranges, slices = [(0, 1)], [payload]
+
         retries = 0
         if use_pool:
-            retries = self._observe_pool(before, ok=True)
-        coalesced = len(misses) > 1
-        for slot, i in enumerate(misses):
-            results[i] = _JobOutcome(out[slot], batched=coalesced, retries=retries)
-
-    def _run_single(self, job: PendingJob, level: DegradeLevel) -> Any:
-        """One non-coalescable job (fault-injected, fft, mrf)."""
-        payload = dict(job.payload)
-        fault = payload.get("fault")
-        remaining = job.deadline - time.monotonic()
-        if remaining <= 0.0:
-            return _JobFailed("deadline", "expired while queued")
-        if payload["op"] in ("gemm", "cgemm"):
-            payload = dict(payload)
-            payload["a"] = payload["a"][None, ...]
-            payload["b"] = payload["b"][None, ...]
-            unbatch = True
-        else:
-            unbatch = False
-
-        use_pool = level < DegradeLevel.SERIAL and self.breaker.allow_pool()
-        if not use_pool and fault is not None and fault.get("kind") == "kill_worker":
-            # Never run a worker-kill in-process: that would kill the
-            # server. With the pool out of service the request sheds.
-            return _JobFailed("circuit_open", "pool unavailable for fault job")
-        if fault is not None and fault.get("kind") == "stall" and not use_pool:
-            # In-process stalls stay bounded by the deadline.
-            fault = dict(fault)
-            fault["ms"] = min(float(fault.get("ms", 0.0)), remaining * 1e3)
-            payload["fault"] = fault
-
-        before = parallel.pool_info()
-        retries = 0
-        try:
-            if use_pool:
-                got = parallel.parallel_map(
+            before = parallel.pool_info()
+            try:
+                outs: list[Any] = parallel.parallel_map(
                     _exec_job,
-                    [payload],
-                    workers=1,
+                    slices,
+                    workers=len(slices),
                     timeout=remaining,
                     retries=self.config.retries,
                     return_failures=True,
-                )[0]
-                if isinstance(got, TaskFailure):
-                    self._observe_pool(before, ok=False)
-                    failed = self._classify_failure(got)
-                    failed.retries = max(got.attempts - 1, 0)
-                    return failed
-                retries = self._observe_pool(before, ok=True)
-                out = got
+                )
+            except Exception as exc:  # repro: allow[RH403] per-request firewall
+                self._observe_pool(before, ok=False)
+                return [self._classify(exc)] * len(group)
+            ok = not any(isinstance(out, TaskFailure) for out in outs)
+            retries = self._observe_pool(before, ok=ok)
+        else:
+            outs = [self._exec_in_process(piece, deadline) for piece in slices]
+
+        coalesced = len(group) > 1
+        results: list[Any] = []
+        for (lo, hi), out in zip(ranges, outs):
+            if isinstance(out, TaskFailure):
+                failed = self._classify_failure(out)
+                failed.retries = max(out.attempts - 1, 0)
+                results += [failed] * (hi - lo)
+            elif isinstance(out, BaseException):
+                results += [out] * (hi - lo)
+            elif stacked:
+                results += [_JobOutcome(value, batched=coalesced, retries=retries)
+                            for value in out]
             else:
-                out = _exec_job(payload)
-                if time.monotonic() > job.deadline:
-                    return _JobFailed("deadline", "deadline passed during "
-                                                  "in-process execution")
+                results.append(_JobOutcome(np.asarray(out), retries=retries))
+        return results
+
+    def _exec_in_process(self, payload: dict[str, Any], deadline: float) -> Any:
+        """One slice on the executor thread (SERIAL level or breaker
+        open): its result, or the exception its jobs fail with."""
+        try:
+            out = _exec_job(payload)
         except AbftUncorrectedError as exc:
             return exc
         except Exception as exc:  # repro: allow[RH403] per-request firewall
-            if use_pool:
-                self._observe_pool(before, ok=False)
             return self._classify(exc)
-        value = out[0] if unbatch else out
-        return _JobOutcome(np.asarray(value), retries=retries)
+        if time.monotonic() > deadline:
+            return _JobFailed("deadline", "deadline passed during in-process execution")
+        return out
 
     # ------------------------------------------------------------------
     # Failure classification + breaker feeding

@@ -99,7 +99,7 @@ class TestSeededMutations:
             REPO / "src/repro/serve/server.py", tmp_path, "repro", "serve"
         )
         source = dest.read_text(encoding="utf-8")
-        # Drop the deadline from _run_single's pool fan-out (the last
+        # Drop the deadline from _dispatch's pool call (the one
         # `timeout=remaining,` in the file) — a hung worker would now
         # hang the request forever instead of being killed.
         idx = source.rfind("timeout=remaining,")

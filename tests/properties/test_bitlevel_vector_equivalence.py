@@ -33,7 +33,7 @@ from repro.mxu.vectorized import (
     scalar_mma_fp32,
     scalar_mma_fp32c,
 )
-from repro.resilience.campaign import BITLEVEL_STAGES, CampaignConfig, run_campaign
+from repro.resilience.campaign import BITLEVEL_STAGES, CampaignConfig, Outcome, run_campaign
 from repro.types.formats import FP32
 from repro.types.quantize import quantize, quantize_complex
 
@@ -340,6 +340,21 @@ class TestCampaignEngineIdentity:
             )
             records[engine] = run_campaign(cfg).records
         assert records["vector"] == records["scalar"]
+
+    @pytest.mark.parametrize("mode", ["fp32", "fp32c"])
+    def test_product_fault_campaign_identical_across_engines(self, mode, monkeypatch):
+        # Product faults only, and enough trials that some are not masked:
+        # a vector engine that dropped its fault would mask them all.
+        records = {}
+        for engine in ("vector", "scalar"):
+            monkeypatch.setenv("REPRO_BITLEVEL", engine)
+            cfg = CampaignConfig(
+                trials=20, m=10, n=8, k=8, engine="bitlevel",
+                stages=(FaultStage.PRODUCT,), mode=mode,
+            )
+            records[engine] = run_campaign(cfg).records
+        assert records["vector"] == records["scalar"]
+        assert any(r.outcome is not Outcome.MASKED for r in records["vector"])
 
     def test_product_stage_needs_bitlevel_engine(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Coalescing semantics: grouping, flush triggers, bit-exactness."""
+"""Group commit: grouping, flush order, caps, bit-exactness."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ class TestBatcher:
                 for job in jobs:
                     job.future.set_result(job.payload["i"])
 
-            batcher = Batcher(cb, max_batch=3, max_wait=60.0)
+            batcher = Batcher(cb, max_batch=3)
             jobs = [_job(KEY_A, i) for i in range(3)]
             for job in jobs:
                 batcher.submit(job)
@@ -41,7 +41,7 @@ class TestBatcher:
 
         asyncio.run(main())
 
-    def test_wait_window_flushes_partial_bucket(self):
+    def test_lone_job_on_idle_batcher_flushes_without_a_timer(self):
         async def main():
             flushed = []
 
@@ -50,11 +50,76 @@ class TestBatcher:
                 for job in jobs:
                     job.future.set_result(None)
 
-            batcher = Batcher(cb, max_batch=8, max_wait=0.01)
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_later = loop.call_later
+
+            def counting_call_later(*args, **kwargs):
+                timers.append(args)
+                return call_later(*args, **kwargs)
+
+            loop.call_later = counting_call_later
+            batcher = Batcher(cb)
             job = _job(KEY_A, 0)
             batcher.submit(job)
-            await asyncio.wait_for(job.future, timeout=2.0)
+            for _ in range(3):
+                await asyncio.sleep(0)
             assert flushed == [1]
+            assert job.future.done()
+            assert timers == []
+
+        asyncio.run(main())
+
+    def test_jobs_arriving_during_a_flush_leave_as_the_next_round(self):
+        async def main():
+            release = asyncio.Event()
+            flushed: list[tuple[BatchKey, list[int]]] = []
+
+            async def cb(key, jobs):
+                flushed.append((key, [job.payload["i"] for job in jobs]))
+                if jobs[0].payload["i"] == 0:
+                    await release.wait()  # the executor is busy
+                for job in jobs:
+                    job.future.set_result(None)
+
+            batcher = Batcher(cb, max_batch=3)
+            first = _job(KEY_A, 0)
+            batcher.submit(first)
+            while not flushed:
+                await asyncio.sleep(0)
+            keys = [KEY_A, KEY_B, KEY_A, KEY_A, KEY_A, KEY_B]
+            later = [_job(key, i) for i, key in enumerate(keys, start=1)]
+            for job in later:
+                batcher.submit(job)
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert flushed == [(KEY_A, [0])]
+            assert batcher.pending() == len(later)
+            release.set()
+            await asyncio.gather(*(job.future for job in [first, *later]))
+            # Groups leave in order of their first job; A is cut at the cap.
+            assert flushed == [
+                (KEY_A, [0]), (KEY_A, [1, 3, 4]), (KEY_B, [2, 6]), (KEY_A, [5]),
+            ]
+            assert max(len(ids) for _, ids in flushed) <= batcher.max_batch
+            assert (batcher.flushes, batcher.coalesced) == (4, 5)
+
+        asyncio.run(main())
+
+    def test_jobs_that_run_alone_are_not_counted_as_flushes(self):
+        async def main():
+            async def cb(key, jobs):
+                for job in jobs:
+                    job.future.set_result(None)
+
+            batcher = Batcher(cb)
+            solo = [_job(KEY_A._replace(seq=seq), seq) for seq in (1, 2)]
+            jobs = [*solo, _job(KEY_A, 3), _job(KEY_A, 4)]
+            for job in jobs:
+                batcher.submit(job)
+            await batcher.drain()
+            assert all(job.future.done() for job in jobs)
+            assert (batcher.flushes, batcher.coalesced) == (1, 2)
 
         asyncio.run(main())
 
@@ -68,7 +133,7 @@ class TestBatcher:
                 for job in jobs:
                     job.future.set_result(None)
 
-            batcher = Batcher(cb, max_batch=2, max_wait=60.0)
+            batcher = Batcher(cb, max_batch=2)
             jobs = [_job(KEY_A, 0), _job(KEY_B, 1), _job(KEY_A, 2), _job(KEY_B, 3)]
             for job in jobs:
                 batcher.submit(job)
@@ -82,7 +147,7 @@ class TestBatcher:
             async def cb(key, jobs):
                 raise RuntimeError("flush exploded")
 
-            batcher = Batcher(cb, max_batch=2, max_wait=60.0)
+            batcher = Batcher(cb, max_batch=2)
             jobs = [_job(KEY_A, 0), _job(KEY_A, 1)]
             for job in jobs:
                 batcher.submit(job)
@@ -98,7 +163,7 @@ class TestBatcher:
                 for job in jobs:
                     job.future.set_result(job.payload["i"])
 
-            batcher = Batcher(cb, max_batch=100, max_wait=60.0)
+            batcher = Batcher(cb, max_batch=100)
             jobs = [_job(KEY_A, i) for i in range(4)]
             for job in jobs:
                 batcher.submit(job)

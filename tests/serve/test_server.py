@@ -212,6 +212,28 @@ class TestProtocolRobustness:
 
         with_server(ServeConfig(port=0), scenario)
 
+    def test_malformed_deadline_and_fault_get_bad_request(self):
+        a = [[1.0, 2.0], [3.0, 4.0]]
+        cases = [
+            *({"deadline_ms": bad} for bad in ("abc", [1], {"x": 1}, "nan",
+                                               float("nan"), float("inf"))),
+            *({"fault": bad} for bad in (5, [1, 2])),
+        ]
+
+        def scenario(server: GemmServer):
+            # A bounded wait: a request the server never answers fails
+            # the test with a socket timeout instead of hanging it.
+            with client_for(server, timeout=8.0) as client:
+                for extra in cases:
+                    response = client.request({"op": "gemm", "a": a, "b": a, **extra})
+                    assert response["status"] == "ERROR", extra
+                    assert response["reason"] == "bad_request", extra
+                assert client.gemm(np.asarray(a), np.asarray(a))["status"] == "OK"
+            return server.run_table.rows()
+
+        rows = with_server(ServeConfig(port=0, fault_injection=True), scenario)
+        assert [r.reason for r in rows] == ["bad_request"] * len(cases) + [""]
+
     def test_unparseable_line_gets_structured_error(self):
         def scenario(server: GemmServer):
             import json
@@ -262,6 +284,50 @@ class TestProtocolRobustness:
             await asyncio.wait_for(server.serve_forever(), timeout=10.0)
 
         asyncio.run(main())  # wait_for guards against a hung shutdown
+
+
+class TestCoalescing:
+    def test_requests_queued_behind_a_busy_executor_leave_as_one_batch(self, rng):
+        from repro.gemm.tiled import mxu_sgemm
+
+        a = rng.standard_normal((4, 8, 8))
+        b = rng.standard_normal((4, 8, 8))
+        held = rng.standard_normal((4, 4)).tolist()
+
+        async def main():
+            server = GemmServer(ServeConfig(port=0, fault_injection=True))
+            await server.start()
+            conn = await AsyncConnection.open("127.0.0.1", server.port)
+            try:
+                # An in-pool stall holds the executor thread.
+                blocker = asyncio.get_running_loop().create_task(conn.request({
+                    "op": "gemm", "a": held, "b": held,
+                    "fault": {"kind": "stall", "ms": 2000}, "deadline_ms": 30000,
+                }))
+                while server.admission.info()["in_flight"] < 1:
+                    await asyncio.sleep(0.01)
+                before = server.stats()["batcher"]
+                responses = await asyncio.gather(*(
+                    conn.request({"op": "gemm", "a": a[i].tolist(),
+                                  "b": b[i].tolist(), "deadline_ms": 30000})
+                    for i in range(len(a))
+                ))
+                after = server.stats()["batcher"]
+                assert (await blocker)["status"] == "OK"
+            finally:
+                await conn.close()
+                await server.stop()
+            return responses, before, after
+
+        responses, before, after = asyncio.run(main())
+        assert after["flushes"] - before["flushes"] == 1
+        assert after["coalesced"] - before["coalesced"] == len(a)
+        for i, response in enumerate(responses):
+            assert response["status"] == "OK"
+            assert response["batched"] is True
+            served = decode_array(response["result"], 1 << 20)
+            alone = np.asarray(mxu_sgemm(a[i], b[i]), dtype=np.float64)
+            assert served.tobytes() == alone.tobytes()
 
 
 class TestFaultInjection:

@@ -413,12 +413,6 @@ class TestResilientExecution:
         # pool recovered for the next caller
         assert parallel_map(_double, [4], workers=2) == [8]
 
-    def test_env_knobs_resolve(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "3")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.0")
-        items = [(str(tmp_path), x, 2 if x == 0 else 0) for x in range(2)]
-        assert parallel_map(_flaky, items, workers=2) == [0, 10]
-
     def test_shm_segments_released_on_failure(self, rng, tmp_path, shm_64):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shm filesystem not visible")
@@ -441,9 +435,7 @@ class TestResilientExecution:
         assert got == [6, 8, 10]
         assert sorted(seen) == [(0, 6), (1, 8), (2, 10)]
 
-    def test_inert_policy_keeps_fast_path(self, monkeypatch):
-        for env in ("REPRO_TASK_TIMEOUT", "REPRO_RETRIES", "REPRO_RETRY_BACKOFF"):
-            monkeypatch.delenv(env, raising=False)
+    def test_inert_policy_keeps_fast_path(self):
         # chunked Executor.map path: one round of map, not per-task submits
         got = parallel_map(_double, list(range(20)), workers=2)
         assert got == [2 * x for x in range(20)]
