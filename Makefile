@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-graph lint-sarif bench bench-check report examples clean
+.PHONY: install test lint lint-graph lint-sarif bench bench-check bench-pairs report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -33,6 +33,29 @@ bench:
 # Gate fresh BENCH_*.json tables against the committed baselines.
 bench-check:
 	$(PY) benchmarks/bench_regression.py
+
+# Benchmark pairs: PAIRS alternating runs of bench/run.py on the PARENT
+# revision (extracted with git archive into a temporary directory) and on
+# this working tree, parent first in odd pairs, then bench/compare.py over
+# them. The result records stay in bench-pairs/.
+PARENT ?= HEAD
+PAIRS ?= 10
+
+bench-pairs:
+	@set -e; parent=$$(mktemp -d); trap 'rm -rf "$$parent"' EXIT; \
+	git archive --format=tar $(PARENT) | tar -x -C "$$parent"; \
+	mkdir -p bench-pairs; out=$$(cd bench-pairs && pwd); \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then dir="$$parent"; else dir=.; fi; \
+			echo "== pair $$i/$(PAIRS): $$side"; \
+			(cd "$$dir" && $(PY) bench/run.py --out "$$out/$$side-$$i.json"); \
+		done; \
+	done; \
+	$(PY) bench/compare.py \
+		--parent $$(seq -f "$$out/parent-%g.json" 1 $(PAIRS)) \
+		--change $$(seq -f "$$out/change-%g.json" 1 $(PAIRS))
 
 report:
 	$(PY) examples/paper_report.py

@@ -19,13 +19,18 @@ tiles, bit-identically:
   as the single-anchor one (:func:`repro.mxu.fused._radius`), so the
   proven elements are exactly what the datapath below would produce.
 * **Multiplying** — the elements the proof cannot settle (near an FP32
-  rounding boundary, exact zeros, a non-finite C) gather their rows of A
-  and columns of B as ``(n, K)`` panels. Every 12x12-bit multiplier lane
-  is one elementwise *float32* product of those panels (exact: the
-  pre-signed slices carry at most 12 bits each), written straight into
-  a strided column view of one ``(n, lanes*K + 1)`` slot buffer ordered
-  exactly as the scalar loop visits the slots (k-major, lane-minor),
-  with the C operand as the last slot.
+  rounding boundary, exact zeros, a non-finite C) reach the datapath as
+  ``(n, K)`` panels of their rows of A and columns of B, gathered by the
+  loop. Most of them are first guessed and then verified in one batched
+  call after the chain's last chunk (guess-then-verify, :mod:`repro.mxu.fused`),
+  so a chain makes about one datapath call. The panels were checked
+  against the operand contract up front, so their lane fields come
+  straight from the bits. Every 12x12-bit multiplier lane is one
+  elementwise *float32* product of those panels (exact: the pre-signed
+  slices carry at most 12 bits each), written straight into a strided
+  column view of one ``(n, lanes*K + 1)`` slot buffer ordered exactly as
+  the scalar loop visits the slots (k-major, lane-minor), with the C
+  operand as the last slot.
 * **Shifted 48-bit accumulation** (Fig. 3b) — the slot buffer feeds
   :func:`~repro.arith.accumulator.segmented_windowed_sum_f32`, the
   segmented exact reformulation of the
@@ -76,7 +81,7 @@ from ..types.formats import FP32, FloatFormat
 from ..types.quantize import quantize, quantize_complex
 from ..types.rounding import RoundingMode
 from .config import M3XU_CONFIG, MXUConfig
-from .fused import _fast_chain
+from .fused import _fast_chain, _panels
 from .modes import MXUMode, chunk_bounds, step_plan
 
 __all__ = [
@@ -196,7 +201,10 @@ def fp32_bit_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``uint32`` bit view replace the per-element ``encode`` round trip.
     Raises like :func:`_register_bits`.
     """
-    bits = _register_bits(x)
+    return _bit_fields(_register_bits(x))
+
+
+def _bit_fields(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sign = (bits >> np.uint32(_FIELD_SHIFT_SIGN)).astype(np.int64)
     biased = ((bits >> np.uint32(_FIELD_SHIFT_EXP)) & np.uint32(_EXP_MASK)).astype(
         np.int64
@@ -215,7 +223,13 @@ def split_fp32_fields(
     exponent fields, exactly like the scalar
     :func:`~repro.mxu.bitlevel.split_fp32_bits`.
     """
-    sign, biased, mant = fp32_bit_fields(x)
+    return _split_fields(_register_bits(x))
+
+
+def _split_fields(
+    bits: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    sign, biased, mant = _bit_fields(bits)
     hidden = (biased != 0).astype(np.int64)
     hi = (hidden << 11) | (mant >> 12)
     lo = mant & np.int64(_LO_MASK)
@@ -318,10 +332,23 @@ def fp32_lane_fields(x: np.ndarray) -> LaneFields:
     ``hi``/``lo`` are the pre-signed float32 12-bit slices
     (:func:`_signed_parts`) and ``exp`` the int16 effective slice
     exponent — everything :func:`_fill_lane_slots` needs, derived once.
+    Raises like :func:`_register_bits`.
     """
-    sign, biased, hi, lo = split_fp32_fields(x)
+    return _lane_fields(_register_bits(x))
+
+
+def _lane_fields(bits: np.ndarray) -> LaneFields:
+    sign, biased, hi, lo = _split_fields(bits)
     hi_signed, lo_signed = _signed_parts(sign, hi, lo)
     return hi_signed, lo_signed, _effective_exp(biased).astype(np.int16)
+
+
+def _panel_bits(x: np.ndarray) -> np.ndarray:
+    """``uint32`` bit patterns of a gathered operand panel, unchecked: the
+    chain checked every operand against the contract up front."""
+    # repro: allow[PS105] the operands were checked FP32-exact before the
+    # chain began (_register_bits), so this store never rounds.
+    return x.astype(np.float32).view(np.uint32)
 
 
 def _fill_lane_slots(
@@ -375,35 +402,35 @@ def _running_anchor_fallback(
     pairings: Sequence[tuple[int, int, int]],
     acc_bits: int,
     rounding: RoundingMode,
-    fault: ProductFault | None,
-    a: np.ndarray,
-    b: np.ndarray,
+    fault: tuple[int, int, int] | None,
+    a_rows: np.ndarray,
+    b_cols: np.ndarray,
     c_sel: np.ndarray,
-    idx: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """One chunk of one register through the true datapath, for the
-    selected output elements (a :data:`~repro.mxu.fused.Fallback` once the
-    first four are bound).
+    """One MMA of one register through the true datapath, for gathered
+    output elements (a :data:`~repro.mxu.fused.Fallback` once the first
+    four are bound).
 
-    Gathers the elements' rows of A and columns of B as ``(n, K)``
-    panels, splits them into lane fields, and writes every lane product
-    in the scalar slot order — k-major, then *pairings*, then lane — with
-    C as the last slot: an ``(n, lanes*K + 1)`` buffer of signed float32
+    *a_rows*/*b_cols* are the elements' ``(n, K)`` panels of A rows and B
+    columns, already checked against the operand contract, so their lane
+    fields come straight from the bits. Every lane product is written in
+    the scalar slot order — k-major, then *pairings*, then lane — with C
+    as the last slot: an ``(n, lanes*K + 1)`` buffer of signed float32
     significands and int16 LSB weights. :func:`segmented_windowed_sum_f32`
     runs the running-anchor window over each row and
     :func:`int_window_to_float` rounds it to FP32, so each value is
     bit-identical to the scalar :class:`~repro.mxu.bitlevel.BitAccumulator`
-    over the same slots. *fault* (chunk-local slot) flips one product bit
-    of the faulted element's row. A non-finite C raises
+    over the same slots. *fault* ``(row, slot, bit)`` flips one product
+    bit of one row (MMA-local slot). A non-finite C raises
     :class:`NonFiniteOperandError` in its field extraction.
     """
-    mi, ni = idx
-    a_lanes = [fp32_lane_fields(x) for x in _components(a[mi])]
-    b_lanes = [fp32_lane_fields(x) for x in _components(b[:, ni].T)]
+    a_lanes = [_lane_fields(_panel_bits(x)) for x in _components(a_rows)]
+    b_lanes = [_lane_fields(_panel_bits(x)) for x in _components(b_cols)]
+    n, k = a_rows.shape
     stride = _LANES_PER_PAIR * len(pairings)
-    n_prod = stride * a.shape[1]
-    sig = np.empty((mi.size, n_prod + 1), dtype=np.float32)
-    lsb = np.empty((mi.size, n_prod + 1), dtype=np.int16)
+    n_prod = stride * k
+    sig = np.empty((n, n_prod + 1), dtype=np.float32)
+    lsb = np.empty((n, n_prod + 1), dtype=np.int16)
     for i, (ia, ib, negate) in enumerate(pairings):
         _fill_lane_slots(
             sig, lsb, a_lanes[ia], b_lanes[ib],
@@ -414,9 +441,7 @@ def _running_anchor_fallback(
     sig[:, n_prod] = np.where(cs != 0, -csig, csig)
     lsb[:, n_prod] = clsb
     if fault is not None:
-        em, en = fault.element
-        for row in np.flatnonzero((mi == em) & (ni == en)):
-            _flip_product_bit(sig, int(row), fault.slot, fault.bit)
+        _flip_product_bit(sig, *fault)
     value, window = segmented_windowed_sum_f32(sig, lsb, acc_bits=acc_bits, mode=rounding)
     return int_window_to_float(value, window, FP32)
 
@@ -436,9 +461,11 @@ def _register_chain(
 
     Each chunk runs through the value level's BLAS-and-interval loop
     (:func:`~repro.mxu.fused._fast_chain`); only the elements its radius
-    cannot settle take :func:`_running_anchor_fallback`. A product
-    *fault* (register-local slot) splits the chain around its chunk,
-    which runs every element through the fallback with the bit flipped.
+    cannot settle take :func:`_running_anchor_fallback`, most of them in
+    one batched call after the last chunk. A product *fault*
+    (register-local slot) splits the chain around its chunk, which runs
+    the panels of every element through the fallback with the bit flipped
+    in the faulted element's row.
     """
     pairings = _PAIRINGS[mode][accumulator]
     per_k = _LANES_PER_PAIR * len(pairings)
@@ -461,9 +488,10 @@ def _register_chain(
     k1 = min(k0 + k_chunk, k_total)
     fast(0, k0)
     flat = acc.reshape(-1)
+    row = int(np.ravel_multi_index(fault.element, acc.shape))
     flat[:] = _running_anchor_fallback(
-        pairings, acc_bits, rounding, replace(fault, slot=fault.slot - k0 * per_k),
-        a[:, k0:k1], b[k0:k1], flat, np.unravel_index(np.arange(flat.size), acc.shape),
+        pairings, acc_bits, rounding, (row, fault.slot - k0 * per_k, fault.bit),
+        *_panels(a, b, acc.shape, np.arange(flat.size), k0, k1 - k0), flat,
     )
     fast(k1, k_total)
     return acc

@@ -57,6 +57,10 @@ class PendingJob:
     future: "asyncio.Future[Any]"
     deadline: float  # absolute time.monotonic() deadline
     enqueued: float = field(default_factory=time.monotonic)
+    #: When the executor started the job's group, and the group's size
+    #: (stamped by the server's executor thread).
+    started: float | None = None
+    batch: int = 1
 
 
 def _groups(jobs: list[PendingJob], cap: int) -> list[tuple[BatchKey, list[PendingJob]]]:

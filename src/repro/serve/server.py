@@ -47,8 +47,10 @@ of ``x``), ``mrf`` (dictionary-match correlation scores), ``ping``,
 resilience machinery: ``kill_worker`` SIGKILLs the executing pool
 worker, ``stall`` sleeps past the deadline inside the worker,
 ``poison`` runs the GEMM on a transient-fault datapath behind the ABFT
-guard. A ``deadline_ms`` that is not a finite number, or a ``fault``
-that is not an object, is answered ``ERROR(bad_request)`` like any other
+guard (``seed``, default 0, picks the fault). A ``deadline_ms`` that
+is not a finite number, a ``fault`` that is not an object, a fault
+``ms`` that is not a finite number >= 0 or a ``seed`` that is not an
+integer >= 0 is answered ``ERROR(bad_request)`` like any other
 malformed request; a valid ``deadline_ms`` is clamped to
 [1, ``max_deadline_ms``].
 """
@@ -188,7 +190,7 @@ def decode_array(obj: Any, max_elements: int) -> np.ndarray:
             x: np.ndarray = re + 1j * im
         else:
             x = np.asarray(obj, dtype=np.float64)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"non-numeric operand: {exc}") from exc
     if x.size == 0:
         raise ValueError("empty operand")
@@ -198,6 +200,14 @@ def decode_array(obj: Any, max_elements: int) -> np.ndarray:
     if not np.all(np.isfinite(np.abs(x))):
         raise ValueError("operands must be finite")
     return x
+
+
+def _finite_number(x: Any) -> bool:
+    """A finite JSON number: an int (not a bool, of any size) or a finite
+    float."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
 # ----------------------------------------------------------------------
@@ -519,12 +529,11 @@ class GemmServer:
             # Fault-injected, fft, mrf and degraded jobs run alone.
             key = BatchKey(record.op, 0, 0, 0, int(level), self._abft_on, seq=seq)
         future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
-        self.batcher.submit(PendingJob(key, payload, future, deadline))
+        job = PendingJob(key, payload, future, deadline)
+        self.batcher.submit(job)
 
         try:
-            result = await asyncio.wait_for(
-                future, timeout=max(deadline - time.monotonic(), 0.0) + 5.0
-            )
+            result = await self._wait(job, record)
         except asyncio.TimeoutError:
             return self._finish_error(record, t0, "deadline",
                                       "request exceeded its deadline")
@@ -547,6 +556,20 @@ class GemmServer:
             result = result.value
         return self._finish_ok(record, t0, result)
 
+    @staticmethod
+    async def _wait(job: PendingJob, record: RequestRecord) -> Any:
+        """The job's result. Whatever the outcome, *record* gets the job's
+        queue time (to the start of its group, or to now if it never
+        started) and the size of its group."""
+        try:
+            return await asyncio.wait_for(
+                job.future, timeout=max(job.deadline - time.monotonic(), 0.0) + 5.0
+            )
+        finally:
+            end = time.monotonic() if job.started is None else job.started
+            record.queue_ms = (end - job.enqueued) * 1e3
+            record.batch = job.batch
+
     def _parse_payload(
         self, request: dict[str, Any], record: RequestRecord
     ) -> tuple[dict[str, Any], float]:
@@ -557,13 +580,9 @@ class GemmServer:
         deadline_ms = request.get("deadline_ms")
         if deadline_ms is None:
             deadline_ms = cfg.deadline_ms
-        elif (
-            isinstance(deadline_ms, bool)
-            or not isinstance(deadline_ms, (int, float))
-            or not math.isfinite(deadline_ms)
-        ):
+        elif not _finite_number(deadline_ms):
             raise ValueError(f"deadline_ms must be a finite number, not {deadline_ms!r}")
-        deadline_ms = min(max(float(deadline_ms), 1.0), cfg.max_deadline_ms)
+        deadline_ms = float(min(max(deadline_ms, 1.0), cfg.max_deadline_ms))
         fault = request.get("fault") if cfg.fault_injection else None
         if fault is not None:
             if not isinstance(fault, dict):
@@ -571,6 +590,16 @@ class GemmServer:
             fault = dict(fault)
             if fault.get("kind") not in ("stall", "kill_worker", "poison"):
                 raise ValueError(f"unknown fault kind {fault.get('kind')!r}")
+            if "ms" in fault:
+                ms = fault["ms"]
+                if not (_finite_number(ms) and ms >= 0):
+                    raise ValueError(f"fault ms must be a finite number >= 0, not {ms!r}")
+                # Clamped here: the worker's float() of a JSON integer
+                # beyond float64 would raise.
+                fault["ms"] = float(min(ms, MAX_STALL_MS))
+            seed = fault.get("seed", 0)
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise ValueError(f"fault seed must be an integer >= 0, not {seed!r}")
             if fault.get("kind") == "kill_worker":
                 assert self._fault_dir is not None
                 fault["marker"] = os.path.join(
@@ -643,6 +672,9 @@ class GemmServer:
 
         Returns one :class:`_JobOutcome` or exception per job, in order.
         """
+        started = time.monotonic()
+        for job in jobs:
+            job.started, job.batch = started, len(jobs)
         level = DegradeLevel(key.level)
         results: list[Any] = [None] * len(jobs)
 
@@ -866,13 +898,19 @@ class GemmServer:
     # ------------------------------------------------------------------
     # Response finalization
     # ------------------------------------------------------------------
+    def _finish(
+        self, record: RequestRecord, t0: float, outcome: str, reason: str = ""
+    ) -> None:
+        record.outcome = outcome
+        record.reason = reason
+        record.latency_ms = (time.monotonic() - t0) * 1e3
+        record.service_ms = record.latency_ms - record.queue_ms
+        self.run_table.add(record)
+
     def _finish_ok(
         self, record: RequestRecord, t0: float, result: Any
     ) -> dict[str, Any]:
-        record.outcome = "OK"
-        record.latency_ms = (time.monotonic() - t0) * 1e3
-        record.service_ms = record.latency_ms
-        self.run_table.add(record)
+        self._finish(record, t0, "OK")
         return {
             "id": record.request_id,
             "status": "OK",
@@ -887,10 +925,7 @@ class GemmServer:
     def _finish_rejected(
         self, record: RequestRecord, t0: float, reason: str
     ) -> dict[str, Any]:
-        record.outcome = "REJECTED"
-        record.reason = reason
-        record.latency_ms = (time.monotonic() - t0) * 1e3
-        self.run_table.add(record)
+        self._finish(record, t0, "REJECTED", reason)
         return {
             "id": record.request_id,
             "status": "REJECTED",
@@ -901,10 +936,7 @@ class GemmServer:
     def _finish_error(
         self, record: RequestRecord, t0: float, reason: str, detail: str
     ) -> dict[str, Any]:
-        record.outcome = "ERROR"
-        record.reason = reason
-        record.latency_ms = (time.monotonic() - t0) * 1e3
-        self.run_table.add(record)
+        self._finish(record, t0, "ERROR", reason)
         return {
             "id": record.request_id,
             "status": "ERROR",

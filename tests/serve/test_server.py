@@ -234,6 +234,53 @@ class TestProtocolRobustness:
         rows = with_server(ServeConfig(port=0, fault_injection=True), scenario)
         assert [r.reason for r in rows] == ["bad_request"] * len(cases) + [""]
 
+    def test_malformed_fault_fields_get_bad_request(self):
+        # A fault whose ms or seed the worker cannot use is refused at the
+        # door: it never reaches the pool, so nothing is retried and the
+        # circuit breaker does not see it.
+        a = [[1.0, 2.0], [3.0, 4.0]]
+        faults = [
+            *({"kind": "stall", "ms": bad}
+              for bad in ("abc", -1, True, None, [5], float("nan"), float("inf"))),
+            *({"kind": "poison", "seed": bad} for bad in ("x", -1, False, 1.5, None)),
+        ]
+
+        def scenario(server: GemmServer):
+            before = server.breaker.info()
+            with client_for(server, timeout=8.0) as client:
+                for fault in faults:
+                    response = client.request({"op": "gemm", "a": a, "b": a, "fault": fault})
+                    assert response["status"] == "ERROR", fault
+                    assert response["reason"] == "bad_request", fault
+                stall = {"kind": "stall", "ms": 1}
+                response = client.request({"op": "gemm", "a": a, "b": a, "fault": stall})
+                assert response["status"] == "OK"
+            return before, server.breaker.info(), server.run_table.rows()
+
+        before, after, rows = with_server(
+            ServeConfig(port=0, fault_injection=True, breaker_threshold=1), scenario
+        )
+        assert after == before
+        assert [r.reason for r in rows] == ["bad_request"] * len(faults) + [""]
+        assert all(r.retries == 0 for r in rows)
+
+    def test_integers_too_large_for_a_float_get_an_answer(self):
+        # JSON integers have no size limit, and float() of one beyond
+        # float64 raises OverflowError rather than ValueError.
+        huge = 10**400
+        a = [[1.0, 2.0], [3.0, 4.0]]
+
+        def scenario(server: GemmServer):
+            with client_for(server, timeout=8.0) as client:
+                return (
+                    client.request({"op": "gemm", "a": [[huge]], "b": [[1.0]]}),
+                    client.request({"op": "gemm", "a": a, "b": a, "deadline_ms": huge}),
+                )
+
+        operand, deadline = with_server(ServeConfig(port=0), scenario)
+        assert (operand["status"], operand["reason"]) == ("ERROR", "bad_request")
+        assert deadline["status"] == "OK"  # clamped to max_deadline_ms
+
     def test_unparseable_line_gets_structured_error(self):
         def scenario(server: GemmServer):
             import json
@@ -328,6 +375,43 @@ class TestCoalescing:
             served = decode_array(response["result"], 1 << 20)
             alone = np.asarray(mxu_sgemm(a[i], b[i]), dtype=np.float64)
             assert served.tobytes() == alone.tobytes()
+
+
+    def test_run_table_rows_carry_queue_time_and_group_size(self, rng):
+        a = rng.standard_normal((3, 8, 8))
+        held = rng.standard_normal((4, 4)).tolist()
+
+        async def main():
+            server = GemmServer(ServeConfig(port=0, fault_injection=True))
+            await server.start()
+            conn = await AsyncConnection.open("127.0.0.1", server.port)
+            try:
+                blocker = asyncio.get_running_loop().create_task(conn.request({
+                    "id": "blocker", "op": "gemm", "a": held, "b": held,
+                    "fault": {"kind": "stall", "ms": 500}, "deadline_ms": 30000,
+                }))
+                while server.admission.info()["in_flight"] < 1:
+                    await asyncio.sleep(0.01)
+                await asyncio.gather(*(
+                    conn.request({"id": f"q{i}", "op": "gemm", "a": a[i].tolist(),
+                                  "b": a[i].tolist(), "deadline_ms": 30000})
+                    for i in range(len(a))
+                ))
+                assert (await blocker)["status"] == "OK"
+            finally:
+                await conn.close()
+                await server.stop()
+            return {row.request_id: row for row in server.run_table.rows()}
+
+        rows = asyncio.run(main())
+        assert rows["blocker"].batch == 1
+        for i in range(len(a)):
+            row = rows[f"q{i}"]
+            # Queued behind the 500 ms stall, then run as one group.
+            assert row.batch == len(a)
+            assert row.queue_ms > 100.0
+            assert row.service_ms == pytest.approx(row.latency_ms - row.queue_ms)
+            assert 0.0 < row.service_ms < row.latency_ms
 
 
 class TestFaultInjection:
