@@ -40,19 +40,19 @@ import numpy as np
 import pytest
 
 from repro import parallel
+from repro.gemm import tiled
 from repro.gemm.batched import batched_mxu_cgemm, batched_mxu_sgemm
 from repro.gemm.tiled import TiledGEMM
+from repro.mxu import sharded_bitlevel_gemm
 from repro.mxu.m3xu import M3XU
-from repro.mxu import parallel_bitlevel
 from repro.mxu.modes import MXUMode
-from repro.mxu.parallel_bitlevel import DEFAULT_BITLEVEL_CHUNK, sharded_bitlevel_gemm
 from repro.mxu.vectorized import BitLevelMXU
 from repro.parallel import resolve_workers
 from repro.resilience.campaign import BITLEVEL_STAGES, CampaignConfig, run_campaign
 from repro.types.formats import FP32
 from repro.types.quantize import quantize, quantize_complex
 
-from conftest import bench_print
+from conftest import bench_print, column_block_width
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 
@@ -248,13 +248,16 @@ def test_bitlevel_sgemm(benchmark):
 
 
 def test_bitlevel_parallel(benchmark):
-    """The sharded whole-chain driver vs the scalar oracle — the headline.
+    """The whole-GEMM bit-level driver vs the scalar oracle — the headline.
 
-    ``sharded_bitlevel_gemm`` composes the vector engine's batched
-    K-chain kernel with the worker pool (serial in-process when
-    ``REPRO_WORKERS`` <= 1, as on single-core CI). The scalar oracle is
-    timed on a column slice of the same operands, asserted bit-identical
-    on that slice, and extrapolated to the full width.
+    ``sharded_bitlevel_gemm`` runs the vector engine's K-chain kernel
+    through the tiled driver, which fans a GEMM's column blocks out over
+    ``REPRO_WORKERS`` pool workers only when each block carries
+    ``SHARD_MIN_MACS`` multiply-adds (256³ is exactly that floor, so it
+    runs in process). ``chunk`` records the columns per block. The
+    scalar oracle is timed on a column slice of the same operands,
+    asserted bit-identical on that slice, and extrapolated to the full
+    width.
     """
     n, cols = BITLEVEL_N, BITLEVEL_COLS
     rng = np.random.default_rng(15)
@@ -273,7 +276,7 @@ def test_bitlevel_parallel(benchmark):
     assert got[:, :cols].tobytes() == want_slice.tobytes()
     _record("bitlevel_parallel", f"{n}x{n}x{n}", "fp32",
             legacy_s, fast_s, 100.0, engine="bitlevel:vector",
-            chunk=DEFAULT_BITLEVEL_CHUNK,
+            chunk=column_block_width(a, b),
             extrapolated=f"scalar timed on {cols}/{n} columns")
 
 
@@ -310,16 +313,17 @@ def test_bitlevel_campaign(benchmark):
 
 
 def test_sharded_transport_large_a_planes(monkeypatch):
-    """A sharded bit-level GEMM with a large dense A at 2 workers.
+    """A fanned-out bit-level GEMM with a large dense A at 2 workers.
 
     A is quantised once per call in the parent and travels with every
     column block's task, so it must cross the shared-memory transport
     once per call, and no segment may outlive the call.
     """
     rng = np.random.default_rng(21)
-    # A is at least 1 MiB, so it rides shared memory; the B and C column
-    # blocks (two columns each) pickle.
-    monkeypatch.setattr(parallel_bitlevel, "DEFAULT_BITLEVEL_CHUNK", 2)
+    # Without the work floor the GEMM fans out into two blocks. A is at
+    # least 1 MiB, so it rides shared memory; the B and C column blocks
+    # (two columns each) pickle.
+    monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 1)
     aq = quantize(rng.standard_normal((512, 1024)), FP32)
     bq = quantize(rng.standard_normal((1024, 4)), FP32)
     assert aq.nbytes >= parallel.SHM_MIN_BYTES

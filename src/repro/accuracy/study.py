@@ -27,6 +27,7 @@ from ..gemm.schemes import (
     tensorop_sgemm_3xtf32,
 )
 from ..gemm.tiled import mxu_cgemm, mxu_sgemm
+from ..mxu.vectorized import BitLevelMXU
 from ..parallel import parallel_map
 from ..types.errors import matching_bits, max_relative_error
 from ..types.formats import FP32
@@ -66,12 +67,12 @@ def bitlevel_sgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | float = 0.0) ->
     Module-level so it pickles into :func:`~repro.parallel.parallel_map`
     workers like the other study implementations.
     """
-    return mxu_sgemm(a, b, c, fused=False)
+    return mxu_sgemm(a, b, c, mxu=BitLevelMXU())
 
 
 def bitlevel_cgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | complex = 0.0) -> np.ndarray:
     """FP32C GEMM through the bit-level datapath (``REPRO_BITLEVEL`` engine)."""
-    return mxu_cgemm(a, b, c, fused=False)
+    return mxu_cgemm(a, b, c, mxu=BitLevelMXU())
 
 
 #: Study rosters that run the true split/multiply/shift/accumulate

@@ -21,9 +21,10 @@ the value-level model in tests. It makes the paper's bookkeeping concrete:
 
 It is scalar and slow — the point is bit-exactness, not speed. It is the
 innermost oracle in the verification chain: the vectorised engines in
-:mod:`repro.mxu.vectorized` are held bit-identical to it, and the sharded
-parallel driver in :mod:`repro.mxu.parallel_bitlevel` is in turn held
-bit-identical to the serial engines at every worker count.
+:mod:`repro.mxu.vectorized` are held bit-identical to it, and the tiled
+driver (:class:`repro.gemm.tiled.TiledGEMM`), which fans a large GEMM's
+column blocks out over the pool, is in turn held bit-identical to the
+in-process engines at every worker count.
 """
 
 from __future__ import annotations

@@ -366,8 +366,8 @@ class FaultyM3XU:
         if not self.bitlevel:
             raise ValueError(
                 "product-stage faults require a bit-level MXU model "
-                "(BitLevelMXU / TiledGEMM(fused=False)); the value-level "
-                "model has no product significands to corrupt"
+                "(BitLevelMXU); the value-level model has no product "
+                "significands to corrupt"
             )
         idx = self._pick_element((a.shape[0], b.shape[1]))
         n_slots = product_slot_count(mode, a.shape[1])

@@ -56,10 +56,12 @@ runs. Engine selection: ``REPRO_BITLEVEL=vector`` (default) or ``scalar``
 same slot ordering through :class:`~repro.mxu.bitlevel.BitAccumulator`
 and are retained as the oracle the property suite compares against.
 :class:`BitLevelMXU` packages either engine behind the ``mma``/
-``chain`` contract so ``TiledGEMM(fused=False)``, ABFT tile
-recomputation and the fault campaigns run it unchanged, and both engines
-accept a :class:`ProductFault` — a bit flip in one multiplier-lane
-product, addressed by flat slot index — for campaign injection.
+``chain`` contract so ``TiledGEMM(BitLevelMXU(), mode)`` (which fans a
+large GEMM's column blocks out over the pool like any stateless model),
+ABFT tile recomputation and the fault campaigns run it unchanged, and
+both engines accept a :class:`ProductFault` — a bit flip in one
+multiplier-lane product, addressed by flat slot index — for campaign
+injection.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ __all__ = [
     "scalar_mma_fp32",
     "scalar_mma_fp32c",
     "BitLevelMXU",
+    "sharded_bitlevel_gemm",
 ]
 
 #: Environment switch: ``REPRO_BITLEVEL=scalar`` pins the scalar oracle.
@@ -884,3 +887,24 @@ class BitLevelMXU:
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float
     ) -> np.ndarray:
         return self.mma(a, b, c, MXUMode.FP32C)
+
+
+def sharded_bitlevel_gemm(
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray | float | complex = 0.0,
+    mode: MXUMode = MXUMode.FP32,
+    *,
+    engine: str | None = None,
+    acc_bits: int | None = None,
+    rounding: RoundingMode | None = None,
+    k_chunk: int | None = None,
+    workers: int | None = None,
+) -> np.ndarray:
+    """``A @ B + C`` on a :class:`BitLevelMXU`, unguarded: the tiled
+    driver with ``abft=False``, which fans a large GEMM's columns out
+    over *workers* (bit-identical at every worker count)."""
+    from ..gemm.tiled import TiledGEMM  # repro.gemm imports this package
+
+    unit = BitLevelMXU(engine, acc_bits=acc_bits, rounding=rounding)
+    return TiledGEMM(unit, mode, k_chunk, abft=False, workers=workers).run(a, b, c)

@@ -266,12 +266,12 @@ def _exec_job(payload: dict[str, Any]) -> np.ndarray:
         from ..apps.fft import gemm_fft
 
         def cgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return TiledGEMM(unit, MXUMode.FP32C, abft=abft).run(a, b, 0.0)
+            return TiledGEMM(unit, MXUMode.FP32C, abft=abft, workers=1).run(a, b, 0.0)
 
         return gemm_fft(payload["x"], cgemm=cgemm)
     if op == "mrf":
         def cgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return TiledGEMM(unit, MXUMode.FP32C, abft=abft).run(a, b, 0.0)
+            return TiledGEMM(unit, MXUMode.FP32C, abft=abft, workers=1).run(a, b, 0.0)
 
         corr = cgemm(np.conj(payload["a"]), payload["b"].T)
         return np.abs(corr)
@@ -880,7 +880,8 @@ class GemmServer:
         a, b = payload["a"], payload["b"]
 
         def compute(aa: np.ndarray, bb: np.ndarray, cc: np.ndarray) -> np.ndarray:
-            return TiledGEMM(M3XU(), mode).run(aa, bb, 0.0)
+            # In process: a cache re-verify never reaches the pool.
+            return TiledGEMM(M3XU(), mode, workers=1).run(aa, bb, 0.0)
 
         zero = np.zeros((a.shape[0], b.shape[1]), dtype=out.dtype)
         verified, _report = guarded_gemm(

@@ -17,8 +17,16 @@ ALL_FIXTURES = sorted(
 )
 
 
-def test_lint_src_exits_zero(capsys):
-    """Acceptance: `repro lint src/` exits 0 on the shipped tree."""
+def test_lint_src_exits_zero(capsys, monkeypatch, src_lint_report):
+    """Acceptance: `repro lint src/` exits 0 on the shipped tree (the
+    CLI reports the test session's one lint run of src/)."""
+    import repro.analysis
+
+    def lint_src(paths, cfg):
+        assert paths == [REPO / "src"]
+        return src_lint_report
+
+    monkeypatch.setattr(repro.analysis, "lint_paths", lint_src)
     assert main(["lint", str(REPO / "src")]) == 0
     out = capsys.readouterr().out
     assert "0 error(s), 0 warning(s)" in out

@@ -116,11 +116,9 @@ def test_ps104_window_tracks_config(tmp_path):
     assert [f.rule_id for f in lint_file(out, narrow)] == ["PS104"]
 
 
-def test_clean_src_tree_has_zero_findings():
+def test_clean_src_tree_has_zero_findings(src_lint_report):
     """Acceptance: the shipped source tree lints clean (no FP noise)."""
-    from repro.analysis import lint_paths, load_config
-
-    report = lint_paths([REPO / "src"], load_config(REPO / "src"))
+    report = src_lint_report
     assert report.files_checked > 30
     assert report.parse_errors == []
     assert report.findings == [], "\n" + report.render()

@@ -358,22 +358,9 @@ class TestBitLevelMXU:
             with pytest.raises(ValueError, match="out of range"):
                 unit.mma(a, b, c, mode, product_fault=ProductFault(0, (0, 0), 0))
 
-    def test_tiled_gemm_fused_false_swaps_engine(self, rng):
-        g = TiledGEMM(M3XU(), MXUMode.FP32, fused=False)
-        assert isinstance(g.mxu, BitLevelMXU)
-        with pytest.raises(ValueError):
-            TiledGEMM(M3XU(), MXUMode.FP16, fused=False).run(
-                np.ones((2, 2)), np.ones((2, 2)))
-
-    def test_fused_false_rejects_foreign_mxu(self):
-        from repro.mxu.baseline import TensorCoreMXU
-
-        with pytest.raises(ValueError):
-            TiledGEMM(TensorCoreMXU(), MXUMode.FP32, fused=False)
-
     def test_sgemm_chunked_matches_chained_oracle(self, rng):
         a, b = random_fp32(rng, (4, 10), 3), random_fp32(rng, (10, 3), 3)
-        got = mxu_sgemm(a, b, fused=False)
+        got = mxu_sgemm(a, b, mxu=BitLevelMXU())
         want = np.zeros((4, 3))
         for m in range(4):
             for n in range(3):
@@ -392,11 +379,11 @@ class TestBitLevelMXU:
         # The reference: the scalar oracle's per-MMA chain (FP32C K = 2).
         legacy = scalar_chain(a, b, np.zeros((3, 4), dtype=np.complex128), 2)
         assert biteq(planned, legacy)
-        assert biteq(planned, mxu_cgemm(a, b, fused=False))
+        assert biteq(planned, mxu_cgemm(a, b, mxu=BitLevelMXU()))
 
     def test_abft_guarded_bitlevel_identical(self, rng):
         a, b = random_fp32(rng, (6, 9), 2), random_fp32(rng, (9, 5), 2)
-        plain = mxu_sgemm(a, b, fused=False)
-        g = TiledGEMM(M3XU(), MXUMode.FP32, abft=True, fused=False)
+        plain = mxu_sgemm(a, b, mxu=BitLevelMXU())
+        g = TiledGEMM(BitLevelMXU(), MXUMode.FP32, abft=True)
         assert biteq(g.run(a, b), plain)
         assert g.abft_report is not None and not g.abft_report.detected

@@ -260,17 +260,17 @@ class TestGemmEngineIdentity:
         a = rng.standard_normal((9, 17)) * 10.0 ** rng.integers(-5, 5, (9, 17))
         b = rng.standard_normal((17, 8))
         monkeypatch.setenv("REPRO_BITLEVEL", "vector")
-        vec = mxu_sgemm(a, b, fused=False)
+        vec = mxu_sgemm(a, b, mxu=BitLevelMXU())
         monkeypatch.setenv("REPRO_BITLEVEL", "scalar")
-        assert biteq(mxu_sgemm(a, b, fused=False), vec)
+        assert biteq(mxu_sgemm(a, b, mxu=BitLevelMXU()), vec)
 
     def test_cgemm_engines_identical(self, rng, monkeypatch):
         a = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
         b = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
         monkeypatch.setenv("REPRO_BITLEVEL", "vector")
-        vec = mxu_cgemm(a, b, fused=False)
+        vec = mxu_cgemm(a, b, mxu=BitLevelMXU())
         monkeypatch.setenv("REPRO_BITLEVEL", "scalar")
-        assert biteq(mxu_cgemm(a, b, fused=False), vec)
+        assert biteq(mxu_cgemm(a, b, mxu=BitLevelMXU()), vec)
 
     def test_study_workers_identical_bitlevel(self):
         # The bit-level roster through the accuracy-study fan-out: the

@@ -31,6 +31,7 @@ from repro.mxu.dataflow import lane_products
 from repro.mxu.faults import FaultSpec, FaultStage, FaultyM3XU
 from repro.mxu.m3xu import M3XU
 from repro.mxu.modes import MXUMode
+from repro.mxu.vectorized import BitLevelMXU
 from repro.types.formats import FP32, FP64
 from repro.types.quantize import quantize, quantize_complex
 from repro.types.rounding import RoundingMode
@@ -516,6 +517,25 @@ class TestBitlevelCrossValidation:
         got = M3XU().mma_fp32c(a[None, :], b[:, None], 0.0)[0, 0]
         assert got == bit_level_fp32c_dot(a, b, 0.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["pos", "neg"])
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C], ids=["fp32", "fp32c"])
+    def test_underflowing_sum_keeps_the_oracles_zero_sign(self, mode, sign):
+        # The exact sum, ±2**-160, underflows FP32, so the interval ends
+        # store as -0.0 and +0.0, which compare equal. Only the chain
+        # loop's lo == 0 test sends the element to the windowed model,
+        # whose zero carries the scalar oracle's sign: +0.0 here, and in
+        # FP32C's imaginary register too.
+        v = np.array([2.0**-56, -(2.0**-56), 2.0**-80, 0.0])
+        dtype = np.complex128 if mode is MXUMode.FP32C else np.float64
+        a = (sign * v).astype(dtype)[None, :]
+        b = np.abs(v).astype(dtype)[:, None]
+        k_chunk = 2 if mode is MXUMode.FP32C else 4
+        want = TiledGEMM(BitLevelMXU(engine="scalar"), mode, k_chunk=k_chunk).run(a, b)
+        assert not np.signbit(want.imag if mode is MXUMode.FP32C else want).any()
+        for unit in (M3XU(), BitLevelMXU(engine="vector")):
+            got = TiledGEMM(unit, mode, k_chunk=k_chunk).run(a, b)
+            assert got.tobytes() == want.tobytes(), type(unit).__name__
+
 
 class TestAnchorDiscipline:
     """The value-level and bit-level models share lanes and window width
@@ -534,7 +554,7 @@ class TestAnchorDiscipline:
 
     def test_single_anchor_corner(self):
         value = mxu_sgemm(self.A, self.B)
-        bitlevel = mxu_sgemm(self.A, self.B, fused=False)
+        bitlevel = mxu_sgemm(self.A, self.B, mxu=BitLevelMXU())
         exact = exact_dot(self.A[0], self.B[:, 0], 0.0, FP32)
         assert biteq(value, reference_mma(M3XU(), self.A, self.B, 0.0, MXUMode.FP32))
         assert bitlevel[0, 0] == exact == 1.0 + 2.0**-23
@@ -560,7 +580,7 @@ class TestAnchorDiscipline:
         c = rng.integers(-(2**23), 2**23, (3, 2)) * 2.0 ** (
             expo + rng.integers(0, 4, (3, 2)))
         value = M3XU().mma_fp32(a, b, c)
-        bitlevel = mxu_sgemm(a, b, c, fused=False)
+        bitlevel = mxu_sgemm(a, b, c, mxu=BitLevelMXU())
         assert biteq(value, bitlevel)
         for m in range(3):
             for n in range(2):

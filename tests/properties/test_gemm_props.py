@@ -34,7 +34,7 @@ def test_tie_broken_only_below_the_window_rounds_to_even():
     """
     a = quantize(np.array([1, 2.0**-126, 0, 0, 1, 0, 0, 0, 0]), FP32)
     b = quantize(np.array([2, 1, 0, 0, 62570726, 0, 0, 0, 0]), FP32)
-    vector = TiledGEMM(BitLevelMXU(engine="vector"), MXUMode.FP32, fused=False)
+    vector = TiledGEMM(BitLevelMXU(engine="vector"), MXUMode.FP32)
     assert mxu_sgemm(a[None, :], b[:, None])[0, 0] == 62570728.0
     assert vector.run(a[None, :], b[:, None])[0, 0] == 62570728.0
     assert bit_level_fp32_dot(a, b, 0.0) == 62570728.0
