@@ -9,7 +9,8 @@ entry points and a strided view helper.
 
 Execution runs the whole stack's K-chain in one ``chain`` call of the
 unit (one fused kernel call on M3XU), and can fan the batch axis out
-across worker processes (``workers=N`` or ``REPRO_WORKERS``).
+across worker processes (``workers=N`` or ``REPRO_WORKERS``) by
+:func:`~repro.gemm.tiled.fan_out_ranges`, with no work floor.
 Each matrix's reduction is anchored independently, so results are
 bit-identical for every worker count and to a per-matrix, per-K-chunk
 loop of MMAs.
@@ -25,10 +26,11 @@ import numpy as np
 
 from ..mxu.m3xu import M3XU
 from ..mxu.modes import MXUMode
-from ..parallel import parallel_map, resolve_workers, split_ranges
+from ..parallel import parallel_map
 from ..resilience.abft import guarded_gemm, resolve_abft
 from ..types.formats import FP32
 from ..types.quantize import quantize, quantize_complex
+from .tiled import fan_out_ranges
 
 __all__ = ["batched_mxu_sgemm", "batched_mxu_cgemm", "strided_batch_view"]
 
@@ -67,19 +69,16 @@ def _batched(
 ) -> np.ndarray:
     unit = mxu or M3XU()
     _check_batched(a, b)
-    n_workers = resolve_workers(workers)
     # Stateful units (e.g. the one-shot fault wrapper) must see the whole
-    # batch as one call sequence — fanning out would run a pickled copy of
-    # the unit per worker, firing its state machine once per slice against
-    # slice-local indices.
-    if n_workers <= 1 or a.shape[0] <= 1 or getattr(unit, "requires_serial", False):
+    # batch as one call sequence; fan_out_ranges keeps them in process.
+    ranges = fan_out_ranges(unit, a.shape[0], workers)
+    if not ranges:
         out = _batched_serial(a, b, mode, unit)
     else:
-        ranges = split_ranges(a.shape[0], n_workers)
         pieces = parallel_map(
             _batched_worker,
             [(a[lo:hi], b[lo:hi], mode, unit) for lo, hi in ranges],
-            workers=n_workers,
+            workers=len(ranges),
             chunk_size=1,
         )
         out = np.concatenate(pieces, axis=0)
