@@ -4,9 +4,10 @@ Not a paper figure: this regression-guards the emulator's own execution
 engine and writes the measurements to ``BENCH_hotpath.json`` at the repo
 root for machine consumption.
 
-The value-level rows (``mxu_sgemm``, ``mxu_cgemm``, ``batched_sgemm``,
-``batched_cgemm``) time the production path (one ``M3XU.chain`` call:
-fused/BLAS accumulation) and assert it bit-identical to a per-K-chunk loop of
+The value-level rows (``mxu_sgemm``, ``mxu_cgemm``, and
+``batched_sgemm`` / ``batched_cgemm``, a stack through the same calls)
+time the production path (one ``M3XU.chain`` call: fused/BLAS
+accumulation) and assert it bit-identical to a per-K-chunk loop of
 ``M3XU.mma`` calls on the same operands. Their ``legacy_s`` is the
 committed time of the pre-fusion pipeline, which no longer exists: a
 frozen historical value (full-size shapes, rows marked ``"historical":
@@ -41,8 +42,7 @@ import pytest
 
 from repro import parallel
 from repro.gemm import tiled
-from repro.gemm.batched import batched_mxu_cgemm, batched_mxu_sgemm
-from repro.gemm.tiled import TiledGEMM
+from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
 from repro.mxu import sharded_bitlevel_gemm
 from repro.mxu.m3xu import M3XU
 from repro.mxu.modes import MXUMode
@@ -199,8 +199,8 @@ def test_sgemm_batched(benchmark):
     a = rng.standard_normal((bsz, n, n))
     b = rng.standard_normal((bsz, n, n))
 
-    got = benchmark.pedantic(batched_mxu_sgemm, args=(a, b), rounds=3, iterations=1)
-    fast_s, _ = _timed(lambda: batched_mxu_sgemm(a, b))
+    got = benchmark.pedantic(mxu_sgemm, args=(a, b), rounds=3, iterations=1)
+    fast_s, _ = _timed(lambda: mxu_sgemm(a, b))
     want = _per_chunk_mma(quantize(a, FP32), quantize(b, FP32), MXUMode.FP32)
 
     assert got.tobytes() == want.tobytes()
@@ -213,8 +213,8 @@ def test_cgemm_batched(benchmark):
     a = rng.standard_normal((bsz, n, n)) + 1j * rng.standard_normal((bsz, n, n))
     b = rng.standard_normal((bsz, n, n)) + 1j * rng.standard_normal((bsz, n, n))
 
-    got = benchmark.pedantic(batched_mxu_cgemm, args=(a, b), rounds=3, iterations=1)
-    fast_s, _ = _timed(lambda: batched_mxu_cgemm(a, b))
+    got = benchmark.pedantic(mxu_cgemm, args=(a, b), rounds=3, iterations=1)
+    fast_s, _ = _timed(lambda: mxu_cgemm(a, b))
     want = _per_chunk_mma(
         quantize_complex(a, FP32), quantize_complex(b, FP32), MXUMode.FP32C)
 

@@ -5,11 +5,13 @@ same way ``bench_hotpath.py`` guards the per-GEMM fast path. Three
 questions are measured on the same operands, with bit-identity asserted
 between every configuration:
 
-* **Pool scaling** — batched FP32 GEMM at ``workers ∈ {1, 2, 4}``
-  through the warm persistent pool, bit-identical to ``workers=1``.
-  ``percall_s`` is the committed time of the deleted per-call engine
-  (an executor spawned and torn down inside each call): a frozen
-  historical value (rows marked ``"historical": true``), so
+* **Pool scaling** — a 16×48³ FP32 stack through ``mxu_sgemm`` at
+  ``workers ∈ {1, 2, 4}``, bit-identical to ``workers=1``. The stack
+  carries 1.8·10⁶ multiply-adds, below one ``SHARD_MIN_MACS`` floor
+  (2²⁴), so by the floor it runs in process, one chain call, at every
+  worker count. ``percall_s`` is the committed time of the deleted
+  per-call engine (an executor spawned and torn down inside each call):
+  a frozen historical value (rows marked ``"historical": true``), so
   ``warm_speedup`` compares today's ``warm_s`` against it and has no
   floor.
 * **Cache** — a first (cold) ``run_all()`` vs a second in the same
@@ -47,7 +49,6 @@ from repro import parallel
 from repro.cache import DEFAULT_CACHE
 from repro.eval.runner import render_report, run_all
 from repro.gemm import tiled
-from repro.gemm.batched import batched_mxu_sgemm
 from repro.gemm.tiled import mxu_sgemm
 from repro.mxu import sharded_bitlevel_gemm
 from repro.types.formats import FP32
@@ -57,8 +58,7 @@ from conftest import bench_print, column_block_width
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 
-#: Batched FP32 GEMM shape (batch, N) — sized so per-call pool spawn and
-#: operand pickling are a visible fraction of the call.
+#: FP32 GEMM stack shape (batch, N) of the pool-scaling rows.
 BATCH, N = (6, 24) if SMOKE else (16, 48)
 WORKER_GRID = [1, 2, 4]
 
@@ -120,13 +120,13 @@ def test_pool_scaling(benchmark):
     rng = np.random.default_rng(21)
     a = rng.standard_normal((BATCH, N, N))
     b = rng.standard_normal((BATCH, N, N))
-    reference = batched_mxu_sgemm(a, b, workers=1)
+    reference = mxu_sgemm(a, b, workers=1)
 
     for w in WORKER_GRID:
         parallel.shutdown()
-        batched_mxu_sgemm(a, b, workers=w)  # prime the persistent pool
+        mxu_sgemm(a, b, workers=w)  # prime the persistent pool
         spawns_before = parallel.pool_info()["spawns"]
-        warm_s, got_warm = _best_of(lambda w=w: batched_mxu_sgemm(a, b, workers=w))
+        warm_s, got_warm = _best_of(lambda w=w: mxu_sgemm(a, b, workers=w))
         assert parallel.pool_info()["spawns"] == spawns_before, (
             f"warm timing at workers={w} respawned the pool"
         )
@@ -145,7 +145,7 @@ def test_pool_scaling(benchmark):
 
     # pytest-benchmark record of the headline configuration (warm, w=4).
     got = benchmark.pedantic(
-        batched_mxu_sgemm, args=(a, b), kwargs={"workers": 4}, rounds=3, iterations=1
+        mxu_sgemm, args=(a, b), kwargs={"workers": 4}, rounds=3, iterations=1
     )
     assert got.tobytes() == reference.tobytes()
 

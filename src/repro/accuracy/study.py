@@ -128,8 +128,7 @@ def sgemm_accuracy_study(
     ref = gemm_fp64(a, b, c)
     impls = impls or SGEMM_IMPLS
     outputs = parallel_map(
-        _apply_impl, [(fn, a, b, c) for fn in impls.values()],
-        workers=workers, chunk_size=1,
+        _apply_impl, [(fn, a, b, c) for fn in impls.values()], workers=workers
     )
     results = []
     for name, got in zip(impls, outputs):
@@ -163,8 +162,7 @@ def cgemm_accuracy_study(
     ref = cgemm_fp64(a, b, c)
     impls = impls or CGEMM_IMPLS
     outputs = parallel_map(
-        _apply_impl, [(fn, a, b, c) for fn in impls.values()],
-        workers=workers, chunk_size=1,
+        _apply_impl, [(fn, a, b, c) for fn in impls.values()], workers=workers
     )
     results = []
     for name, got in zip(impls, outputs):

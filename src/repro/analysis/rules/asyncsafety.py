@@ -351,8 +351,8 @@ class MissingDeadlinePropagation(Rule):
     ``parallel_map``'s ``timeout=`` is the only mechanism that turns a
     hung worker into a killed worker instead of a hung request — the
     serving layer must propagate its per-request deadline into *every*
-    call that can reach the pool (directly or through a
-    timeout-accepting wrapper like ``batched_mxu_sgemm``).
+    call that can reach the pool: ``parallel_map`` itself, or a helper
+    that reaches it and takes a ``timeout`` parameter.
     """
 
     rule_id = "AS604"

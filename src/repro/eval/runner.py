@@ -147,7 +147,6 @@ def run_all(
             _run_experiment,
             missing,
             workers=workers,
-            chunk_size=1,
             retries=retries,
             timeout=timeout,
             on_result=record,

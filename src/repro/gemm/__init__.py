@@ -1,7 +1,6 @@
 """GEMM drivers: references, MXU-tiled execution, software schemes."""
 
 from .blas import CGEMM_BACKENDS, SGEMM_BACKENDS, cgemm, sgemm
-from .batched import batched_mxu_cgemm, batched_mxu_sgemm, strided_batch_view
 from .reference import cgemm_fp64, cgemm_simt, gemm_fp64, sgemm_simt
 from .schemes import (
     cgemm_via_4_real,
@@ -30,9 +29,6 @@ __all__ = [
     "fp16_tensorcore_sgemm",
     "cgemm_via_4_real",
     "tensorop_cgemm_3xtf32",
-    "batched_mxu_sgemm",
-    "batched_mxu_cgemm",
-    "strided_batch_view",
     "sgemm",
     "cgemm",
     "SGEMM_BACKENDS",

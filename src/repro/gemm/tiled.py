@@ -13,12 +13,17 @@ call per accumulation register on :class:`~repro.mxu.m3xu.M3XU`, one
 per MMA inside a fault-injecting wrapper, which must see every
 instruction.
 
-Output columns never interact (each has its own dot-product unit and
-accumulation register), so a large GEMM fans out here: one column block
-per worker, each block's whole K-chain one ``chain`` call on a pool
+Leading axes of A and B are batch axes (broadcast like ``np.matmul``):
+a stack of GEMMs is one GEMM whose output elements each have their own
+dot-product unit and accumulation register, so it runs as one ``chain``
+call like any other, and an ABFT-guarded stack is checked matrix by
+matrix against each matrix's own checksums.
+
+Output columns never interact, so a large GEMM fans out here: one column
+block per worker, each block's whole K-chain one ``chain`` call on a pool
 worker, bit-identical to the in-process call. Each block must carry
-:data:`SHARD_MIN_MACS` multiply-adds, and :func:`fan_out_ranges` (shared
-with the batched driver) decides whether a GEMM may leave the process.
+:data:`SHARD_MIN_MACS` multiply-adds, batch axes included;
+:meth:`TiledGEMM._column_blocks` holds the whole decision.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ __all__ = [
     "MXULike",
     "SHARD_MIN_MACS",
     "TiledGEMM",
-    "fan_out_ranges",
     "register_operand",
     "mxu_sgemm",
     "mxu_cgemm",
@@ -59,23 +63,6 @@ __all__ = [
 #: complex one). On a 2-vCPU VM two blocks ran 128³ FP32 at half speed,
 #: 256³ (2**24) 1.16x and 512³ 1.5-1.7x faster (docs/performance.md).
 SHARD_MIN_MACS = 1 << 24
-
-
-def fan_out_ranges(
-    unit: object, n: int, workers: int | None, most: int | None = None
-) -> list[tuple[int, int]]:
-    """The ranges of *n* independent slices (batch matrices or output
-    columns) a GEMM on *unit* runs as pool tasks, one per worker and at
-    most *most*; none means one in-process ``chain`` call. A unit that
-    sets ``requires_serial`` never leaves the process, nor does a call
-    inside a pool worker, where the slices would only run in turn."""
-    if getattr(unit, "requires_serial", False) or in_worker():
-        return []
-    parts = resolve_workers(workers)
-    if most is not None:
-        parts = min(parts, most)
-    ranges = split_ranges(n, parts)
-    return ranges if len(ranges) > 1 else []
 
 
 def register_operand(x: np.ndarray, mode: MXUMode) -> np.ndarray:
@@ -111,6 +98,18 @@ class MXULike(Protocol):
 def _out_shape(aq: np.ndarray, bq: np.ndarray) -> tuple[int, ...]:
     batch = np.broadcast_shapes(aq.shape[:-2], bq.shape[:-2])
     return (*batch, aq.shape[-2], bq.shape[-1])
+
+
+def _fold(part: AbftReport, before: AbftReport, shape: tuple[int, ...]) -> AbftReport:
+    """One matrix's guard report, with the counts and detections of the
+    matrices *before* it in the stack folded in: the report of the
+    *shape* output so far."""
+    part.shape = shape
+    part.checks += before.checks
+    part.recompute_rounds += before.recompute_rounds
+    part.recomputed_tiles += before.recomputed_tiles
+    part.detections[:0] = before.detections
+    return part
 
 
 def _chain_block(
@@ -167,7 +166,8 @@ class TiledGEMM:
     def run(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float = 0.0
     ) -> np.ndarray:
-        """Compute ``A @ B + C`` by chaining MMA instructions along K."""
+        """Compute ``A @ B + C`` by chaining MMA instructions along K
+        (leading axes of A and B are batch axes, broadcast together)."""
         if resolve_abft(self.abft):
             return self._run_guarded(a, b, c)
         return self._run_plain(a, b, c)
@@ -193,7 +193,6 @@ class TiledGEMM:
                 for lo, hi in blocks
             ],
             workers=len(blocks),
-            chunk_size=1,
         )
         return np.concatenate(pieces, axis=-1)
 
@@ -201,14 +200,21 @@ class TiledGEMM:
         """The column ranges of a fanned-out run (none: in process).
 
         One block per worker, and no more blocks than each can fill with
-        :data:`SHARD_MIN_MACS` multiply-adds.
+        :data:`SHARD_MIN_MACS` multiply-adds, counted over every batch
+        axis. A unit that sets ``requires_serial`` never leaves the
+        process, nor does a call inside a pool worker, where the blocks
+        would only run in turn.
         """
+        if getattr(self.mxu, "requires_serial", False) or in_worker():
+            return []
         if min(aq.ndim, bq.ndim) < 2:
             return []
-        macs = math.prod(_out_shape(aq, bq)) * aq.shape[-1]
+        work = math.prod(_out_shape(aq, bq)) * aq.shape[-1]
         if self.mode is MXUMode.FP32C:
-            macs *= 4
-        return fan_out_ranges(self.mxu, bq.shape[-1], self.workers, macs // SHARD_MIN_MACS)
+            work *= 4
+        parts = min(resolve_workers(self.workers), work // SHARD_MIN_MACS)
+        blocks = split_ranges(bq.shape[-1], parts)
+        return blocks if len(blocks) > 1 else []
 
     def _run_guarded(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float
@@ -219,27 +225,44 @@ class TiledGEMM:
         the float64 checksum reference sees exactly the values the MMA
         datapath consumes (re-quantisation inside :meth:`_run_plain` is
         idempotent, keeping the guarded result bit-identical to an
-        unguarded run).
+        unguarded run). The whole stack runs as one :meth:`_run_plain`
+        call; each matrix is then verified against its own checksums and
+        its flagged tiles recomputed. A stack's one report sums the
+        matrices' counts and lists their detections in matrix order.
         """
         self.abft_report = None
         in_fmt = step_plan(self.mode).input_format
         out_fmt = FP64 if self.mode is MXUMode.FP64 else FP32
         aq = register_operand(a, self.mode)
         bq = register_operand(b, self.mode)
-        c_arr = self._register_c(c)
         roundoff = 2.0 ** -min(in_fmt.mantissa_bits, out_fmt.mantissa_bits)
-        try:
-            result, report = guarded_gemm(
-                self._run_plain,
-                aq,
-                bq,
-                c_arr,
-                roundoff=roundoff,
-                config=self.abft_config,
-            )
-        except AbftUncorrectedError as exc:
-            self.abft_report = exc.report
-            raise
+        shape = _out_shape(aq, bq)
+        batch = shape[:-2]
+        cq = np.broadcast_to(self._register_c(c), shape)
+        out = result = self._run_plain(aq, bq, cq)
+        a_stack = np.broadcast_to(aq, (*batch, *aq.shape[-2:]))
+        b_stack = np.broadcast_to(bq, (*batch, *bq.shape[-2:]))
+        report = AbftReport(shape=shape, tile=(self.abft_config or AbftConfig()).tile)
+        for i in np.ndindex(*batch):
+            matrix = out[i]
+            try:
+                verified, part = guarded_gemm(
+                    self._run_plain,
+                    a_stack[i],
+                    b_stack[i],
+                    cq[i],
+                    roundoff=roundoff,
+                    config=self.abft_config,
+                    out=matrix,
+                )
+            except AbftUncorrectedError as exc:
+                self.abft_report = _fold(exc.report, report, shape)
+                raise
+            report = _fold(part, report, shape)
+            if verified is not matrix:
+                if result is out:  # never mutate the kernel's own return buffer
+                    result = np.array(out, copy=True)
+                result[i] = verified
         self.abft_report = report
         return result
 

@@ -1,7 +1,7 @@
 """Process-based parallel execution engine for the functional models.
 
 The emulation workloads are embarrassingly parallel at three natural
-grains: independent matrices of a batched GEMM, independent GEMM
+grains: the column blocks of a large GEMM, independent GEMM
 implementations of an accuracy sweep, and independent experiments of the
 full paper report. This module provides the one executor they all share.
 
@@ -12,9 +12,8 @@ relies on:
 
 * ``workers=1`` (the default) runs serially in-process — no executor, no
   pickling, byte-identical to the pre-parallel code path.
-* ``workers=N`` splits the work into deterministic, ordered chunks and
-  reassembles results in submission order, so outputs are identical for
-  every worker count.
+* ``workers=N`` submits one task per work item and reassembles results
+  in submission order, so outputs are identical for every worker count.
 * The ``REPRO_WORKERS`` environment variable overrides the default for
   callers that do not pass an explicit worker count (``0`` or a negative
   value selects ``os.cpu_count()``).
@@ -23,7 +22,7 @@ Two throughput features sit on top of that contract, neither of which
 changes a single output bit:
 
 **Persistent worker pool.** The executor is created lazily on the first
-parallel call and reused by every subsequent one, so batched GEMM loops,
+parallel call and reused by every subsequent one, so GEMM fan-outs,
 ``run_all`` and the accuracy sweeps stop paying process spawn + teardown
 per call. :func:`shutdown` releases it explicitly (also registered with
 ``atexit``); a process that forks after the pool exists gets a fresh pool
@@ -629,7 +628,6 @@ def parallel_map(
     items: Iterable[_T],
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
     timeout: float | None = None,
     retries: int | None = None,
     backoff: float | None = None,
@@ -641,12 +639,11 @@ def parallel_map(
     Serial for ``workers <= 1`` (or a single item), and always serial
     when called from inside a pool worker — nested parallelism collapses
     to the (bit-identical) serial path instead of forking pools from
-    forked workers. Otherwise fans out over the persistent process pool
-    with chunked work units. *fn* and
-    the items must be picklable in the parallel case (module-level
-    functions and plain data/numpy arrays are). ndarrays of at least
-    :data:`SHM_MIN_BYTES` travel via shared memory instead of pickle,
-    one segment per distinct array per call.
+    forked workers. Otherwise fans out over the persistent process pool,
+    one task per item. *fn* and the items must be picklable in the
+    parallel case (module-level functions and plain data/numpy arrays
+    are). ndarrays of at least :data:`SHM_MIN_BYTES` travel via shared
+    memory instead of pickle, one segment per distinct array per call.
 
     Resilience (all optional and inert when unset — see
     :func:`repro.resilience.resolve_policy`):
@@ -667,9 +664,9 @@ def parallel_map(
         ``on_result(index, result)`` observes every completed task as
         soon as its result is available (the checkpoint journal hook).
 
-    When the resolved policy is active, work is dispatched one task per
-    submission (no chunking) so failures are attributed to exact items;
-    the inert-policy fast paths are unchanged down to the last bit.
+    When the resolved policy is active, each task is submitted on its own
+    so failures are attributed to exact items; the inert-policy fast
+    path maps the same tasks in one ``Executor.map`` call.
     """
     work: Sequence[_T] = list(items)
     if not work:
@@ -687,10 +684,6 @@ def parallel_map(
     if resilient and policy.timeout is None and (n_workers <= 1 or len(work) <= 1):
         return _serial_resilient(fn, work, policy, on_result, return_failures)
     n_workers = max(1, min(n_workers, len(work)))
-    if chunk_size is None:
-        # ~4 chunks per worker bounds both scheduling overhead and tail
-        # imbalance without tuning per workload.
-        chunk_size = max(1, -(-len(work) // (n_workers * 4)))
 
     segments: _Segments = {}
     payload: Sequence[Any] = work
@@ -705,7 +698,7 @@ def parallel_map(
             )
         try:
             pool = _get_pool(n_workers)
-            out = _drain(pool.map(call, payload, chunksize=chunk_size), on_result)
+            out = _drain(pool.map(call, payload), on_result)
             _note_pool_event("ok")
             return out
         except BrokenProcessPool:

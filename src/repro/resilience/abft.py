@@ -35,7 +35,9 @@ How the guard works, per GEMM:
    :class:`AbftUncorrectedError` instead of returning corrupt data.
 
 Enable globally with ``REPRO_ABFT=1`` or per-driver with
-``TiledGEMM(..., abft=True)`` / ``batched_mxu_sgemm(..., abft=True)``.
+``TiledGEMM(..., abft=True)`` (``mxu_sgemm(..., abft=True)``). The driver
+guards a stack of GEMMs matrix by matrix, each against its own
+checksums.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
     "guarded_gemm",
 ]
 
-#: Environment switch: ``REPRO_ABFT=1`` guards every TiledGEMM/batched GEMM.
+#: Environment switch: ``REPRO_ABFT=1`` guards every TiledGEMM run.
 ABFT_ENV = "REPRO_ABFT"
 
 
@@ -111,9 +113,10 @@ class Detection:
 
 @dataclass
 class AbftReport:
-    """What the guard saw while protecting one GEMM."""
+    """What the guard saw while protecting one GEMM (or one stack: counts
+    summed over its matrices, detections in matrix order)."""
 
-    shape: tuple[int, int]
+    shape: tuple[int, ...]
     tile: int
     checks: int = 0
     detections: list[Detection] = field(default_factory=list)
@@ -293,9 +296,10 @@ def guarded_gemm(
     roundoff:
         Unit roundoff of the mode (``2**-23`` for FP32 results).
     out:
-        Optional precomputed ``compute(a, b, c)`` result (used by the
-        batched guard to verify a result the parallel engine already
-        produced).
+        Optional precomputed ``compute(a, b, c)`` result, verified
+        instead of computed: one matrix of a stack the tiled driver ran
+        in one call, or a cached result the server re-verifies. It is
+        never written to; a recomputed result is a copy.
 
     Returns
     -------

@@ -2,8 +2,8 @@
 
 The serving layer turns the repo's bit-exact GEMM/FFT/MRF stack into a
 long-running service with explicit robustness semantics: admission
-control and backpressure (:mod:`.admission`), request coalescing onto
-the batched entry points (:mod:`.batcher`), a degradation ladder and a
+control and backpressure (:mod:`.admission`), request coalescing into
+stacked GEMMs (:mod:`.batcher`), a degradation ladder and a
 pool circuit breaker (:mod:`.degrade`), per-request deadline propagation
 into the worker pool, and one ``run_table.csv`` row per request
 (:mod:`.records`). See :mod:`.server` for the protocol and

@@ -3,9 +3,9 @@ batched GEMM while the executor is busy.
 
 The serving workload is dominated by many small, identically shaped
 GEMMs (FFT radix stages, EPG recursions, fingerprint matches). Executing
-them one pool round-trip each wastes the batch axis the batched entry
-points (:mod:`repro.gemm.batched`) were built for: one fused K-chain
-call over the whole stack.
+them one pool round-trip each wastes the batch axis of the tiled driver
+(:class:`repro.gemm.tiled.TiledGEMM`): a stack of GEMMs is one fused
+K-chain call.
 
 Every admitted job goes through one FIFO and one dispatch task. A job
 that reaches an idle batcher is flushed at once, alone; jobs that arrive
@@ -13,10 +13,10 @@ while a flush is running wait, and leave as the next round, grouped by
 :class:`BatchKey` — op, GEMM shape, and execution class (degrade level,
 ABFT flag) — in arrival order, at most ``max_batch`` jobs per group. So
 jobs coalesce exactly while the executor is busy, and no job ever waits
-on a timer. Batching is a pure scheduling transform: the batched entry
-points are bit-identical per matrix to the single-GEMM driver, so a
-coalesced request returns exactly the bytes it would have alone
-(asserted in ``tests/serve/``).
+on a timer. Batching is a pure scheduling transform: each matrix of a
+stack is bit-identical to the same GEMM run alone, so a coalesced
+request returns exactly the bytes it would have alone (asserted in
+``tests/serve/``).
 """
 
 from __future__ import annotations

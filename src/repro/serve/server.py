@@ -12,8 +12,8 @@ on the repo's emulation stack with the full robustness kit engaged:
 * **Group commit** (:mod:`repro.serve.batcher`): every job goes through
   one queue. A job that finds the executor idle runs at once; jobs that
   arrive while it is busy leave together, and shape-compatible small
-  GEMMs among them are stacked into one batched GEMM
-  (:func:`repro.gemm.batched.batched_mxu_sgemm` and friends) —
+  GEMMs among them are stacked into one GEMM with a leading batch axis
+  (run by :class:`repro.gemm.tiled.TiledGEMM` like any other GEMM) —
   bit-identical per matrix to a lone request. Every group, coalesced or
   alone, reaches the pool through one ``parallel_map`` dispatch.
 * **Content-addressed cache** (:mod:`repro.cache`): repeat payloads are
@@ -73,7 +73,6 @@ import numpy as np
 
 from .. import parallel
 from ..cache import ResultCache, stable_digest
-from ..gemm.batched import batched_mxu_cgemm, batched_mxu_sgemm
 from ..gemm.tiled import TiledGEMM
 from ..mxu.m3xu import M3XU
 from ..mxu.modes import MXUMode
@@ -258,23 +257,16 @@ def _exec_job(payload: dict[str, Any]) -> np.ndarray:
     op = payload["op"]
     # workers=1: the server already cut the group into one slice per
     # worker, and an in-process (SERIAL) slice must never reach the pool.
-    if op == "gemm":
-        return batched_mxu_sgemm(payload["a"], payload["b"], mxu=unit, workers=1, abft=abft)
-    if op == "cgemm":
-        return batched_mxu_cgemm(payload["a"], payload["b"], mxu=unit, workers=1, abft=abft)
+    mode = MXUMode.FP32 if op == "gemm" else MXUMode.FP32C
+    gemm = TiledGEMM(unit, mode, abft=abft, workers=1)
+    if op in ("gemm", "cgemm"):
+        return gemm.run(payload["a"], payload["b"])
     if op == "fft":
         from ..apps.fft import gemm_fft
 
-        def cgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return TiledGEMM(unit, MXUMode.FP32C, abft=abft, workers=1).run(a, b, 0.0)
-
-        return gemm_fft(payload["x"], cgemm=cgemm)
+        return gemm_fft(payload["x"], cgemm=gemm.run)
     if op == "mrf":
-        def cgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return TiledGEMM(unit, MXUMode.FP32C, abft=abft, workers=1).run(a, b, 0.0)
-
-        corr = cgemm(np.conj(payload["a"]), payload["b"].T)
-        return np.abs(corr)
+        return np.abs(gemm.run(np.conj(payload["a"]), payload["b"].T))
     raise ValueError(f"unknown op {op!r}")
 
 

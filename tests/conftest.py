@@ -25,3 +25,27 @@ def fp32c_array(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarr
     return quantize_complex(
         (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale, FP32
     )
+
+
+@pytest.fixture
+def no_floor(monkeypatch):
+    """Every GEMM fans out, one column block per worker. Set before the
+    pool forks, so the workers' nested calls see it too."""
+    from repro.gemm import tiled
+
+    monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 1)
+
+
+def spy_blocks(monkeypatch) -> list[list[int]]:
+    """Record the column widths of every fanned-out call's blocks."""
+    from repro.gemm import tiled
+
+    calls: list[list[int]] = []
+    real = tiled.parallel_map
+
+    def spy(fn, tasks, **kw):
+        calls.append([task[2].shape[-1] for task in tasks])
+        return real(fn, tasks, **kw)
+
+    monkeypatch.setattr(tiled, "parallel_map", spy)
+    return calls

@@ -1,10 +1,10 @@
 """The tiled driver's column fan-out: parity, the work floor, pool hygiene.
 
 ``TiledGEMM`` cuts N into one block per worker when every block carries
-at least ``SHARD_MIN_MACS`` multiply-adds, for every model that does not
-set ``requires_serial`` and never inside a pool worker (``fan_out_ranges``,
-which the batched driver shares); ``sharded_bitlevel_gemm`` is that
-driver on a ``BitLevelMXU``. Every test here enforces the one claim: the result is
+at least ``SHARD_MIN_MACS`` multiply-adds (batch axes included), for every
+model that does not set ``requires_serial`` and never inside a pool worker
+(``TiledGEMM._column_blocks``); ``sharded_bitlevel_gemm`` is that driver
+on a ``BitLevelMXU``. Every test here enforces the one claim: the result is
 bit-identical to the serial per-MMA chain at *every* worker count, block
 width, engine, and transport, and the fan-out composes with the pool
 without deadlocks or leaked shared-memory segments. Tests force fan-out
@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 
 from repro import parallel
-from repro.gemm import batched, tiled
-from repro.gemm.batched import batched_mxu_sgemm
-from repro.gemm.tiled import TiledGEMM, fan_out_ranges, mxu_cgemm, mxu_sgemm
+from repro.gemm import tiled
+from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
 from repro.mxu import sharded_bitlevel_gemm
 from repro.mxu.baseline import TensorCoreMXU
 from repro.mxu.faults import FaultSpec, FaultStage, FaultyM3XU
@@ -32,6 +31,7 @@ from repro.mxu.vectorized import BitLevelMXU, NonFiniteOperandError
 from repro.parallel import parallel_map, pool_info
 from repro.types.formats import FP32
 from repro.types.quantize import quantize, quantize_complex
+from tests.conftest import spy_blocks
 
 WORKER_GRID = [0, 1, 2, 3]
 
@@ -41,13 +41,6 @@ def _fresh_pool():
     parallel.shutdown()
     yield
     parallel.shutdown()
-
-
-@pytest.fixture
-def no_floor(monkeypatch):
-    """Every GEMM fans out, one block per worker. Set before the pool
-    forks, so the workers' nested calls see it too."""
-    monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 1)
 
 
 def _real(rng, m, k, n):
@@ -79,19 +72,6 @@ def _per_mma_chain(a, b, c, mode, engine="scalar"):
     for k0 in range(0, a.shape[1], int(step)):
         acc = mxu.mma(a[:, k0 : k0 + step], b[k0 : k0 + step, :], acc, mode)
     return np.asarray(acc)
-
-
-def _spy_blocks(monkeypatch):
-    """Record the column widths of every fanned-out call's blocks."""
-    calls = []
-    real = tiled.parallel_map
-
-    def spy(fn, tasks, **kw):
-        calls.append([task[2].shape[-1] for task in tasks])
-        return real(fn, tasks, **kw)
-
-    monkeypatch.setattr(tiled, "parallel_map", spy)
-    return calls
 
 
 # ---- module-level (picklable) helpers for nested-pool tests ----------
@@ -127,7 +107,7 @@ class TestResolveChunk:
     can each carry SHARD_MIN_MACS multiply-adds."""
 
     def test_default(self, monkeypatch):
-        calls = _spy_blocks(monkeypatch)
+        calls = spy_blocks(monkeypatch)
         rng = np.random.default_rng(3)
         # The bitlevel workload's shape (2**20 multiply-adds) stays in
         # process at 2 workers: no pool, nothing published.
@@ -148,24 +128,41 @@ class TestResolveChunk:
         got = TiledGEMM(M3XU(), MXUMode.FP32, k_chunk=256, workers=2).run(a, b)
         assert calls == [[256, 256]]
         assert got.tobytes() == want.tobytes()
+        # A stack is no different: 16 x 48^3 (1.8e6 multiply-adds) stays
+        # in process at any worker count.
+        a = quantize(rng.standard_normal((16, 48, 48)), FP32)
+        b = quantize(rng.standard_normal((16, 48, 48)), FP32)
+        mxu_sgemm(a, b, workers=4)
+        assert calls == [[256, 256]]
 
     def test_fan_out_rule(self, monkeypatch):
-        # The one rule both drivers share: a range per worker, capped by
-        # the caller; fewer than two ranges is the in-process call.
-        assert fan_out_ranges(M3XU(), 7, 3) == [(0, 3), (3, 5), (5, 7)]
-        assert fan_out_ranges(M3XU(), 7, 3, most=2) == [(0, 4), (4, 7)]
-        assert fan_out_ranges(M3XU(), 7, 3, most=1) == []
-        assert fan_out_ranges(M3XU(), 1, 3) == []
-        assert fan_out_ranges(M3XU(), 7, 1) == []
+        # The one rule: a block per worker, capped by the floor (batch
+        # axes count, an FP32C multiply-add counts four); fewer than two
+        # blocks is the in-process call.
+        def blocks(workers, n=7, batch=(), unit=None, mode=MXUMode.FP32):
+            gemm = TiledGEMM(unit or M3XU(), mode, workers=workers)
+            return gemm._column_blocks(np.zeros((*batch, 1, 1)), np.zeros((1, n)))
+
+        monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 1)
+        assert blocks(3) == [(0, 3), (3, 5), (5, 7)]
+        assert blocks(3, n=1) == []
+        assert blocks(1) == []
+        monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 3)  # two floors of work
+        assert blocks(3) == [(0, 4), (4, 7)]
+        monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 7)  # one floor
+        assert blocks(3) == []
+        assert blocks(3, batch=(2,)) == [(0, 4), (4, 7)]
+        assert blocks(3, mode=MXUMode.FP32C) == [(0, 3), (3, 5), (5, 7)]
+        monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 1)
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert fan_out_ranges(M3XU(), 4, None) == [(0, 2), (2, 4)]
+        assert blocks(None, n=4) == [(0, 2), (2, 4)]
         spec = FaultSpec(stage=FaultStage.ACCUMULATOR, call_index=1, seed=0)
-        assert fan_out_ranges(FaultyM3XU(spec), 7, 3) == []
+        assert blocks(3, unit=FaultyM3XU(spec)) == []
         monkeypatch.setattr(tiled, "in_worker", lambda: True)
-        assert fan_out_ranges(M3XU(), 7, 3) == []
+        assert blocks(3) == []
 
     def test_constant_read_at_call_time(self, rng, monkeypatch):
-        calls = _spy_blocks(monkeypatch)
+        calls = spy_blocks(monkeypatch)
         a, b, c = _real(rng, 2, 3, 7)  # 42 multiply-adds
         monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 3)
         sharded_bitlevel_gemm(a, b, c, workers=3)
@@ -197,7 +194,7 @@ class TestShardedParity:
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_chunk_size_never_changes_bits(self, rng, chunk, monkeypatch):
         # A floor of `chunk` columns' work: 3, 2 or 1 block(s) at 3 workers.
-        calls = _spy_blocks(monkeypatch)
+        calls = spy_blocks(monkeypatch)
         a, b, c = _real(rng, 5, 13, 11)
         want = sharded_bitlevel_gemm(a, b, c, workers=1)
         monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 5 * 13 * chunk)
@@ -256,7 +253,7 @@ class TestTiledRouting:
     """TiledGEMM / mxu_sgemm / mxu_cgemm fan out; serial units do not."""
 
     def test_plain_bitlevel_takes_sharded_path(self, rng, monkeypatch, no_floor):
-        calls = _spy_blocks(monkeypatch)
+        calls = spy_blocks(monkeypatch)
         a, b, c = _real(rng, 5, 9, 6)
         gemm = TiledGEMM(BitLevelMXU(), MXUMode.FP32, workers=2)
         want = _per_mma_chain(a, b, c, MXUMode.FP32)
@@ -284,7 +281,7 @@ class TestTiledRouting:
         assert faulty.calls == 2 and faulty.fired
 
     def test_plain_subclass_fans_out_like_its_base(self, rng, monkeypatch, no_floor):
-        calls = _spy_blocks(monkeypatch)
+        calls = spy_blocks(monkeypatch)
         a, b, c = _real(rng, 4, 8, 4)
         got = TiledGEMM(_Subclass(), MXUMode.FP32, workers=2).run(a, b, c)
         assert got.tobytes() == _per_mma_chain(a, b, c, MXUMode.FP32).tobytes()
@@ -325,9 +322,7 @@ class TestPoolHygiene:
     def test_nested_sharded_call_runs_serial_in_worker(self, rng, no_floor):
         a, b, c = _real(rng, 4, 8, 6)
         want = sharded_bitlevel_gemm(a, b, c, workers=1)
-        results = parallel_map(
-            _nested_sharded, [(a, b, c)] * 2, workers=2, chunk_size=1
-        )
+        results = parallel_map(_nested_sharded, [(a, b, c)] * 2, workers=2)
         for pid, spawned_in_worker, out in results:
             assert pid != os.getpid()
             assert spawned_in_worker == 0  # no pool forked inside the pool
@@ -364,12 +359,11 @@ class TestPoolHygiene:
 
     @pytest.mark.parametrize("batch", [(), (3,)], ids=["tiled", "batched"])
     def test_call_inside_a_worker_is_one_chain(self, rng, monkeypatch, no_floor, batch):
-        # In a pool worker the slices could only run one after another, so
-        # both drivers make the one in-process chain call instead.
+        # In a pool worker the blocks could only run one after another, so
+        # a GEMM or a stack makes the one in-process chain call instead.
         a = quantize(rng.standard_normal((*batch, 4, 8)), FP32)
         b = quantize(rng.standard_normal((*batch, 8, 6)), FP32)
-        gemm = batched_mxu_sgemm if batch else mxu_sgemm
-        want = gemm(a, b, workers=1, abft=False)
+        want = mxu_sgemm(a, b, workers=1, abft=False)
 
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("a call inside a pool worker must not map")
@@ -383,9 +377,8 @@ class TestPoolHygiene:
 
         monkeypatch.setattr(tiled, "in_worker", lambda: True)
         monkeypatch.setattr(tiled, "parallel_map", forbidden)
-        monkeypatch.setattr(batched, "parallel_map", forbidden)
         monkeypatch.setattr(M3XU, "chain", counting_chain)
-        assert gemm(a, b, workers=2, abft=False).tobytes() == want.tobytes()
+        assert mxu_sgemm(a, b, workers=2, abft=False).tobytes() == want.tobytes()
         assert chains == [a.shape]
 
     def test_serial_sharding_spawns_no_pool(self, rng, no_floor):
@@ -416,9 +409,7 @@ class TestShardedIntegration:
         # Per call: dense A once, however many column blocks carry it,
         # plus each block's own B and C.
         assert pool_info()["arena"]["publishes"] == before + 2 * (1 + 2 * blocks)
-        probes = parallel_map(
-            _worker_attaches, [None, None], workers=2, chunk_size=1, timeout=60.0
-        )
+        probes = parallel_map(_worker_attaches, [None, None], workers=2, timeout=60.0)
         assert all(in_wkr for in_wkr, _ in probes)
         assert any(attaches >= 1 for _, attaches in probes)
 

