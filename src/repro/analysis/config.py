@@ -56,9 +56,7 @@ DEFAULT_EXACT_SOURCES = (
     "repro.arith.accumulator.segmented_windowed_sum_f32",
     "repro.arith.accumulator.int_window_to_float",
     "repro.arith.exact.exact_dot",
-    "repro.mxu.bitlevel.split_fp32_bits",
-    "repro.mxu.bitlevel.bit_level_fp32_dot",
-    "repro.mxu.bitlevel.bit_level_fp32c_dot",
+    "repro.mxu.bitlevel.bit_level_chain",
     "repro.mxu.vectorized.split_fp32_fields",
     "repro.mxu.vectorized.fp32_bit_fields",
     "repro.mxu.dataflow.lane_products",

@@ -9,9 +9,9 @@ are therefore processed whole (tiling them would not change a single bit).
 
 The driver quantises each operand once (:func:`register_operand`) and
 hands the whole chain to the model's ``chain`` method: one fused kernel
-call per accumulation register on :class:`~repro.mxu.m3xu.M3XU`, one
-per MMA inside a fault-injecting wrapper, which must see every
-instruction.
+call per accumulation register on :class:`~repro.mxu.m3xu.M3XU`, and at
+most three chain calls inside a fault-injecting wrapper, which runs the
+instruction its fault names alone.
 
 Leading axes of A and B are batch axes (broadcast like ``np.matmul``):
 a stack of GEMMs is one GEMM whose output elements each have their own

@@ -1,12 +1,7 @@
 """Hardware functional models: baseline Tensor Core MXU and M3XU."""
 
 from .baseline import TensorCoreMXU
-from .bitlevel import (
-    BitAccumulator,
-    bit_level_fp32_dot,
-    bit_level_fp32c_dot,
-    split_fp32_bits,
-)
+from .bitlevel import BitAccumulator, bit_level_chain
 from .config import (
     AMPERE_MXU,
     M3XU_CONFIG,
@@ -36,13 +31,10 @@ from .vectorized import (
     BitLevelMXU,
     NonFiniteOperandError,
     ProductFault,
-    chained_vector_fp32,
-    chained_vector_fp32c,
+    chained_vector,
     fp32_bit_fields,
     product_slot_count,
     resolve_bitlevel_engine,
-    scalar_mma_fp32,
-    scalar_mma_fp32c,
     sharded_bitlevel_gemm,
     split_fp32_fields,
 )
@@ -50,21 +42,16 @@ from .vectorized import (
 __all__ = [
     "TensorCoreMXU",
     "BitAccumulator",
-    "bit_level_fp32_dot",
-    "bit_level_fp32c_dot",
-    "split_fp32_bits",
+    "bit_level_chain",
     "BITLEVEL_ENV",
     "BitLevelMXU",
     "sharded_bitlevel_gemm",
     "NonFiniteOperandError",
     "ProductFault",
-    "chained_vector_fp32",
-    "chained_vector_fp32c",
+    "chained_vector",
     "fp32_bit_fields",
     "product_slot_count",
     "resolve_bitlevel_engine",
-    "scalar_mma_fp32",
-    "scalar_mma_fp32c",
     "split_fp32_fields",
     "MultiStepScheme",
     "composed_gemm",

@@ -233,12 +233,13 @@ class FaultyM3XU:
     """An MXU wrapper that injects one transient fault, then runs clean.
 
     Wraps any MXU functional model exposing the ``mma``/``chain``
-    contract and runs a chain one MMA at a time, passing every MMA
-    through unchanged except the one the armed :class:`FaultSpec` names,
-    where the configured upset is applied: operand-stage faults corrupt
-    the A operand before the data-assignment stage splits it; the
-    later-stage faults corrupt the MMA output according to the
-    microarchitectural prediction for their stage. The fault fires
+    contract and passes every MMA through unchanged except the one the
+    armed :class:`FaultSpec` names, where the configured upset is
+    applied: operand-stage faults corrupt the A operand before the
+    data-assignment stage splits it; the later-stage faults corrupt the
+    MMA output according to the microarchitectural prediction for their
+    stage. A chain is at most three unit calls: the MMAs before the named
+    one, the named MMA alone, and the MMAs after it. The fault fires
     exactly once — the transient-upset model — so a recomputation of the
     affected region observes a clean unit.
 
@@ -386,7 +387,7 @@ class FaultyM3XU:
         run: Callable[..., np.ndarray],
         a: np.ndarray,
         b: np.ndarray,
-        c: np.ndarray | float,
+        c: np.ndarray | float | complex,
         mode: MXUMode,
         **kwargs: Any,
     ) -> np.ndarray:
@@ -424,25 +425,40 @@ class FaultyM3XU:
         *,
         c_quantized: bool = False,
     ) -> np.ndarray:
-        """The unit's K-chain, run one ``unit.chain`` call per MMA so that
-        :attr:`FaultSpec.call_index` names one instruction."""
+        """The unit's K-chain, with the MMA that :attr:`FaultSpec.call_index`
+        names run alone through :meth:`_instruction`.
+
+        A chain the armed fault does not name (also one after it fired) is
+        one ``unit.chain`` call; otherwise one call covers the MMAs before
+        the named one and one the MMAs after it. Chunk seams are FP32
+        rounding points, so the pieces compose bit for bit. :attr:`calls`
+        advances by the chain's MMA count either way.
+        """
         a, b = np.asarray(a), np.asarray(b)
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"K mismatch: A{a.shape} @ B{b.shape}")
         bounds = chunk_bounds(a.shape[-1], k_chunk)
-        if not bounds:  # a chain of no MMAs: nothing to fire on
+        hit = self.spec.call_index - self.calls
+        if self.fired or not 0 <= hit < len(bounds):
+            self.calls += len(bounds)
             return self.unit.chain(a, b, c, mode, k_chunk, c_quantized=c_quantized)
+        k0, k1 = bounds[hit]
         acc = c
-        for k0, k1 in bounds:
-            acc = self._instruction(
-                self.unit.chain,
-                a[..., k0:k1],
-                b[..., k0:k1, :],
-                acc,
-                mode,
-                c_quantized=c_quantized,
+        if k0:
+            acc = self.unit.chain(
+                a[..., :k0], b[..., :k0, :], acc, mode, k_chunk, c_quantized=c_quantized
             )
             c_quantized = True
+        self.calls += hit
+        acc = self._instruction(
+            self.unit.chain, a[..., k0:k1], b[..., k0:k1, :], acc, mode,
+            c_quantized=c_quantized,
+        )
+        self.calls += len(bounds) - hit - 1
+        if k1 < a.shape[-1]:
+            acc = self.unit.chain(
+                a[..., k1:], b[..., k1:, :], acc, mode, k_chunk, c_quantized=True
+            )
         return acc
 
     def mma_fp32(self, a: np.ndarray, b: np.ndarray, c: np.ndarray | float) -> np.ndarray:

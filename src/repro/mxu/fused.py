@@ -34,8 +34,8 @@ over it. Three pieces do the work:
    (:mod:`repro.mxu.vectorized`). Only the gathered panels are split
    (:func:`~repro.mxu.dataflow.resolve_parts`), so no whole-operand split
    exists on this path. Narrow windows (the baseline Tensor Core's ~27
-   bits), FP64 mode and broadcast batches take the windowed path for
-   every element, splitting one chunk at a time.
+   bits) and FP64 mode take the windowed path for every element,
+   splitting one chunk at a time.
 
 3. **Guess, then verify** — a failing element whose interval is narrow
    (both FP32 ends finite, nonzero, of one sign and at most
@@ -235,9 +235,11 @@ def _fast_chain(
     """BLAS chain with per-element *fallback* reduction (see module doc).
 
     *acc* holds the initial accumulator and is updated in place, chunk by
-    chunk; every temporary is allocated once for the whole chain. A chain
-    of no chunks leaves *acc* untouched. With *guess* off, every failing
-    element resolves at its chunk (:func:`_restart` runs chains so).
+    chunk, so it must be C-ordered: the loop writes the elements it
+    settles through a flat view. Every temporary is allocated once for
+    the whole chain. A chain of no chunks leaves *acc* untouched. With
+    *guess* off, every failing element resolves at its chunk
+    (:func:`_restart` runs chains so).
     """
     terms = _blas_terms(a, b, mode, accumulator)
     (a0, b0, _), rest = terms[0], terms[1:]
@@ -484,19 +486,18 @@ def accumulate_mma(
         whereas a chain of no chunks returns C untouched.
     """
     k = a.shape[-1]
-    out_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
-        a.shape[-2],
-        b.shape[-1],
-    )
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     bounds = chunk_bounds(k, k_chunk)
-    acc = np.array(np.broadcast_to(c_q, out_shape), dtype=np.float64)
-    if (
-        acc_bits is not None
-        and acc_bits >= FAST_MIN_ACC_BITS
-        and out_fmt == FP32
-        and k >= 1
-        and a.shape[:-2] == b.shape[:-2]  # fallback gather needs equal batches
-    ):
+    # C order: the fast chain writes through a flat view of the register.
+    acc = np.array(
+        np.broadcast_to(c_q, batch + (a.shape[-2], b.shape[-1])),
+        dtype=np.float64,
+        order="C",
+    )
+    if acc_bits is not None and acc_bits >= FAST_MIN_ACC_BITS and out_fmt == FP32 and k >= 1:
+        # The fallback gathers panels with the output's batch index.
+        a = np.broadcast_to(a, batch + a.shape[-2:])
+        b = np.broadcast_to(b, batch + b.shape[-2:])
         fallback = partial(_fallback_windowed, mode, accumulator, acc_bits, rounding)
         return _fast_chain(a, b, acc, mode, accumulator, bounds, acc_bits, fallback)
     for k0, k1 in bounds:

@@ -1,16 +1,18 @@
 """Array-at-a-time bit-level M3XU datapath (the vectorized engine).
 
-:mod:`repro.mxu.bitlevel` executes the RTL-fidelity FP32/FP32C datapath
-one scalar dot product at a time — perfect as an oracle, far too slow for
-campaign-scale work. This module evaluates the same datapath on whole
-tiles, bit-identically:
+:mod:`repro.mxu.bitlevel` walks the RTL-fidelity FP32/FP32C datapath one
+product slot at a time through a
+:class:`~repro.mxu.bitlevel.BitAccumulator` — perfect as an oracle, far
+too slow for campaign-scale work. This module evaluates the same
+datapath on whole tiles, bit-identically:
 
 * **Splitting** (Fig. 3a, Eq. 3-8) — the sign/exponent/mantissa fields of
   every FP32 operand are read in one shot through a ``uint32`` bit view
   (:func:`fp32_bit_fields`), and the 12-bit H/L slices are pure integer
-  shifts/masks of those arrays. Subnormals (no hidden bit), ±0 and the
+  shifts/masks of those arrays (:func:`split_fp32_fields`, which the
+  scalar walker reads too). Subnormals (no hidden bit), ±0 and the
   finiteness/representability contract are handled by masks and upfront
-  checks, exactly as the scalar :func:`~repro.mxu.bitlevel.split_fp32_bits`.
+  checks.
 * **Proof first** — each chunk of a K-chain is first a float64 BLAS
   product, and the soundness interval of the value level's loop
   (:func:`repro.mxu.fused._fast_chain`) settles every output element
@@ -29,8 +31,8 @@ tiles, bit-identically:
   elementwise *float32* product of those panels (exact: the pre-signed
   slices carry at most 12 bits each), written straight into a strided
   column view of one ``(n, lanes*K + 1)`` slot buffer ordered exactly as
-  the scalar loop visits the slots (k-major, lane-minor), with the C
-  operand as the last slot.
+  the scalar walker visits the slots (k-major, then the mode's component
+  schedule, then lane), with the C operand as the last slot.
 * **Shifted 48-bit accumulation** (Fig. 3b) — the slot buffer feeds
   :func:`~repro.arith.accumulator.segmented_windowed_sum_f32`, the
   segmented exact reformulation of the
@@ -47,19 +49,21 @@ tiles, bit-identically:
 * **Complex sign flips** (Eq. 9) — the imag*imag subtraction negates the
   B-side slices of that pairing in the real accumulator.
 
-The vector engine is one kernel per mode — :func:`chained_vector_fp32`
-and :func:`chained_vector_fp32c` — evaluating a whole K-chain of MMAs;
-a single MMA is the one-chunk chain. A product fault sends its chunk
-through the datapath for every element, so the faulted lane always
-runs. Engine selection: ``REPRO_BITLEVEL=vector`` (default) or ``scalar``
-(:func:`resolve_bitlevel_engine`); the scalar functions here walk the
-same slot ordering through :class:`~repro.mxu.bitlevel.BitAccumulator`
-and are retained as the oracle the property suite compares against.
-:class:`BitLevelMXU` packages either engine behind the ``mma``/
-``chain`` contract so ``TiledGEMM(BitLevelMXU(), mode)`` (which fans a
-large GEMM's column blocks out over the pool like any stateless model),
-ABFT tile recomputation and the fault campaigns run it unchanged, and
-both engines accept a :class:`ProductFault` — a bit flip in one
+FP32 and FP32C share one datapath: FP32 is the one rr pairing of FP32C's
+Fig. 3(c) component schedule (:data:`_SCHEDULE`, one table per mode), so
+the vector engine is one kernel, :func:`chained_vector`, evaluating a
+whole K-chain of MMAs in either mode; a single MMA is the one-chunk
+chain. A product fault sends its chunk through the datapath for every
+element, so the faulted lane always runs. Engine selection:
+``REPRO_BITLEVEL=vector`` (default) or ``scalar``
+(:func:`resolve_bitlevel_engine`); the scalar engine is the oracle walker
+:func:`~repro.mxu.bitlevel.bit_level_chain`, which visits the same slots
+through :class:`~repro.mxu.bitlevel.BitAccumulator`.
+:class:`BitLevelMXU` calls one of the two behind the ``mma``/``chain``
+contract, so ``TiledGEMM(BitLevelMXU(), mode)`` (which fans a large
+GEMM's column blocks out over the pool like any stateless model), ABFT
+tile recomputation and the fault campaigns run it unchanged, and both
+engines accept a :class:`ProductFault` — a bit flip in one
 multiplier-lane product, addressed by flat slot index — for campaign
 injection.
 """
@@ -96,10 +100,8 @@ __all__ = [
     "product_slot_count",
     "PRODUCT_BITS",
     "fp32_lane_fields",
+    "chained_vector",
     "chained_vector_fp32",
-    "chained_vector_fp32c",
-    "scalar_mma_fp32",
-    "scalar_mma_fp32c",
     "BitLevelMXU",
     "sharded_bitlevel_gemm",
 ]
@@ -126,43 +128,32 @@ _MANT_MASK = 0x7FFFFF
 _EXP_MASK = 0xFF
 _LO_MASK = 0xFFF
 
-#: (a slice, b slice, accumulator weight shift) — 0 = H, 1 = L. Identical
-#: to the scalar reference's schedule: step 1 is H*H (shift 24) and L*L
-#: (shift 0), step 2 the cross products (shift 12).
+#: (a slice, b slice, accumulator weight shift) — 0 = H, 1 = L: step 1
+#: is H*H (shift 24) and L*L (shift 0), step 2 the cross products
+#: (shift 12).
 _LANE_SCHEDULE = ((0, 0, 24), (1, 1, 0), (0, 1, 12), (1, 0, 12))
 
-#: FP32C component schedule (Fig. 3c): (a component, b component, negate,
-#: accumulator) — rr and the negated ii feed the real register, ri/ir the
-#: imaginary one. Order matters: it fixes the global product-slot index.
-_COMPONENT_SCHEDULE = (
-    ("real", "real", 0, "real"),
-    ("imag", "imag", 1, "real"),
-    ("real", "imag", 0, "imag"),
-    ("imag", "real", 0, "imag"),
-)
+#: Each mode's component schedule: ``(A component, B component, negate,
+#: register)`` per (a, b) element pair, in the order the unit visits them;
+#: component 0 is the real part (all of an FP32 operand), 1 the imaginary
+#: part. FP32C is Fig. 3(c): rr and the negated ii feed the real register,
+#: ri and ir the imaginary one. FP32 is its one rr pairing. The order
+#: fixes the global product-slot index (:class:`ProductFault`).
+_SCHEDULE: dict[MXUMode, tuple[tuple[int, int, int, str], ...]] = {
+    MXUMode.FP32: ((0, 0, 0, "real"),),
+    MXUMode.FP32C: (
+        (0, 0, 0, "real"),
+        (1, 1, 1, "real"),
+        (0, 1, 0, "imag"),
+        (1, 0, 0, "imag"),
+    ),
+}
 
 _LANES_PER_PAIR = len(_LANE_SCHEDULE)  # product slots per (a, b) element pair
 PRODUCT_BITS = 24  # a 12x12-bit multiplier lane result
 
 #: One operand's multiplier-lane fields ``(hi, lo, exp)`` (:func:`fp32_lane_fields`).
 LaneFields = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-_COMPONENT = {"real": 0, "imag": 1}
-
-#: Each accumulation register's ``(A component, B component, negate)``
-#: pairings in slot order; component 0 is the real part (all of an FP32
-#: operand), 1 the imaginary part.
-_PAIRINGS: dict[MXUMode, dict[str, tuple[tuple[int, int, int], ...]]] = {
-    MXUMode.FP32: {"real": ((0, 0, 0),)},
-    MXUMode.FP32C: {
-        reg: tuple(
-            (_COMPONENT[ca], _COMPONENT[cb], negate)
-            for ca, cb, negate, target in _COMPONENT_SCHEDULE
-            if target == reg
-        )
-        for reg in _COMPONENT
-    },
-}
 
 
 def resolve_bitlevel_engine(engine: str | None = None) -> str:
@@ -223,8 +214,7 @@ def split_fp32_fields(
 
     The high slice is ``hidden | m[22:12]`` (hidden bit only for normal
     values), the low slice ``m[11:0]``; both share the operand's sign and
-    exponent fields, exactly like the scalar
-    :func:`~repro.mxu.bitlevel.split_fp32_bits`.
+    exponent fields. Raises like :func:`_register_bits`.
     """
     return _split_fields(_register_bits(x))
 
@@ -262,11 +252,12 @@ class ProductFault:
     """A bit flip in one 12x12-bit multiplier lane product.
 
     ``slot`` is the flat product index in scalar execution order —
-    k-major, then (for FP32C) component-schedule order, then lane — so
-    ``slot = k*4 + lane`` for FP32 and ``slot = k*16 + component*4 +
-    lane`` for FP32C (see :func:`product_slot_count`). ``element`` is the
-    output element whose dot-product unit the upset hits, and ``bit``
-    (0..23) the flipped bit of the 24-bit product significand.
+    k-major, then the mode's component schedule (:data:`_SCHEDULE`), then
+    lane — so ``slot = k*4 + lane`` for FP32 and ``slot = k*16 +
+    component*4 + lane`` for FP32C (see :func:`product_slot_count`).
+    ``element`` is the output element whose dot-product unit the upset
+    hits, and ``bit`` (0..23) the flipped bit of the 24-bit product
+    significand.
     """
 
     slot: int
@@ -282,11 +273,9 @@ class ProductFault:
 
 def product_slot_count(mode: MXUMode, k: int) -> int:
     """Number of multiplier-lane products one output element sees per MMA."""
-    if mode is MXUMode.FP32:
-        return _LANES_PER_PAIR * int(k)
-    if mode is MXUMode.FP32C:
-        return _LANES_PER_PAIR * len(_COMPONENT_SCHEDULE) * int(k)
-    raise ValueError(f"bit-level engines model fp32/fp32c only, not {mode.value}")
+    if mode not in _SCHEDULE:
+        raise ValueError(f"bit-level engines model fp32/fp32c only, not {mode.value}")
+    return _LANES_PER_PAIR * len(_SCHEDULE[mode]) * int(k)
 
 
 def _check_fault(
@@ -454,13 +443,13 @@ def _register_chain(
     b: np.ndarray,
     acc: np.ndarray,
     mode: MXUMode,
-    accumulator: str,
+    register: str,
     k_chunk: int,
     acc_bits: int,
     rounding: RoundingMode,
     fault: ProductFault | None,
 ) -> np.ndarray:
-    """One accumulation register's K-chain, in place on *acc*.
+    """One accumulation register's K-chain, in place on the C-ordered *acc*.
 
     Each chunk runs through the value level's BLAS-and-interval loop
     (:func:`~repro.mxu.fused._fast_chain`); only the elements its radius
@@ -470,7 +459,7 @@ def _register_chain(
     the panels of every element through the fallback with the bit flipped
     in the faulted element's row.
     """
-    pairings = _PAIRINGS[mode][accumulator]
+    pairings = [entry[:3] for entry in _SCHEDULE[mode] if entry[3] == register]
     per_k = _LANES_PER_PAIR * len(pairings)
     # Check the fallback's window depth now, not only once an element
     # falls back.
@@ -480,7 +469,7 @@ def _register_chain(
 
     def fast(k0: int, k1: int) -> None:
         _fast_chain(
-            a[:, k0:k1], b[k0:k1], acc, mode, accumulator,
+            a[:, k0:k1], b[k0:k1], acc, mode, register,
             chunk_bounds(k1 - k0, k_chunk), acc_bits, fallback,
         )
 
@@ -500,21 +489,42 @@ def _register_chain(
     return acc
 
 
-def chained_vector_fp32(
+def _local_fault(
+    fault: ProductFault, mode: MXUMode, register: str
+) -> ProductFault | None:
+    """Map a chain-global product slot onto *register*'s local slots, or
+    ``None`` when the slot feeds the other register. In FP32 it is the
+    identity."""
+    schedule = _SCHEDULE[mode]
+    k, rem = divmod(fault.slot, _LANES_PER_PAIR * len(schedule))
+    comp, lane = divmod(rem, _LANES_PER_PAIR)
+    mine = [i for i, entry in enumerate(schedule) if entry[3] == register]
+    if comp not in mine:
+        return None
+    local = (k * len(mine) + mine.index(comp)) * _LANES_PER_PAIR + lane
+    return replace(fault, slot=local)
+
+
+def chained_vector(
     a: np.ndarray,
     b: np.ndarray,
-    c: np.ndarray | float = 0.0,
+    c: np.ndarray | float | complex,
+    mode: MXUMode,
     *,
-    k_chunk: int = 4,
+    k_chunk: int,
     acc_bits: int = 48,
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
     product_fault: ProductFault | None = None,
 ) -> np.ndarray:
-    """A whole FP32 K-chain of MMAs, proven in float64 where it can be.
+    """A whole FP32 or FP32C K-chain of MMAs, proven in float64 where it can be.
 
-    Bit-identical to chaining :func:`scalar_mma_fp32` ``k_chunk`` columns
-    at a time (the property suite asserts it). Each chunk is first a
-    float64 BLAS product with the soundness interval of
+    Bit-identical to the scalar walker
+    :func:`~repro.mxu.bitlevel.bit_level_chain` over the same chunks (the
+    property suite asserts it). Each accumulation register of the mode's
+    component schedule (:data:`_SCHEDULE`) runs its own chain with its own
+    C component: FP32's one register, or FP32C's real register (rr and
+    the sign-flipped ii) and imaginary one (ri and ir). Each chunk is
+    first a float64 BLAS product with the soundness interval of
     :func:`~repro.mxu.fused._fast_chain`, whose radius bounds the 48-bit
     window's error under the running-anchor discipline too
     (:func:`~repro.mxu.fused._radius`). Only the elements the interval
@@ -523,237 +533,52 @@ def chained_vector_fp32(
     (:func:`_running_anchor_fallback`). A single MMA is the one-chunk
     chain ``k_chunk = K``.
 
-    A non-finite A, B or C raises :class:`NonFiniteOperandError`, as does
-    the chunk after an FP32 overflow (its C is the non-finite register);
-    an overflow in the last chunk returns ±inf. Any operand that is not
-    an FP32 value raises :class:`ValueError`. ``product_fault`` flips one
-    bit of one multiplier-lane product, addressed by its slot over the
-    whole chain (``k*4 + lane``).
+    A non-finite A, B or C component raises
+    :class:`NonFiniteOperandError`, as does the chunk after an FP32
+    overflow (its C is the non-finite register); an overflow in the last
+    chunk returns ±inf. Any operand that is not an FP32 value raises
+    :class:`ValueError`. ``product_fault`` flips one bit of one
+    multiplier-lane product, addressed by its slot over the whole chain
+    (:class:`ProductFault`).
     """
     if k_chunk < 1:
         raise ValueError("k_chunk must be >= 1")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    dtype = np.complex128 if mode is MXUMode.FP32C else np.float64
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     m_dim, k_total, n_dim = _require_tile(a, b)
-    _register_bits(a)
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), (m_dim, n_dim))
+    n_slots = product_slot_count(mode, k_total)  # raises for a mode the datapath lacks
+    c_arr = np.broadcast_to(np.asarray(c, dtype=dtype), (m_dim, n_dim))
     if product_fault is not None:
-        _check_fault(
-            product_fault, product_slot_count(MXUMode.FP32, k_total), (m_dim, n_dim)
-        )
-    if k_total == 0 or n_dim == 0 or m_dim == 0:
-        return c_arr.copy()
-    _register_bits(b)
-    _register_bits(c_arr)
-    return _register_chain(
-        a, b, np.array(c_arr), MXUMode.FP32, "real", k_chunk, acc_bits, rounding,
-        product_fault,
-    )
-
-
-def _fp32c_local_fault(
-    fault: ProductFault, accumulator: str
-) -> ProductFault | None:
-    """Map a global FP32C product slot onto one register's local slots."""
-    per_k = _LANES_PER_PAIR * len(_COMPONENT_SCHEDULE)
-    k, rem = divmod(fault.slot, per_k)
-    comp, lane = divmod(rem, _LANES_PER_PAIR)
-    target = _COMPONENT_SCHEDULE[comp][3]
-    if target != accumulator:
-        return None
-    local_comp = comp if comp < 2 else comp - 2
-    local = k * (2 * _LANES_PER_PAIR) + local_comp * _LANES_PER_PAIR + lane
-    return ProductFault(slot=local, element=fault.element, bit=fault.bit)
-
-
-def chained_vector_fp32c(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray | complex = 0.0,
-    *,
-    k_chunk: int = 2,
-    acc_bits: int = 48,
-    rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
-    product_fault: ProductFault | None = None,
-) -> np.ndarray:
-    """A whole FP32C K-chain of MMAs (Fig. 3(c)), proven where it can be.
-
-    Bit-identical to chaining :func:`scalar_mma_fp32c` ``k_chunk`` columns
-    at a time (the default, 2, is the M3XU FP32C instruction K). Each
-    accumulation register runs the :func:`chained_vector_fp32` pipeline
-    over its two component pairings — rr and the sign-flipped ii for the
-    real register, ri and ir for the imaginary one, interleaved in the
-    fallback's slots as the scalar loop visits them — with its own C
-    component. Operand contract as :func:`chained_vector_fp32`, per
-    component. ``product_fault`` addresses the global FP32C slot
-    (``k*16 + component*4 + lane``).
-    """
-    if k_chunk < 1:
-        raise ValueError("k_chunk must be >= 1")
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    m_dim, k_total, n_dim = _require_tile(a, b)
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.complex128), (m_dim, n_dim))
-    if product_fault is not None:
-        _check_fault(
-            product_fault, product_slot_count(MXUMode.FP32C, k_total), (m_dim, n_dim)
-        )
+        _check_fault(product_fault, n_slots, (m_dim, n_dim))
     if k_total == 0 or n_dim == 0 or m_dim == 0:
         return c_arr.copy()
     for x in (a, b, c_arr):
         for part in _components(x):
             _register_bits(part)
-    re, im = (
-        _register_chain(
-            a, b, np.array(c_part), MXUMode.FP32C, accumulator, k_chunk, acc_bits,
-            rounding,
-            None if product_fault is None else _fp32c_local_fault(product_fault, accumulator),
+    result = np.empty((m_dim, n_dim), dtype=dtype)
+    # One register per component, assembled component-wise: ``re + 1j*im``
+    # would turn an overflowed ±inf register into NaN via the complex
+    # multiply's 0*inf terms.
+    for out, register, c_part in zip(_components(result), ("real", "imag"), _components(c_arr)):
+        fault = None if product_fault is None else _local_fault(product_fault, mode, register)
+        out[...] = _register_chain(
+            a, b, np.array(c_part, order="C"), mode, register, k_chunk, acc_bits,
+            rounding, fault,
         )
-        for accumulator, c_part in zip(_COMPONENT, _components(c_arr))
-    )
-    # Component-wise assembly: ``re + 1j*im`` would turn an overflowed
-    # ±inf register into NaN via the complex multiply's 0*inf terms.
-    result = np.empty((m_dim, n_dim), dtype=np.complex128)
-    result.real, result.imag = re, im
     return result
 
 
-# ---------------------------------------------------------------------------
-# Scalar oracle engine (BitAccumulator, same slot order, same fault hook)
-# ---------------------------------------------------------------------------
-
-
-def scalar_mma_fp32(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray | float = 0.0,
-    *,
-    acc_bits: int = 48,
-    rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
-    product_fault: ProductFault | None = None,
+def chained_vector_fp32(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray | float = 0.0
 ) -> np.ndarray:
-    """The FP32 MMA tile through per-element :class:`BitAccumulator` runs.
-
-    The oracle the vector engine is validated against; same signature,
-    same slot ordering, same fault hook.
-    """
-    from .bitlevel import BitAccumulator
-
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m_dim, k_dim, n_dim = _require_tile(a, b)
-    if product_fault is not None:
-        _check_fault(
-            product_fault, product_slot_count(MXUMode.FP32, k_dim), (m_dim, n_dim)
-        )
-    sa, ea, ah, al = split_fp32_fields(a)
-    sb, eb, bh, bl = split_fp32_fields(b)
-    ea_eff = _effective_exp(ea)
-    eb_eff = _effective_exp(eb)
-    a_parts = (ah, al)
-    b_parts = (bh, bl)
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.float64), (m_dim, n_dim))
-    cs, csig, clsb = _c_slot(c_arr)
-
-    out = np.zeros((m_dim, n_dim), dtype=np.float64)
-    for m in range(m_dim):
-        for n in range(n_dim):
-            acc = BitAccumulator(width=acc_bits, mode=rounding)
-            slot = 0
-            for k in range(k_dim):
-                pair_exp = int(ea_eff[m, k] + eb_eff[k, n]) - 46
-                sign_mk = int(sa[m, k] ^ sb[k, n])
-                for ia, ib, shift in _LANE_SCHEDULE:
-                    sig = int(a_parts[ia][m, k]) * int(b_parts[ib][k, n])
-                    if (
-                        product_fault is not None
-                        and product_fault.element == (m, n)
-                        and product_fault.slot == slot
-                    ):
-                        sig ^= 1 << product_fault.bit
-                    slot += 1
-                    if sig:
-                        acc.add(sign_mk, sig, pair_exp + shift)
-            acc.add(int(cs[m, n]), int(csig[m, n]), int(clsb[m, n]))
-            out[m, n] = acc.to_float()
-    return out
-
-
-def scalar_mma_fp32c(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray | complex = 0.0,
-    *,
-    acc_bits: int = 48,
-    rounding: RoundingMode = RoundingMode.NEAREST_EVEN,
-    product_fault: ProductFault | None = None,
-) -> np.ndarray:
-    """The FP32C MMA tile through per-element :class:`BitAccumulator` runs."""
-    from .bitlevel import BitAccumulator
-
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    m_dim, k_dim, n_dim = _require_tile(a, b)
-    if product_fault is not None:
-        _check_fault(
-            product_fault, product_slot_count(MXUMode.FP32C, k_dim), (m_dim, n_dim)
-        )
-    fields = {
-        ("a", "real"): split_fp32_fields(np.ascontiguousarray(a.real)),
-        ("a", "imag"): split_fp32_fields(np.ascontiguousarray(a.imag)),
-        ("b", "real"): split_fp32_fields(np.ascontiguousarray(b.real)),
-        ("b", "imag"): split_fp32_fields(np.ascontiguousarray(b.imag)),
-    }
-    c_arr = np.broadcast_to(np.asarray(c, dtype=np.complex128), (m_dim, n_dim))
-    c_slots = {
-        "real": _c_slot(np.ascontiguousarray(c_arr.real)),
-        "imag": _c_slot(np.ascontiguousarray(c_arr.imag)),
-    }
-
-    out = np.zeros((m_dim, n_dim), dtype=np.complex128)
-    for m in range(m_dim):
-        for n in range(n_dim):
-            accs = {
-                "real": BitAccumulator(width=acc_bits, mode=rounding),
-                "imag": BitAccumulator(width=acc_bits, mode=rounding),
-            }
-            slot = 0
-            for k in range(k_dim):
-                for ca, cb, negate, reg in _COMPONENT_SCHEDULE:
-                    fsa, fea, fah, fal = fields[("a", ca)]
-                    fsb, feb, fbh, fbl = fields[("b", cb)]
-                    pair_exp = (
-                        int(_effective_exp(fea[m : m + 1, k])[0])
-                        + int(_effective_exp(feb[k : k + 1, n])[0])
-                        - 46
-                    )
-                    sign_mk = int(fsa[m, k] ^ fsb[k, n]) ^ negate
-                    pa = (int(fah[m, k]), int(fal[m, k]))
-                    pb = (int(fbh[k, n]), int(fbl[k, n]))
-                    for ia, ib, shift in _LANE_SCHEDULE:
-                        sig = pa[ia] * pb[ib]
-                        if (
-                            product_fault is not None
-                            and product_fault.element == (m, n)
-                            and product_fault.slot == slot
-                        ):
-                            sig ^= 1 << product_fault.bit
-                        slot += 1
-                        if sig:
-                            accs[reg].add(sign_mk, sig, pair_exp + shift)
-            for reg in ("real", "imag"):
-                rs, rsig, rlsb = c_slots[reg]
-                accs[reg].add(int(rs[m, n]), int(rsig[m, n]), int(rlsb[m, n]))
-            out[m, n] = complex(accs["real"].to_float(), accs["imag"].to_float())
-    return out
+    """:func:`chained_vector` in FP32 at the M3XU instruction K (4)."""
+    return chained_vector(a, b, c, MXUMode.FP32, k_chunk=4)
 
 
 # ---------------------------------------------------------------------------
 # The MXU-shaped wrapper
 # ---------------------------------------------------------------------------
-
-_SCALAR_MMA = {MXUMode.FP32: scalar_mma_fp32, MXUMode.FP32C: scalar_mma_fp32c}
-
 
 class BitLevelMXU:
     """The bit-level datapath behind the ``mma``/``chain`` contract.
@@ -825,10 +650,11 @@ class BitLevelMXU:
     ) -> np.ndarray:
         """``A @ B + C`` on FP32 register operands as a K-chain of MMAs.
 
-        ``k_chunk=None`` runs a single MMA over all of K. The vector engine
-        evaluates the chain in one kernel call, the scalar oracle one MMA
-        at a time. ``product_fault`` addresses a product slot of the whole
-        chain (see :class:`ProductFault`).
+        ``k_chunk=None`` runs a single MMA over all of K. Each engine is
+        one call: :func:`chained_vector` or the scalar walker
+        :func:`~repro.mxu.bitlevel.bit_level_chain`. ``product_fault``
+        addresses a product slot of the whole chain (see
+        :class:`ProductFault`).
         """
         if mode not in self.supported_modes():
             raise ValueError(
@@ -847,18 +673,12 @@ class BitLevelMXU:
                 product_fault, product_slot_count(mode, k_total), (m_dim, n_dim)
             )
         if self.engine == "scalar":
-            mma = _SCALAR_MMA[mode]
-            per_k = product_slot_count(mode, 1)
-            acc = np.broadcast_to(cq, (m_dim, n_dim))
-            for k0, k1 in chunk_bounds(k_total, k_chunk):
-                fault = None
-                if product_fault is not None and k0 * per_k <= product_fault.slot < k1 * per_k:
-                    fault = replace(product_fault, slot=product_fault.slot - k0 * per_k)
-                acc = mma(
-                    a[:, k0:k1], b[k0:k1, :], acc, acc_bits=self.acc_bits,
-                    rounding=self.rounding, product_fault=fault,
-                )
-            return np.array(acc)  # owned, also when the chain had no MMA
+            from .bitlevel import bit_level_chain  # bitlevel imports this module
+
+            return bit_level_chain(
+                a, b, cq, mode, k_chunk=k_chunk, acc_bits=self.acc_bits,
+                rounding=self.rounding, product_fault=product_fault,
+            )
         if k_chunk is None:
             if k_total == 0:
                 # An MMA over no products still rounds C through the window,
@@ -867,13 +687,8 @@ class BitLevelMXU:
                 a = np.zeros((m_dim, 1), dtype=a.dtype)
                 b = np.zeros((1, n_dim), dtype=b.dtype)
             k_chunk = max(k_total, 1)
-        if mode is MXUMode.FP32C:
-            return chained_vector_fp32c(
-                a, b, cq, k_chunk=k_chunk, acc_bits=self.acc_bits,
-                rounding=self.rounding, product_fault=product_fault,
-            )
-        return chained_vector_fp32(
-            a, b, cq, k_chunk=k_chunk, acc_bits=self.acc_bits,
+        return chained_vector(
+            a, b, cq, mode, k_chunk=k_chunk, acc_bits=self.acc_bits,
             rounding=self.rounding, product_fault=product_fault,
         )
 

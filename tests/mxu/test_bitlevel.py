@@ -1,52 +1,62 @@
-"""The bit-level (RTL-fidelity) FP32 datapath vs the value-level model."""
+"""The bit-level (RTL-fidelity) datapath vs the value-level model."""
 
 import numpy as np
 import pytest
 
 from repro.arith import exact_dot
-from repro.mxu import M3XU, BitAccumulator, bit_level_fp32_dot, split_fp32_bits
+from repro.mxu import M3XU, BitAccumulator, MXUMode, bit_level_chain, split_fp32_fields
+from repro.mxu.vectorized import _SCHEDULE
 from repro.types import FP32, quantize
 from repro.types.rounding import RoundingMode
+
+
+def dot(a, b, c=0.0, mode=MXUMode.FP32, **kw):
+    """One dot product through the walker: a 1x1 single-MMA chain."""
+    out = bit_level_chain(np.asarray(a)[None, :], np.asarray(b)[:, None], c, mode, **kw)
+    return out[0, 0].item()
 
 
 class TestSliceWiring:
     def test_one_point_five(self):
         # 1.5 = sign 0, exp 127, mantissa 0x400000.
-        hi, lo = split_fp32_bits(1.5)
-        assert hi.sign == 0 and hi.biased_exp == 127
-        assert hi.significand == 0b110000000000  # hidden 1 + m[22:12]
-        assert lo.significand == 0
+        sign, biased, hi, lo = split_fp32_fields(np.array([1.5]))
+        assert sign[0] == 0 and biased[0] == 127
+        assert hi[0] == 0b110000000000  # hidden 1 + m[22:12]
+        assert lo[0] == 0
 
     def test_low_bits_land_in_low_slice(self):
         x = float(np.float32(1.0 + 2.0**-23))  # mantissa LSB set
-        hi, lo = split_fp32_bits(x)
-        assert lo.significand == 1
-        assert hi.significand == 1 << 11
+        _, _, hi, lo = split_fp32_fields(np.array([x]))
+        assert lo[0] == 1
+        assert hi[0] == 1 << 11
 
     def test_exponent_shared(self, rng):
-        for v in quantize(rng.normal(size=50) * 1e3, FP32):
-            hi, lo = split_fp32_bits(float(v))
-            assert hi.biased_exp == lo.biased_exp
-            assert hi.sign == lo.sign
+        # Both slices carry the operand's sign and exponent fields verbatim.
+        v = quantize(rng.normal(size=50) * 1e3, FP32)
+        sign, biased, _, _ = split_fp32_fields(v)
+        bits = v.astype(np.float32).view(np.uint32)
+        assert np.array_equal(sign, bits >> 31)
+        assert np.array_equal(biased, (bits >> 23) & 0xFF)
 
     def test_subnormal_no_hidden_bit(self):
-        hi, lo = split_fp32_bits(2.0**-140)
-        assert hi.biased_exp == 0
-        assert (hi.significand >> 11) == 0  # no hidden 1
+        _, biased, hi, _ = split_fp32_fields(np.array([2.0**-140]))
+        assert biased[0] == 0
+        assert (hi[0] >> 11) == 0  # no hidden 1
 
     def test_values_reconstruct(self, rng):
-        for v in quantize(rng.normal(size=100) * 10.0 ** rng.uniform(-20, 20, 100), FP32):
-            hi, lo = split_fp32_bits(float(v))
-            e = (hi.biased_exp - 127) if hi.biased_exp else -126
-            recon = (
-                (-1.0) ** hi.sign
-                * (hi.significand * 2.0 ** (e - 11) + lo.significand * 2.0 ** (e - 23))
-            )
-            assert recon == float(v)
+        specials = [0.0, -0.0, 1e-44, -1e-44, 1.17e-38, 3.4e38, -3.4e38, 1.0]
+        v = quantize(
+            np.concatenate([rng.normal(size=100) * 10.0 ** rng.uniform(-20, 20, 100), specials]),
+            FP32,
+        )
+        sign, biased, hi, lo = split_fp32_fields(v)
+        e = np.where(biased > 0, biased - 127, -126)
+        recon = (-1.0) ** sign * (hi * 2.0 ** (e - 11) + lo * 2.0 ** (e - 23))
+        assert np.array_equal(recon, v)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            split_fp32_bits(float("inf"))
+            split_fp32_fields(np.array([np.inf]))
 
 
 class TestBitAccumulator:
@@ -105,21 +115,21 @@ class TestCrossValidation:
             a = quantize(rng.normal(size=k) * 10.0 ** rng.uniform(-8, 8), FP32)
             b = quantize(rng.normal(size=k) * 10.0 ** rng.uniform(-8, 8), FP32)
             c = float(quantize(np.array(rng.normal()), FP32))
-            bit = bit_level_fp32_dot(a, b, c)
+            bit = dot(a, b, c)
             val = float(unit.mma_fp32(a.reshape(1, -1), b.reshape(-1, 1), c)[0, 0])
             ref = exact_dot(list(a), list(b), c, FP32)
             assert bit == val == ref
 
     def test_cancellation(self):
         eps = 2.0**-23
-        got = bit_level_fp32_dot(np.array([1.0 + eps, -1.0]), np.array([1.0, 1.0]))
+        got = dot(np.array([1.0 + eps, -1.0]), np.array([1.0, 1.0]))
         assert got == eps
 
     def test_subnormal_operands(self):
         a = np.array([2.0**-130, 2.0**-149])
         b = np.array([4.0, 8.0])
         ref = exact_dot(list(a), list(b), 0.0, FP32)
-        assert bit_level_fp32_dot(a, b) == ref
+        assert dot(a, b) == ref
 
     def test_narrow_accumulator_degrades(self, rng):
         # With a 24-bit window the datapath must lose bits a 48-bit one
@@ -127,17 +137,16 @@ class TestCrossValidation:
         a = quantize(np.array([1.0 + 2.0**-12, 2.0**-20]), FP32)
         b = quantize(np.array([1.0 + 2.0**-12, 1.0]), FP32)
         ref = exact_dot(list(a), list(b), 0.0, FP32)
-        assert bit_level_fp32_dot(a, b, acc_bits=48) == ref
-        assert bit_level_fp32_dot(a, b, acc_bits=20) != ref
+        assert dot(a, b, acc_bits=48) == ref
+        assert dot(a, b, acc_bits=20) != ref
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            bit_level_fp32_dot(np.ones(3), np.ones(4))
+            dot(np.ones(3), np.ones(4))
 
 
 class TestComplexBitLevel:
     def test_matches_value_level(self, rng):
-        from repro.mxu import bit_level_fp32c_dot
         from repro.types import quantize_complex
 
         unit = M3XU()
@@ -146,28 +155,25 @@ class TestComplexBitLevel:
             a = quantize_complex(rng.normal(size=k) + 1j * rng.normal(size=k), FP32)
             b = quantize_complex(rng.normal(size=k) + 1j * rng.normal(size=k), FP32)
             c = complex(quantize_complex(np.array(rng.normal() + 1j * rng.normal()), FP32))
-            bit = bit_level_fp32c_dot(a, b, c)
+            bit = dot(a, b, c, MXUMode.FP32C)
             val = complex(unit.mma_fp32c(a.reshape(1, -1), b.reshape(-1, 1), c)[0, 0])
             assert bit == val
 
     def test_i_times_i_is_minus_one(self):
-        from repro.mxu import bit_level_fp32c_dot
-
-        got = bit_level_fp32c_dot(np.array([1j]), np.array([1j]))
+        got = dot(np.array([1j]), np.array([1j]), mode=MXUMode.FP32C)
         assert got == -1.0 + 0.0j
 
     def test_pure_real_reduces_to_fp32_path(self, rng):
-        from repro.mxu import bit_level_fp32c_dot
         from tests.conftest import fp32_array
 
+        # FP32 is the rr pairing of FP32C's schedule (Fig. 3(c), Eq. 9).
+        assert _SCHEDULE[MXUMode.FP32] == _SCHEDULE[MXUMode.FP32C][:1] == ((0, 0, 0, "real"),)
         a = fp32_array(rng, (4,))
         b = fp32_array(rng, (4,))
-        got = bit_level_fp32c_dot(a.astype(complex), b.astype(complex))
+        got = dot(a.astype(complex), b.astype(complex), mode=MXUMode.FP32C)
         assert got.imag == 0.0
-        assert got.real == bit_level_fp32_dot(a, b)
+        assert got.real == dot(a, b)
 
     def test_shape_validation(self):
-        from repro.mxu import bit_level_fp32c_dot
-
         with pytest.raises(ValueError):
-            bit_level_fp32c_dot(np.ones(2, dtype=complex), np.ones(3, dtype=complex))
+            dot(np.ones(2, dtype=complex), np.ones(3, dtype=complex), mode=MXUMode.FP32C)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.gemm import TiledGEMM
 from repro.mxu import (
+    BitLevelMXU,
     FaultSite,
     FaultSpec,
     FaultStage,
@@ -202,14 +203,16 @@ class TestFaultyM3XU:
                 seen.append(bool(np.all(representable(a, TF32))))
                 return super().chain(a, b, *args, **kwargs)
 
-        a = quantize(rng.normal(size=(4, 16)), TF32)
-        b = quantize(rng.normal(size=(16, 4)), TF32)
+        a = quantize(rng.normal(size=(4, 32)), TF32)
+        b = quantize(rng.normal(size=(32, 4)), TF32)
         spec = FaultSpec(
             stage=FaultStage.OPERAND, call_index=1, site=FaultSite.LOW_SLICE, bit=11
         )
         unit = FaultyM3XU(spec, Spy())
         TiledGEMM(unit, MXUMode.TF32, abft=False).run(a, b)
-        assert unit.fired and len(seen) == unit.calls == 2 and all(seen)
+        # Four MMAs (TF32 K = 8) in three unit calls: MMA 0, the armed
+        # MMA 1 alone, then MMAs 2-3.
+        assert unit.fired and unit.calls == 4 and len(seen) == 3 and all(seen)
 
     def test_complex_mode_corruption(self, rng):
         a = quantize(rng.normal(size=(4, 4)), FP32) + 1j * quantize(
@@ -223,3 +226,50 @@ class TestFaultyM3XU:
         dirty = FaultyM3XU(spec).mma_fp32c(a, b, 0.0)
         diff = dirty != clean
         assert diff[2, 3] and diff.sum() == 1
+
+
+@pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
+@pytest.mark.parametrize(
+    "stage, level",
+    # The value-level model has no product significands to corrupt.
+    [(s, lv) for s in FaultStage for lv in ("value", "bit")
+     if (s, lv) != (FaultStage.PRODUCT, "value")],
+)
+def test_chain_runs_in_at_most_three_unit_calls(rng, mode, stage, level):
+    """A chain through the wrapper is one unit call when the armed fault
+    does not name one of its MMAs, else at most three; it counts every
+    MMA and equals the wrapper applied one MMA at a time."""
+    base = BitLevelMXU() if level == "bit" else M3XU()
+    widths = []
+
+    class Spy(type(base)):
+        def chain(self, a, b, *args, **kwargs):
+            widths.append(a.shape[-1])
+            return super().chain(a, b, *args, **kwargs)
+
+    k_chunk = M3XU().config.tile(mode).k
+    n_mma = 5
+    shapes = ((6, n_mma * k_chunk), (n_mma * k_chunk, 5), (6, 5))
+    a, b, c = (quantize(rng.normal(size=s), FP32) for s in shapes)
+    if mode is MXUMode.FP32C:
+        a, b, c = (x + 1j * quantize(rng.normal(size=x.shape), FP32) for x in (a, b, c))
+    for armed in (0, 2, n_mma - 1, n_mma):  # first, middle, last, beyond
+        spec = FaultSpec(stage, call_index=armed, seed=armed + 7)
+        widths.clear()
+        unit = FaultyM3XU(spec, Spy())
+        got = unit.chain(a, b, c, mode, k_chunk)
+        # The reference: every MMA its own instruction.
+        ref = FaultyM3XU(spec, base)
+        want, c_quantized = c, False
+        for k0 in range(0, n_mma * k_chunk, k_chunk):
+            want = ref._instruction(
+                base.chain, a[:, k0 : k0 + k_chunk], b[k0 : k0 + k_chunk], want,
+                mode, c_quantized=c_quantized,
+            )
+            c_quantized = True
+        assert got.tobytes() == want.tobytes(), armed
+        assert unit.injected == ref.injected
+        assert len(widths) == (1 if armed == n_mma else 3 if 0 < armed < n_mma - 1 else 2)
+        assert sum(widths) == n_mma * k_chunk
+        assert unit.calls == ref.calls == n_mma
+        assert unit.fired == (armed < n_mma)

@@ -5,27 +5,16 @@ import pytest
 
 from repro.arith.accumulator import int_window_to_float, segmented_windowed_sum_f32
 from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
-from repro.mxu.bitlevel import (
-    BitAccumulator,
-    _round_int_scaled_to_fp32,
-    bit_level_fp32_dot,
-    bit_level_fp32c_dot,
-    split_fp32_bits,
-)
-from repro.mxu.m3xu import M3XU
+from repro.mxu.bitlevel import BitAccumulator, _round_int_scaled_to_fp32, bit_level_chain
 from repro.mxu.modes import MXUMode
 from repro.mxu.vectorized import (
     BITLEVEL_ENV,
     BitLevelMXU,
     ProductFault,
-    chained_vector_fp32,
-    chained_vector_fp32c,
+    chained_vector,
     fp32_bit_fields,
     product_slot_count,
     resolve_bitlevel_engine,
-    scalar_mma_fp32,
-    scalar_mma_fp32c,
-    split_fp32_fields,
 )
 from repro.types.formats import FP32
 from repro.types.quantize import quantize, quantize_complex
@@ -42,20 +31,18 @@ def rng():
     return np.random.default_rng(7)
 
 
+def mode_of(a):
+    return MXUMode.FP32C if np.iscomplexobj(a) else MXUMode.FP32
+
+
 def one_mma(a, b, c=0.0, **kw):
     """One MMA on the vector engine: the one-chunk chain (k_chunk = K)."""
-    if np.iscomplexobj(a):
-        return chained_vector_fp32c(a, b, c, k_chunk=a.shape[1], **kw)
-    return chained_vector_fp32(a, b, c, k_chunk=np.shape(a)[-1], **kw)
+    return chained_vector(a, b, c, mode_of(a), k_chunk=np.shape(a)[-1], **kw)
 
 
-def scalar_chain(a, b, c, k_chunk):
-    """The per-MMA chain of the scalar oracle, ``k_chunk`` columns a step."""
-    fn = scalar_mma_fp32c if np.iscomplexobj(a) else scalar_mma_fp32
-    acc = c
-    for k0 in range(0, a.shape[1], k_chunk):
-        acc = fn(a[:, k0 : k0 + k_chunk], b[k0 : k0 + k_chunk], acc)
-    return acc
+def scalar_mma(a, b, c=0.0, **kw):
+    """One MMA through the scalar walker."""
+    return bit_level_chain(a, b, c, mode_of(a), **kw)
 
 
 def random_fp32(rng, shape, scale_span=0):
@@ -170,17 +157,6 @@ class TestIntWindowToFloat:
 
 
 class TestFieldHelpers:
-    def test_matches_scalar_split(self, rng):
-        pool = np.concatenate([
-            random_fp32(rng, 64, scale_span=9),
-            quantize(np.array([0.0, -0.0, 1e-44, -1e-44, 1.17e-38, 3.4e38, -3.4e38, 1.0]), FP32),
-        ])
-        sign, biased, hi, lo = split_fp32_fields(pool)
-        for i, x in enumerate(pool):
-            h, lw = split_fp32_bits(float(x))
-            assert (sign[i], biased[i], hi[i]) == (h.sign, h.biased_exp, h.significand)
-            assert lo[i] == lw.significand
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             fp32_bit_fields(np.array([1.0, np.inf]))
@@ -223,12 +199,7 @@ class TestVectorEnginesMatchOracle:
         a = random_fp32(rng, (5, 7), scale_span=6)
         b = random_fp32(rng, (7, 4), scale_span=6)
         c = random_fp32(rng, (5, 4))
-        ref = np.array([
-            [bit_level_fp32_dot(a[m], b[:, n], float(c[m, n])) for n in range(4)]
-            for m in range(5)
-        ])
-        assert biteq(one_mma(a, b, c), ref)
-        assert biteq(scalar_mma_fp32(a, b, c), ref)
+        assert biteq(one_mma(a, b, c), scalar_mma(a, b, c))
 
     def test_fp32c_matches_bitlevel_dot(self, rng):
         a = quantize_complex(
@@ -237,12 +208,7 @@ class TestVectorEnginesMatchOracle:
             rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)), FP32)
         c = quantize_complex(
             rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)), FP32)
-        ref = np.array([
-            [bit_level_fp32c_dot(a[m], b[:, n], complex(c[m, n])) for n in range(3)]
-            for m in range(4)
-        ])
-        assert biteq(one_mma(a, b, c), ref)
-        assert biteq(scalar_mma_fp32c(a, b, c), ref)
+        assert biteq(one_mma(a, b, c), scalar_mma(a, b, c))
 
     def test_shape_validation(self, rng):
         a = random_fp32(rng, (3, 4))
@@ -279,7 +245,7 @@ class TestProductFault:
         for slot in range(product_slot_count(MXUMode.FP32, 4)):
             pf = ProductFault(slot=slot, element=(1, 2), bit=int(rng.integers(24)))
             v = one_mma(a, b, 0.0, product_fault=pf)
-            s = scalar_mma_fp32(a, b, 0.0, product_fault=pf)
+            s = scalar_mma(a, b, 0.0, product_fault=pf)
             assert biteq(v, s)
             changed += not biteq(v, clean)
         assert changed > 0  # the upset is observable, not a no-op
@@ -293,7 +259,7 @@ class TestProductFault:
             pf = ProductFault(slot=slot, element=(0, 1), bit=int(rng.integers(24)))
             assert biteq(
                 one_mma(a, b, 0.0, product_fault=pf),
-                scalar_mma_fp32c(a, b, 0.0, product_fault=pf),
+                scalar_mma(a, b, 0.0, product_fault=pf),
             )
 
     @pytest.mark.parametrize("mode, k_chunk", [(MXUMode.FP32, 4), (MXUMode.FP32C, 2)])
@@ -339,7 +305,7 @@ class TestBitLevelMXU:
         b = rng.standard_normal((4, 2))
         got = BitLevelMXU().mma(a, b, 0.0, MXUMode.FP32)
         aq, bq = quantize(a, FP32), quantize(b, FP32)
-        assert biteq(got, scalar_mma_fp32(aq, bq, 0.0))
+        assert biteq(got, scalar_mma(aq, bq, 0.0))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_k0_engines_agree(self, rng, dtype):
@@ -362,12 +328,8 @@ class TestBitLevelMXU:
         a, b = random_fp32(rng, (4, 10), 3), random_fp32(rng, (10, 3), 3)
         got = mxu_sgemm(a, b, mxu=BitLevelMXU())
         want = np.zeros((4, 3))
-        for m in range(4):
-            for n in range(3):
-                acc = 0.0
-                for k0 in range(0, 10, 4):  # M3XU FP32 instruction K = 4
-                    acc = bit_level_fp32_dot(a[m, k0:k0 + 4], b[k0:k0 + 4, n], acc)
-                want[m, n] = acc
+        for k0 in range(0, 10, 4):  # M3XU FP32 instruction K = 4
+            want = scalar_mma(a[:, k0:k0 + 4], b[k0:k0 + 4], want)
         assert biteq(got, want)
 
     def test_cgemm_plan_and_legacy_paths_identical(self, rng):
@@ -376,8 +338,8 @@ class TestBitLevelMXU:
         b = quantize_complex(
             rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)), FP32)
         planned = TiledGEMM(BitLevelMXU(), MXUMode.FP32C).run(a, b)
-        # The reference: the scalar oracle's per-MMA chain (FP32C K = 2).
-        legacy = scalar_chain(a, b, np.zeros((3, 4), dtype=np.complex128), 2)
+        # The reference: the scalar walker's chain (FP32C K = 2).
+        legacy = bit_level_chain(a, b, 0.0, MXUMode.FP32C, k_chunk=2)
         assert biteq(planned, legacy)
         assert biteq(planned, mxu_cgemm(a, b, mxu=BitLevelMXU()))
 

@@ -20,18 +20,15 @@ from hypothesis import strategies as st
 from repro.accuracy.study import BITLEVEL_SGEMM_IMPLS, sgemm_accuracy_study
 from repro.gemm.tiled import mxu_cgemm, mxu_sgemm
 from repro.mxu import fused, vectorized
-from repro.mxu.bitlevel import bit_level_fp32_dot, bit_level_fp32c_dot
+from repro.mxu.bitlevel import bit_level_chain
 from repro.mxu.faults import FaultSpec, FaultStage, FaultyM3XU
 from repro.mxu.modes import MXUMode
 from repro.mxu.vectorized import (
     BitLevelMXU,
     NonFiniteOperandError,
     ProductFault,
-    chained_vector_fp32,
-    chained_vector_fp32c,
+    chained_vector,
     product_slot_count,
-    scalar_mma_fp32,
-    scalar_mma_fp32c,
 )
 from repro.resilience.campaign import BITLEVEL_STAGES, CampaignConfig, Outcome, run_campaign
 from repro.types.formats import FP32
@@ -62,10 +59,18 @@ ADVERSARIAL = quantize(
 )
 
 
+def mode_of(a):
+    return MXUMode.FP32C if np.iscomplexobj(a) else MXUMode.FP32
+
+
 def one_mma(a, b, c=0.0, **kw):
     """One MMA on the vector engine: the one-chunk chain (k_chunk = K)."""
-    chain = chained_vector_fp32c if np.iscomplexobj(a) else chained_vector_fp32
-    return chain(a, b, c, k_chunk=a.shape[1], **kw)
+    return chained_vector(a, b, c, mode_of(a), k_chunk=a.shape[1], **kw)
+
+
+def scalar_mma(a, b, c=0.0, **kw):
+    """One MMA through the scalar walker, the oracle."""
+    return bit_level_chain(a, b, c, mode_of(a), **kw)
 
 
 def adversarial_matrix(rng, shape):
@@ -83,14 +88,14 @@ class TestAdversarialBitIdentity:
             a = adversarial_matrix(rng, (4, 6))
             b = adversarial_matrix(rng, (6, 3))
             c = adversarial_matrix(rng, (4, 3))
-            assert biteq(one_mma(a, b, c), scalar_mma_fp32(a, b, c))
+            assert biteq(one_mma(a, b, c), scalar_mma(a, b, c))
 
     def test_fp32c_adversarial_tiles(self, rng):
         for _ in range(20):
             a = adversarial_matrix(rng, (3, 4)) + 1j * adversarial_matrix(rng, (3, 4))
             b = adversarial_matrix(rng, (4, 3)) + 1j * adversarial_matrix(rng, (4, 3))
             c = adversarial_matrix(rng, (3, 3)) + 1j * adversarial_matrix(rng, (3, 3))
-            assert biteq(one_mma(a, b, c), scalar_mma_fp32c(a, b, c))
+            assert biteq(one_mma(a, b, c), scalar_mma(a, b, c))
 
     def test_deep_single_mma_tiles(self, rng):
         # One MMA wider than 32 product slots (K = 16 in FP32, K = 5 in
@@ -99,10 +104,10 @@ class TestAdversarialBitIdentity:
             a = adversarial_matrix(rng, (3, 16))
             b = adversarial_matrix(rng, (16, 3))
             c = adversarial_matrix(rng, (3, 3))
-            assert biteq(one_mma(a, b, c), scalar_mma_fp32(a, b, c))
+            assert biteq(one_mma(a, b, c), scalar_mma(a, b, c))
             a = adversarial_matrix(rng, (2, 5)) + 1j * adversarial_matrix(rng, (2, 5))
             b = adversarial_matrix(rng, (5, 2)) + 1j * adversarial_matrix(rng, (5, 2))
-            assert biteq(one_mma(a, b, 0.0), scalar_mma_fp32c(a, b, 0.0))
+            assert biteq(one_mma(a, b, 0.0), scalar_mma(a, b, 0.0))
 
     def test_max_shift_cancellation(self):
         # Max-magnitude products against subnormal dust: the accumulator
@@ -112,8 +117,7 @@ class TestAdversarialBitIdentity:
         b = np.array([[3.4028234e38], [3.4028234e38], [1e-45], [-1e-45], [2.0**-24]])
         aq, bq = quantize(a, FP32), quantize(b, FP32)
         v = one_mma(aq, bq, 0.0)
-        assert biteq(v, scalar_mma_fp32(aq, bq, 0.0))
-        assert biteq(v[0, 0], np.float64(bit_level_fp32_dot(aq[0], bq[:, 0], 0.0)))
+        assert biteq(v, scalar_mma(aq, bq, 0.0))
 
     def test_complex_sign_flip_cancellation(self, rng):
         # Pure-imaginary rows: the real accumulator sees only the negated
@@ -121,12 +125,7 @@ class TestAdversarialBitIdentity:
         a = 1j * adversarial_matrix(rng, (3, 5))
         b = 1j * adversarial_matrix(rng, (5, 2))
         v = one_mma(a, b, 0.0)
-        assert biteq(v, scalar_mma_fp32c(a, b, 0.0))
-        ref = np.array([
-            [bit_level_fp32c_dot(a[m], b[:, n], 0.0) for n in range(2)]
-            for m in range(3)
-        ])
-        assert biteq(v, ref)
+        assert biteq(v, scalar_mma(a, b, 0.0))
 
     def test_signed_zero_inputs(self):
         # -0.0 operands contribute zero-significand products; like the
@@ -137,14 +136,13 @@ class TestAdversarialBitIdentity:
         b = np.array([[-0.0], [0.0], [-0.0], [-0.0]])
         c = np.array([[-0.0]])
         v = one_mma(a, b, c)
-        s = scalar_mma_fp32(a, b, c)
+        s = scalar_mma(a, b, c)
         assert biteq(v, s)
-        assert biteq(v[0, 0], np.float64(bit_level_fp32_dot(a[0], b[:, 0], -0.0)))
         # Negative value rounding to zero: signed zero comes out.
         tiny = quantize(np.array([[-1e-45]]), FP32)
         tb = quantize(np.array([[1e-45]]), FP32)
         v2 = one_mma(tiny, tb, 0.0)
-        assert biteq(v2, scalar_mma_fp32(tiny, tb, 0.0))
+        assert biteq(v2, scalar_mma(tiny, tb, 0.0))
         assert v2[0, 0] == 0.0 and np.signbit(v2[0, 0])
 
 
@@ -169,7 +167,7 @@ class TestAdversarialFallbackOnly(TestAdversarialBitIdentity):
         monkeypatch.setattr(vectorized, "_running_anchor_fallback", spy)
         a = _rand_fp32(rng, (4, 10))
         b = _rand_fp32(rng, (10, 3))
-        chained_vector_fp32(a, b, 0.0, k_chunk=4)
+        chained_vector(a, b, 0.0, MXUMode.FP32, k_chunk=4)
         assert rows == [12, 12, 12]  # every element of all three chunks
 
 
@@ -186,11 +184,11 @@ class TestChainContract:
     def test_negative_zero_c_returns_positive_zero(self):
         # Every product and C are -0.0; the window has no sign to keep,
         # so the empty sum is +0.0.
-        for chain, zero in ((chained_vector_fp32, -0.0), (chained_vector_fp32c, -0.0 - 0.0j)):
+        for mode, zero in ((MXUMode.FP32, -0.0), (MXUMode.FP32C, -0.0 - 0.0j)):
             a = np.full((2, 8), zero)
             b = np.ones((8, 3))
             c = np.full((2, 3), zero)
-            got = chain(a, b, c, k_chunk=4)
+            got = chained_vector(a, b, c, mode, k_chunk=4)
             assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
             assert biteq(got, np.zeros_like(got))
 
@@ -205,14 +203,14 @@ class TestChainContract:
     def test_overflow_in_a_middle_chunk_raises(self):
         a, b = self._overflow_chain(chunk=1)
         with pytest.raises(NonFiniteOperandError):
-            chained_vector_fp32(a, b, 0.0)
+            chained_vector(a, b, 0.0, MXUMode.FP32, k_chunk=4)
         with pytest.raises(NonFiniteOperandError):
             BitLevelMXU(engine="scalar").chain(a, b, 0.0, MXUMode.FP32, 4)
 
     def test_overflow_in_the_last_chunk_returns_inf(self):
         for sign in (1.0, -1.0):
             a, b = self._overflow_chain(chunk=2, sign=sign)
-            got = chained_vector_fp32(a, b, 0.0)
+            got = chained_vector(a, b, 0.0, MXUMode.FP32, k_chunk=4)
             assert biteq(got, np.array([[sign * np.inf]]))
             want = BitLevelMXU(engine="scalar").chain(a, b, 0.0, MXUMode.FP32, 4)
             assert biteq(got, want)
@@ -221,16 +219,17 @@ class TestChainContract:
         def must_not_fall_back(*args):
             raise AssertionError("the proof should settle every element")
 
-        for chain, complex_ in ((chained_vector_fp32, False), (chained_vector_fp32c, True)):
+        for mode in (MXUMode.FP32, MXUMode.FP32C):
+            complex_ = mode is MXUMode.FP32C
             a = _rand_fp32(rng, (3, 8), complex_)
             b = _rand_fp32(rng, (8, 2), complex_)
             c = np.full((3, 2), 0.1 + (0.1j if complex_ else 0.0))
             cq = quantize_complex(c, FP32) if complex_ else quantize(c, FP32)
             with monkeypatch.context() as mp:
                 mp.setattr(vectorized, "_running_anchor_fallback", must_not_fall_back)
-                chain(a, b, cq)
+                chained_vector(a, b, cq, mode, k_chunk=4)
                 with pytest.raises(ValueError, match="not representable in FP32"):
-                    chain(a, b, c)
+                    chained_vector(a, b, c, mode, k_chunk=4)
 
     @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
     @pytest.mark.parametrize("chunk", [0, 1, 2])
@@ -293,8 +292,6 @@ class TestFaultInjectionParity:
              quantize_complex(b - 1j * a, FP32)),
         ):
             n_slots = product_slot_count(mode, 4)
-            fn_v = one_mma
-            fn_s = scalar_mma_fp32 if mode is MXUMode.FP32 else scalar_mma_fp32c
             for _ in range(10):
                 pf = ProductFault(
                     slot=int(rng.integers(n_slots)),
@@ -302,8 +299,8 @@ class TestFaultInjectionParity:
                     bit=int(rng.integers(24)),
                 )
                 assert biteq(
-                    fn_v(va, vb, 0.0, product_fault=pf),
-                    fn_s(va, vb, 0.0, product_fault=pf),
+                    one_mma(va, vb, 0.0, product_fault=pf),
+                    scalar_mma(va, vb, 0.0, product_fault=pf),
                 )
 
     def test_faulty_unit_engine_parity(self, rng):
@@ -376,7 +373,7 @@ def test_fp32_tile_identity_sweep(data, cval):
     a = quantize(np.array(data[:6]).reshape(2, 3), FP32)
     b = quantize(np.array(data[6:]).reshape(3, 2), FP32)
     c = quantize(np.full((2, 2), cval), FP32)
-    assert biteq(one_mma(a, b, c), scalar_mma_fp32(a, b, c))
+    assert biteq(one_mma(a, b, c), scalar_mma(a, b, c))
 
 
 @given(data=st.lists(vals, min_size=24, max_size=24))
@@ -386,7 +383,7 @@ def test_fp32c_tile_identity_sweep(data):
     im = np.array(data[12:])
     a = quantize_complex((re[:6] + 1j * im[:6]).reshape(2, 3), FP32)
     b = quantize_complex((re[6:] + 1j * im[6:]).reshape(3, 2), FP32)
-    assert biteq(one_mma(a, b, 0.0), scalar_mma_fp32c(a, b, 0.0))
+    assert biteq(one_mma(a, b, 0.0), scalar_mma(a, b, 0.0))
 
 
 @given(scale_a=st.integers(min_value=-30, max_value=30),
@@ -399,4 +396,4 @@ def test_scaled_gemm_identity_sweep(scale_a, scale_b, seed):
     r = np.random.default_rng(seed)
     a = quantize(r.standard_normal((3, 8)) * 2.0**scale_a, FP32)
     b = quantize(r.standard_normal((8, 3)) * 2.0**scale_b, FP32)
-    assert biteq(one_mma(a, b, 0.0), scalar_mma_fp32(a, b, 0.0))
+    assert biteq(one_mma(a, b, 0.0), scalar_mma(a, b, 0.0))

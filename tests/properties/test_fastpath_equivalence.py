@@ -24,8 +24,9 @@ from repro.arith.exact import exact_dot
 from repro.eval.runner import run_all
 from repro.gemm.schemes import tensorop_sgemm_3xtf32
 from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
+from repro.mxu import fused
 from repro.mxu.baseline import TensorCoreMXU
-from repro.mxu.bitlevel import bit_level_fp32_dot, bit_level_fp32c_dot
+from repro.mxu.bitlevel import bit_level_chain
 from repro.mxu.dataflow import lane_products
 from repro.mxu.faults import FaultSpec, FaultStage, FaultyM3XU
 from repro.mxu.m3xu import M3XU
@@ -393,20 +394,24 @@ class TestPlanVsLegacyDriver:
         # The driver hands a unit the whole K-chain in one call ...
         assert biteq(TiledGEMM(Counting(), MXUMode.FP32, abft=False).run(a, b, c), base)
         assert Counting.calls == 1
-        # ... and a fault-injecting wrapper runs it one MMA per unit call:
-        # an armed fault on the last chunk fires, so every chunk ran
-        # through the wrapper.
-        Counting.calls = 0
-        faulty = FaultyM3XU(
-            FaultSpec(FaultStage.SIGN_FLIP, call_index=chunks - 1, element=(0, 0)),
-            Counting(),
-        )
-        out = TiledGEMM(faulty, MXUMode.FP32, abft=False).run(a, b, c)
-        assert Counting.calls == chunks
-        assert faulty.calls == chunks and faulty.fired
-        assert out[0, 0] == -base[0, 0]
-        out[0, 0] = base[0, 0]
-        assert biteq(out, base)
+        # ... and a fault-injecting wrapper in at most three: the MMAs
+        # before the armed one, the armed MMA alone, the MMAs after it.
+        # Its MMA count covers every chunk, and an armed fault on the last
+        # one fires.
+        for armed, unit_calls in ((0, 2), (4, 3), (chunks - 1, 2), (chunks, 1)):
+            Counting.calls = 0
+            faulty = FaultyM3XU(
+                FaultSpec(FaultStage.SIGN_FLIP, call_index=armed, element=(0, 0)),
+                Counting(),
+            )
+            out = TiledGEMM(faulty, MXUMode.FP32, abft=False).run(a, b, c)
+            assert Counting.calls == unit_calls
+            assert faulty.calls == chunks and faulty.fired == (armed < chunks)
+            if armed == chunks - 1:
+                assert out[0, 0] == -base[0, 0]
+            if faulty.fired:  # the flip hits element (0, 0) alone
+                out[0, 0] = base[0, 0]
+            assert biteq(out, base)
 
     def test_plan_only_differs_from_fastpath_only_never(self, rng):
         # driver + reference chain and per-chunk loop + fused mma both equal
@@ -487,6 +492,64 @@ class TestBatchedAndParallel:
         assert serial == fanned
 
 
+def _units(level):
+    """The production unit of *level* and its oracle's ``run(a, b, c, mode)``."""
+    if level == "value":
+        return M3XU(), lambda a, b, c, mode: reference_gemm(M3XU(), a, b, c, mode)
+    oracle = BitLevelMXU(engine="scalar")
+    return BitLevelMXU(engine="vector"), lambda a, b, c, mode: (
+        TiledGEMM(oracle, mode, abft=False).run(a, b, c)
+    )
+
+
+class TestBroadcastOperands:
+    """A broadcast C, or an A shared by a stack, gives the bits of its
+    materialised copy, also for the elements that fall back."""
+
+    @pytest.mark.parametrize("level", ["value", "bit"])
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
+    @pytest.mark.parametrize("case", ["zero_sums", "neg_zero_c", "random"])
+    def test_row_c(self, rng, level, mode, case, monkeypatch):
+        if case == "random":  # most elements fail the proof and are guessed
+            real = fused._radius
+            monkeypatch.setattr(fused, "_radius", lambda *args: real(*args) * 2.0**10)
+        a, b, c = chain_edge_operands(case, rng, mode)
+        row = c[0]
+        full = np.broadcast_to(row, (a.shape[0], b.shape[1])).copy()
+        unit, oracle = _units(level)
+        got = TiledGEMM(unit, mode, abft=False).run(a, b, row)
+        assert biteq(got, TiledGEMM(unit, mode, abft=False).run(a, b, full))
+        assert biteq(got, oracle(a, b, full, mode))
+
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
+    @pytest.mark.parametrize("case", ["zero_sums", "neg_zero_c", "overflow"])
+    def test_stack_with_a_shared_c(self, rng, mode, case):
+        # An overflowing element stays ±inf, not NaN.
+        (a0, b0, c), (a1, b1, _) = (chain_edge_operands(case, rng, mode) for _ in range(2))
+        a, b = np.stack([a0, a1]), np.stack([b0, b1])
+        got = TiledGEMM(M3XU(), mode, abft=False).run(a, b, c)
+        per_matrix = [TiledGEMM(M3XU(), mode, abft=False).run(x, y, c) for x, y in zip(a, b)]
+        assert biteq(got, np.stack(per_matrix))
+        assert biteq(got, reference_gemm(M3XU(), a, b, c, mode))
+
+    @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C])
+    def test_shared_a_stack_takes_the_fast_chain(self, rng, mode, monkeypatch):
+        batches = []
+        real = fused._fast_chain
+
+        def spy(a, b, *args, **kwargs):
+            batches.append(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(fused, "_fast_chain", spy)
+        a, b0, c = chain_edge_operands("zero_sums", rng, mode)
+        b = np.stack([b0, -b0, 2 * b0])
+        got = TiledGEMM(M3XU(), mode, abft=False).run(a, b, c)
+        assert batches and batches[0] == (3,)
+        assert biteq(got, TiledGEMM(M3XU(), mode, abft=False).run(np.stack([a] * 3), b, c))
+        assert biteq(got, reference_gemm(M3XU(), a, b, c, mode))
+
+
 class TestBitlevelCrossValidation:
     """The fast path still matches the bit-level golden datapath."""
 
@@ -500,7 +563,7 @@ class TestBitlevelCrossValidation:
         b = quantize(np.array(data[8:16]), FP32)
         c = float(quantize(np.array(data[16]), FP32))
         got = M3XU().mma_fp32(a[None, :], b[:, None], c)[0, 0]
-        assert got == bit_level_fp32_dot(a, b, c)
+        assert got == bit_level_chain(a[None, :], b[:, None], c, MXUMode.FP32)[0, 0]
 
     def test_fp32c_dot(self, rng):
         a = quantize_complex(
@@ -510,7 +573,7 @@ class TestBitlevelCrossValidation:
             rng.standard_normal(6) + 1j * rng.standard_normal(6), FP32
         )
         got = M3XU().mma_fp32c(a[None, :], b[:, None], 0.0)[0, 0]
-        assert got == bit_level_fp32c_dot(a, b, 0.0)
+        assert got == bit_level_chain(a[None, :], b[:, None], 0.0, MXUMode.FP32C)[0, 0]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["pos", "neg"])
     @pytest.mark.parametrize("mode", [MXUMode.FP32, MXUMode.FP32C], ids=["fp32", "fp32c"])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.arith import exact_dot
 from repro.gemm import TiledGEMM, mxu_sgemm, sgemm_simt
-from repro.mxu import BitLevelMXU, MXUMode, bit_level_fp32_dot
+from repro.mxu import BitLevelMXU, MXUMode, bit_level_chain
 from repro.types import FP32, quantize
 
 vals = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e8, max_value=1e8)
@@ -18,7 +18,7 @@ def test_bit_level_always_correctly_rounded(data):
     """Arbitrary inputs: the bit-level datapath equals exact rounding."""
     a = quantize(np.array(data[:9]), FP32)
     b = quantize(np.array(data[9:]), FP32)
-    got = bit_level_fp32_dot(a, b, 0.0)
+    got = bit_level_chain(a[None, :], b[:, None], 0.0, MXUMode.FP32)[0, 0]
     ref = exact_dot(list(a), list(b), 0.0, FP32)
     assert got == ref
 
@@ -29,7 +29,7 @@ def test_tie_broken_only_below_the_window_rounds_to_even():
     The 2**-126 product falls below the 48-bit window of the first MMA,
     so the value level and the vector engine drop it there, and the
     second chunk's sum 62570730 is an FP32 tie that rounds to even; the
-    single-accumulator scalar dot drops it below its window the same way.
+    single-MMA scalar walker drops it below its window the same way.
     The exact dot product sits just above the tie and rounds up.
     """
     a = quantize(np.array([1, 2.0**-126, 0, 0, 1, 0, 0, 0, 0]), FP32)
@@ -37,7 +37,7 @@ def test_tie_broken_only_below_the_window_rounds_to_even():
     vector = TiledGEMM(BitLevelMXU(engine="vector"), MXUMode.FP32)
     assert mxu_sgemm(a[None, :], b[:, None])[0, 0] == 62570728.0
     assert vector.run(a[None, :], b[:, None])[0, 0] == 62570728.0
-    assert bit_level_fp32_dot(a, b, 0.0) == 62570728.0
+    assert bit_level_chain(a[None, :], b[:, None], 0.0, MXUMode.FP32)[0, 0] == 62570728.0
     assert exact_dot(list(a), list(b), 0.0, FP32) == 62570732.0
 
 

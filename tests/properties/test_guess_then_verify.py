@@ -22,12 +22,7 @@ from repro.gemm.tiled import TiledGEMM
 from repro.mxu import fused, vectorized
 from repro.mxu.m3xu import M3XU
 from repro.mxu.modes import MXUMode
-from repro.mxu.vectorized import (
-    BitLevelMXU,
-    NonFiniteOperandError,
-    chained_vector_fp32,
-    chained_vector_fp32c,
-)
+from repro.mxu.vectorized import BitLevelMXU, NonFiniteOperandError, chained_vector
 from repro.types.formats import FP32
 from repro.types.quantize import quantize
 from tests.properties import test_bitlevel_vector_equivalence as bitlevel_suite
@@ -281,9 +276,7 @@ def test_adversarial_chains_with_a_wide_radius(mode, monkeypatch):
         draw_ops = complex_operands if complex_ else real_operands
         a, b, c = draw_ops(np.random.default_rng(seed), 6, 8 * k_chunk, 5)
         records.clear()
-        got = chained_vector_fp32c(a, b, c, k_chunk=k_chunk) if complex_ else (
-            chained_vector_fp32(a, b, c, k_chunk=k_chunk)
-        )
+        got = chained_vector(a, b, c, mode, k_chunk=k_chunk)
         assert biteq(got, BitLevelMXU(engine="scalar").chain(a, b, c, mode, k_chunk))
         assert max(records) >= 2
 
@@ -321,7 +314,8 @@ import sys
 import numpy as np
 import repro
 from repro.gemm.tiled import mxu_cgemm, mxu_sgemm
-from repro.mxu.vectorized import chained_vector_fp32
+from repro.mxu.modes import MXUMode
+from repro.mxu.vectorized import chained_vector
 
 rng = np.random.default_rng(0)
 mxu_sgemm(rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))
@@ -329,7 +323,7 @@ mxu_cgemm(rng.standard_normal((32, 32)) + 1j, rng.standard_normal((32, 32)) - 1j
 # Every chunk of every row cancels exactly: exact zeros always fall back.
 a = np.ones((4, 8))
 a[:, 1::2] = -1.0
-chained_vector_fp32(a, np.ones((8, 3)), 0.0)
+chained_vector(a, np.ones((8, 3)), 0.0, MXUMode.FP32, k_chunk=4)
 print("numpy.ma" in sys.modules)
 """
     out = subprocess.run(

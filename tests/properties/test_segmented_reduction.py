@@ -21,16 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith.accumulator import _ANCHOR_SENTINEL, segmented_windowed_sum_f32
-from repro.mxu.bitlevel import BitAccumulator
+from repro.mxu.bitlevel import BitAccumulator, bit_level_chain
 from repro.mxu.modes import MXUMode
-from repro.mxu.vectorized import (
-    ProductFault,
-    chained_vector_fp32,
-    chained_vector_fp32c,
-    product_slot_count,
-    scalar_mma_fp32,
-    scalar_mma_fp32c,
-)
+from repro.mxu.vectorized import ProductFault, chained_vector, product_slot_count
 from repro.types.formats import FP32
 from repro.types.quantize import quantize, quantize_complex
 from repro.types.rounding import RoundingMode
@@ -279,27 +272,27 @@ def _fp32_with_unit_slices(rng, shape):
 
 
 class TestChainedKernel:
-    """chained_vector_fp32(c) == the scalar oracle's per-chunk MMA chain."""
+    """chained_vector == the scalar oracle's per-chunk MMA chain."""
 
     @staticmethod
     def _per_chunk(a, b, c, k_chunk, acc_bits, mode, fault=None):
         """The scalar oracle's per-MMA chain. *fault* addresses a product
         slot over the whole chain and is injected into the MMA holding it."""
-        fp32c = np.iscomplexobj(a)
-        fn = scalar_mma_fp32c if fp32c else scalar_mma_fp32
-        per_k = product_slot_count(MXUMode.FP32C if fp32c else MXUMode.FP32, 1)
+        mx_mode = MXUMode.FP32C if np.iscomplexobj(a) else MXUMode.FP32
+        per_k = product_slot_count(mx_mode, 1)
         acc = np.broadcast_to(
-            np.asarray(c, dtype=np.complex128 if fp32c else np.float64),
+            np.asarray(c, dtype=np.complex128 if mx_mode is MXUMode.FP32C else np.float64),
             (a.shape[0], b.shape[1]),
         )
         for k0 in range(0, a.shape[1], k_chunk):
             pf = None
             if fault is not None and k0 <= fault.slot // per_k < k0 + k_chunk:
                 pf = ProductFault(fault.slot - k0 * per_k, fault.element, fault.bit)
-            acc = fn(
+            acc = bit_level_chain(
                 a[:, k0 : k0 + k_chunk],
                 b[k0 : k0 + k_chunk, :],
                 acc,
+                mx_mode,
                 acc_bits=acc_bits,
                 rounding=mode,
                 product_fault=pf,
@@ -326,8 +319,8 @@ class TestChainedKernel:
         c = quantize(rng.standard_normal((m, n)), FP32)
         fault = _random_fault(rng, MXUMode.FP32, k, m, n) if faulty else None
         want = self._per_chunk(a, b, c, k_chunk, acc_bits, mode, fault)
-        got = chained_vector_fp32(
-            a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
+        got = chained_vector(
+            a, b, c, MXUMode.FP32, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
             product_fault=fault,
         )
         assert biteq(got, want)
@@ -362,8 +355,8 @@ class TestChainedKernel:
         )
         fault = _random_fault(rng, MXUMode.FP32C, k, m, n) if faulty else None
         want = self._per_chunk(a, b, c, k_chunk, acc_bits, mode, fault)
-        got = chained_vector_fp32c(
-            a, b, c, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
+        got = chained_vector(
+            a, b, c, MXUMode.FP32C, k_chunk=k_chunk, acc_bits=acc_bits, rounding=mode,
             product_fault=fault,
         )
         assert biteq(got, want)
@@ -394,7 +387,7 @@ class TestChainedKernel:
             want = outcome(
                 lambda: self._per_chunk(a, b, c, 4, 48, RoundingMode.NEAREST_EVEN)
             )
-            got = outcome(lambda: chained_vector_fp32(a, b, c))
+            got = outcome(lambda: chained_vector(a, b, c, MXUMode.FP32, k_chunk=4))
             assert got == want
 
     def test_ragged_k_tail_and_empty_dims(self):
@@ -402,8 +395,8 @@ class TestChainedKernel:
         a = quantize(rng.standard_normal((3, 10)), FP32)  # 10 = 2*4 + 2
         b = quantize(rng.standard_normal((10, 3)), FP32)
         want = self._per_chunk(a, b, 0.0, 4, 48, RoundingMode.NEAREST_EVEN)
-        assert biteq(chained_vector_fp32(a, b, 0.0), want)
-        empty = chained_vector_fp32(
-            np.empty((3, 0)), np.empty((0, 3)), np.float64(2.5)
+        assert biteq(chained_vector(a, b, 0.0, MXUMode.FP32, k_chunk=4), want)
+        empty = chained_vector(
+            np.empty((3, 0)), np.empty((0, 3)), np.float64(2.5), MXUMode.FP32, k_chunk=4
         )
         assert biteq(empty, np.full((3, 3), 2.5))
