@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .config import LintConfig
 from .graph import FunctionInfo, ProjectContext
@@ -490,9 +489,3 @@ class _FunctionPass:
                 sink=sink,
             )
         )
-
-
-def iter_hits(flow: ExactFlow, ctx_path: str, rule_id: str) -> Iterator[FlowHit]:
-    for hit in flow.hits:
-        if hit.ctx_path == ctx_path and hit.rule_id == rule_id:
-            yield hit

@@ -1,13 +1,12 @@
 """GEMM-based FFT: functional transform + Figure 6 performance models."""
 
-from .gemmfft import CGemmFn, dft_matrix, fft_forward, gemm_fft
+from .gemmfft import CGemmFn, dft_matrix, gemm_fft
 from .perf import FftPerf, cufft_time, fft_speedups, m3xu_fft_time, tcfft_time
 from .utils import batch_fft, fft2, ifft, ifft2, irfft, rfft
 
 __all__ = [
     "dft_matrix",
     "gemm_fft",
-    "fft_forward",
     "CGemmFn",
     "FftPerf",
     "cufft_time",

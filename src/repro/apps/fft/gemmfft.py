@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["dft_matrix", "gemm_fft", "fft_forward", "CGemmFn"]
+__all__ = ["dft_matrix", "gemm_fft", "CGemmFn"]
 
 CGemmFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -104,8 +104,3 @@ def _fft_recursive(
         z[r] = _fft_recursive(y[r], cgemm, base, inverse)
     # Output index k = k2 * n1 + k1.
     return z.T.reshape(-1)
-
-
-def fft_forward(x: np.ndarray, cgemm: CGemmFn | None = None) -> np.ndarray:
-    """Convenience forward FFT matching ``np.fft.fft`` conventions."""
-    return gemm_fft(x, cgemm=cgemm, inverse=False)

@@ -24,7 +24,6 @@ from .abft import (
     AbftReport,
     AbftUncorrectedError,
     Detection,
-    abft_info,
     element_tolerance,
     guarded_gemm,
     resolve_abft,
@@ -39,7 +38,6 @@ __all__ = [
     "AbftReport",
     "AbftUncorrectedError",
     "Detection",
-    "abft_info",
     "element_tolerance",
     "guarded_gemm",
     "resolve_abft",

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -334,14 +334,3 @@ def guarded_gemm(
         report.recomputed_tiles += len(flagged)
         report.recompute_rounds += 1
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-def abft_info() -> dict[str, Any]:
-    """Introspection convenience for docs/tests: current gate + defaults."""
-    cfg = AbftConfig()
-    return {
-        "enabled": resolve_abft(),
-        "tile": cfg.tile,
-        "safety": cfg.safety,
-        "max_rounds": cfg.max_rounds,
-    }
