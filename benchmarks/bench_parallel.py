@@ -1,7 +1,7 @@
-"""Parallel-engine scaling: warm persistent pool, cache hit vs miss.
+"""Parallel-engine scaling: warm persistent pool and strong scaling.
 
 Not a paper figure: this regression-guards the orchestration layer the
-same way ``bench_hotpath.py`` guards the per-GEMM fast path. Three
+same way ``bench_hotpath.py`` guards the per-GEMM fast path. Two
 questions are measured on the same operands, with bit-identity asserted
 between every configuration:
 
@@ -14,9 +14,6 @@ between every configuration:
   a frozen historical value (rows marked ``"historical": true``), so
   ``warm_speedup`` compares today's ``warm_s`` against it and has no
   floor.
-* **Cache** — a first (cold) ``run_all()`` vs a second in the same
-  process. Acceptance: the cached sweep is ≥ 10× faster, and
-  ``use_cache=False`` reproduces the cold results bit-identically.
 * **Strong scaling** — one 512³ FP32 GEMM through the tiled driver at
   ``workers ∈ {1, 2, 4, cpu_count}``, at the bit level
   (:func:`repro.mxu.sharded_bitlevel_gemm`, the driver on a
@@ -46,8 +43,6 @@ import numpy as np
 import pytest
 
 from repro import parallel
-from repro.cache import DEFAULT_CACHE
-from repro.eval.runner import render_report, run_all
 from repro.gemm import tiled
 from repro.gemm.tiled import mxu_sgemm
 from repro.mxu import sharded_bitlevel_gemm
@@ -76,7 +71,7 @@ HISTORICAL_PERCALL_S = {
 SCALING_N = 32 if SMOKE else 512
 FULL_SCALING_N = 512
 
-_DATA: dict = {"smoke": SMOKE, "pool": [], "cache": {}, "bitlevel": [], "valuelevel": []}
+_DATA: dict = {"smoke": SMOKE, "pool": [], "bitlevel": [], "valuelevel": []}
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 
@@ -91,13 +86,6 @@ def _write_json():
         bench_print(
             f"  workers={r['workers']}  per-call {r['percall_s'] * 1e3:8.1f} ms"
             f" / warm {r['warm_s'] * 1e3:8.1f} ms = {r['warm_speedup']:.2f}x"
-        )
-    c = _DATA["cache"]
-    if c:
-        bench_print(
-            f"  run_all  cold {c['first_s'] * 1e3:8.1f} ms"
-            f" / cached {c['second_s'] * 1e3:8.1f} ms = {c['speedup']:.0f}x"
-            f"  (no-cache bit-identical: {c['nocache_identical']})"
         )
     for level in ("bitlevel", "valuelevel"):
         for r in _DATA[level]:
@@ -204,30 +192,3 @@ def test_valuelevel_strong_scaling(benchmark, monkeypatch):
         lambda a, b, w: mxu_sgemm(a, b, abft=False, workers=w),
     )
 
-
-def test_cache_hit_vs_miss():
-    DEFAULT_CACHE.clear()
-    first_s, first = _best_of(lambda: run_all(workers=1), repeats=1)
-    second_s, second = _best_of(lambda: run_all(workers=1), repeats=3)
-    text_first = render_report(first)
-    assert render_report(second) == text_first
-
-    nocache_s, cold = _best_of(
-        lambda: run_all(workers=1, use_cache=False), repeats=1
-    )
-    identical = render_report(cold) == text_first
-    assert identical, "use_cache=False diverged from the cached results"
-
-    speedup = first_s / second_s
-    _DATA["cache"] = {
-        "experiments": len(first),
-        "first_s": first_s,
-        "second_s": second_s,
-        "nocache_s": nocache_s,
-        "speedup": speedup,
-        "nocache_identical": identical,
-    }
-    if not SMOKE:
-        assert speedup >= 10.0, (
-            f"cached run_all only {speedup:.1f}x faster than cold (required >= 10x)"
-        )

@@ -11,12 +11,13 @@ Public API tour
 * ``repro.synthesis`` — the Table III area/cycle/power cost model.
 * ``repro.apps`` — FFT, DNN training, MRF, kNN, quantum case studies.
 * ``repro.eval`` — one runner per paper table/figure.
-* ``repro.parallel`` / ``repro.cache`` — the execution engine: persistent
-  worker pool with zero-copy operand transfer, and the content-addressed
-  result cache (see ``docs/performance.md``).
+* ``repro.parallel`` — the execution engine: persistent worker pool with
+  zero-copy operand transfer (see ``docs/performance.md``).
+* ``repro.cache`` — content addressing and the in-memory LRU the server
+  answers repeat payloads from.
 * ``repro.resilience`` — fault tolerance: ABFT checksum guards for GEMM,
-  checkpoint/resume journaling, retry policies and the fault-injection
-  campaign engine (see ``docs/robustness.md``).
+  retry policies and the fault-injection campaign engine (see
+  ``docs/robustness.md``).
 """
 
 from .mxu import M3XU, MXUMode, TensorCoreMXU

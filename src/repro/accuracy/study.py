@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..cache import memoize
 from ..gemm.reference import cgemm_fp64, cgemm_simt, gemm_fp64, sgemm_simt
 from ..gemm.schemes import (
     eehc_sgemm_3xbf16,
@@ -28,7 +27,6 @@ from ..gemm.schemes import (
 )
 from ..gemm.tiled import mxu_cgemm, mxu_sgemm
 from ..mxu.vectorized import BitLevelMXU
-from ..parallel import parallel_map
 from ..types.errors import matching_bits, max_relative_error
 from ..types.formats import FP32
 from ..types.quantize import quantize, quantize_complex
@@ -62,11 +60,7 @@ CGEMM_IMPLS: dict[str, Callable] = {
 
 
 def bitlevel_sgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | float = 0.0) -> np.ndarray:
-    """FP32 GEMM through the bit-level datapath (``REPRO_BITLEVEL`` engine).
-
-    Module-level so it pickles into :func:`~repro.parallel.parallel_map`
-    workers like the other study implementations.
-    """
+    """FP32 GEMM through the bit-level datapath (``REPRO_BITLEVEL`` engine)."""
     return mxu_sgemm(a, b, c, mxu=BitLevelMXU())
 
 
@@ -76,10 +70,10 @@ def bitlevel_cgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | complex = 0.0) 
 
 
 #: Study rosters that run the true split/multiply/shift/accumulate
-#: datapath. Kept separate from the value-level defaults so headline
-#: snapshots and memoised studies keyed on the default rosters are
-#: untouched; pass ``impls={**SGEMM_IMPLS, **BITLEVEL_SGEMM_IMPLS}`` to
-#: compare both in one study.
+#: datapath. Kept separate from the value-level defaults so the headline
+#: studies and the report stay as they are; pass
+#: ``impls={**SGEMM_IMPLS, **BITLEVEL_SGEMM_IMPLS}`` to compare both in
+#: one study.
 BITLEVEL_SGEMM_IMPLS: dict[str, Callable] = {"m3xu_fp32_bitlevel": bitlevel_sgemm}
 BITLEVEL_CGEMM_IMPLS: dict[str, Callable] = {"m3xu_fp32c_bitlevel": bitlevel_cgemm}
 
@@ -103,35 +97,17 @@ def _well_conditioned(rng: np.ndarray, m: int, n: int, k: int) -> tuple:
     return a, b, c
 
 
-def _apply_impl(args: tuple[Callable, np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Module-level (picklable) worker: run one GEMM implementation."""
-    fn, a, b, c = args
-    return fn(a, b, c)
-
-
-@memoize(ignore=("workers",))
 def sgemm_accuracy_study(
     m: int = 48, n: int = 48, k: int = 96, seed: int = 11,
     impls: dict[str, Callable] | None = None,
-    workers: int | None = None,
 ) -> list[AccuracyResult]:
-    """Error of every FP32 GEMM implementation vs float64 (well-conditioned).
-
-    *workers* fans the (independent) implementations out across processes;
-    the result list is identical for every worker count — which is why
-    *workers* is excluded from the memoisation key. Repeated studies on
-    the same (m, n, k, seed, impls) replay the cached result; pass
-    ``use_cache=False`` to force recomputation.
-    """
+    """Error of every FP32 GEMM implementation vs float64 (well-conditioned)."""
     rng = np.random.default_rng(seed)
     a, b, c = _well_conditioned(rng, m, n, k)
     ref = gemm_fp64(a, b, c)
-    impls = impls or SGEMM_IMPLS
-    outputs = parallel_map(
-        _apply_impl, [(fn, a, b, c) for fn in impls.values()], workers=workers
-    )
     results = []
-    for name, got in zip(impls, outputs):
+    for name, fn in (impls or SGEMM_IMPLS).items():
+        got = fn(a, b, c)
         results.append(
             AccuracyResult(
                 name=name,
@@ -143,14 +119,11 @@ def sgemm_accuracy_study(
     return results
 
 
-@memoize(ignore=("workers",))
 def cgemm_accuracy_study(
     m: int = 32, n: int = 32, k: int = 64, seed: int = 13,
     impls: dict[str, Callable] | None = None,
-    workers: int | None = None,
 ) -> list[AccuracyResult]:
-    """Error of every FP32C GEMM implementation vs complex128 (memoised
-    like :func:`sgemm_accuracy_study`)."""
+    """Error of every FP32C GEMM implementation vs complex128."""
     rng = np.random.default_rng(seed)
     a = quantize_complex(
         rng.uniform(0.5, 1.5, size=(m, k)) + 1j * rng.uniform(0.5, 1.5, size=(m, k)), FP32
@@ -160,12 +133,9 @@ def cgemm_accuracy_study(
     )
     c = np.zeros((m, n), dtype=np.complex128)
     ref = cgemm_fp64(a, b, c)
-    impls = impls or CGEMM_IMPLS
-    outputs = parallel_map(
-        _apply_impl, [(fn, a, b, c) for fn in impls.values()], workers=workers
-    )
     results = []
-    for name, got in zip(impls, outputs):
+    for name, fn in (impls or CGEMM_IMPLS).items():
+        got = fn(a, b, c)
         rel = np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)
         mx = float(np.max(rel))
         results.append(

@@ -17,7 +17,7 @@ linter checks:
   module-level state, and every shared-memory segment must be released
   on all paths.
 * **Resilience hygiene** — no bare ``except``; ``pickle.load`` on cache
-  or checkpoint bytes only inside the corruption-handling wrappers.
+  bytes only inside the corruption-handling wrapper.
 
 :func:`lint_paths` runs every registered rule over a file tree and
 returns structured :class:`Finding` records; the ``repro lint`` CLI

@@ -91,11 +91,8 @@ class LintConfig:
     #: Path fragments naming the bit-exact modules (PS rules).
     bit_exact: tuple[str, ...] = ("repro/types/", "repro/arith/", "repro/mxu/")
     #: Path fragments allowed to call ``pickle.load(s)`` (RH402) — the
-    #: corruption-handling wrappers from the cache/checkpoint subsystems.
-    pickle_wrappers: tuple[str, ...] = (
-        "repro/cache.py",
-        "repro/resilience/checkpoint.py",
-    )
+    #: result cache, whose unpickle treats corrupted bytes as a miss.
+    pickle_wrappers: tuple[str, ...] = ("repro/cache.py",)
     #: Names resolving to the parallel fan-out entry point (FS rules).
     parallel_entrypoints: tuple[str, ...] = ("parallel_map",)
     #: Path fragments where exactness-flow findings are *reported* (XF

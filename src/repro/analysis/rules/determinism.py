@@ -1,8 +1,8 @@
 """Determinism rules (DT2xx).
 
 Every emulation result in this repo is asserted bit-identical across
-worker counts, cache states, and resumed checkpoints — which only holds
-if no code path consumes entropy the caller did not seed. Fault
+worker counts, cache states, and served vs in-process runs — which only
+holds if no code path consumes entropy the caller did not seed. Fault
 injection in particular must thread an explicit seed (the campaign
 engine replays trials from it).
 """
@@ -51,8 +51,8 @@ class UnseededGenerator(Rule):
 
     An unseeded generator pulls OS entropy, so two runs of the same
     emulation or fault campaign produce different results and the
-    bit-identical replay guarantees (cache, checkpoint resume, ABFT
-    recomputation) silently stop being testable.
+    bit-identical replay guarantees (cache, ABFT recomputation)
+    silently stop being testable.
     """
 
     rule_id = "DT201"

@@ -56,10 +56,9 @@ class BareExcept(Rule):
 class UnguardedPickleLoad(Rule):
     """RH402: ``pickle.load(s)`` outside the corruption-handling wrappers.
 
-    Cache blobs and checkpoint journals can be torn, bit-rotted, or
-    written by an older class layout; ``repro.cache`` and
-    ``repro.resilience.checkpoint`` unpickle behind integrity checks and
-    treat any failure as a miss. Raw ``pickle.load`` anywhere else
+    Cached blobs can be bit-rotted or written by an older class layout;
+    ``repro.cache`` unpickles behind a handler that treats any failure
+    as a miss. Raw ``pickle.load`` anywhere else
     reintroduces the crash-on-corruption failure mode (and an arbitrary
     code execution surface on untrusted bytes).
     """
@@ -80,9 +79,8 @@ class UnguardedPickleLoad(Rule):
                     ctx,
                     node.lineno,
                     node.col_offset,
-                    f"{dotted} on raw bytes; route through repro.cache / "
-                    "repro.resilience.checkpoint so corruption is a miss, "
-                    "not a crash",
+                    f"{dotted} on raw bytes; route through repro.cache "
+                    "so corruption is a miss, not a crash",
                     cfg,
                 )
 

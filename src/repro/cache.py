@@ -1,71 +1,26 @@
-"""Content-addressed result cache for experiments and studies.
+"""Content addressing and the server's in-memory result cache.
 
-Repeated ``run_all`` sweeps and report renders recompute byte-identical
-results: every experiment is a pure function of its configuration, the
-operands are seeded, and the functional models are deterministic. This
-module memoises those results behind a stable content address so a
-second sweep in the same process (or, opted in, across processes) is
-near-free.
-
-Keys are a SHA-256 digest over a canonical encoding of
-
-* the target's qualified name (``module.qualname``),
-* a code-version salt (:data:`CODE_SALT` — bump it whenever numerics
-  change so stale entries can never resurface), and
-* the call's configuration/operands (ints, floats, strings, ndarrays,
-  enums, callables-by-name, and containers thereof).
-
-Storage is two-layer: an in-memory LRU always on, plus an opt-in
-on-disk layer rooted at ``REPRO_CACHE_DIR``. Entries are stored
-*pickled* and unpickled per hit, so callers can mutate what they get
-back without corrupting the cache. ``REPRO_CACHE=0`` (CLI: an explicit
-``use_cache=False`` / ``--no-cache``) bypasses every layer; the cold
-path is bit-identical because cached values were produced by exactly
-the code that would otherwise run.
+:func:`stable_digest` is a SHA-256 digest over a canonical encoding of
+its arguments (ints, floats, strings, ndarrays, enums,
+callables-by-name, and containers thereof); the serving layer keys
+repeat payloads by it. :class:`ResultCache` is the in-memory LRU behind
+those keys. It stores entries *pickled* and unpickles them per hit, so
+callers can mutate what they get back without corrupting the cache, and
+it lives exactly as long as the process that built it.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import inspect
-import os
 import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from enum import Enum
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_ENV",
-    "CODE_SALT",
-    "cache_enabled",
-    "stable_digest",
-    "ResultCache",
-    "DEFAULT_CACHE",
-    "memoize",
-]
-
-#: Environment variable naming the on-disk cache root (unset: memory only).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable gating the whole cache (``0``/``false``/``off``).
-CACHE_ENV = "REPRO_CACHE"
-
-#: Version salt folded into every key. Bump on numerics-affecting changes.
-CODE_SALT = "repro-cache-v1"
-
-_MISS = object()
-
-
-def cache_enabled() -> bool:
-    """Whether caching is globally enabled (the ``REPRO_CACHE`` gate)."""
-    return os.environ.get(CACHE_ENV, "").strip().lower() not in ("0", "false", "off")
+__all__ = ["stable_digest", "ResultCache"]
 
 
 # ----------------------------------------------------------------------
@@ -137,53 +92,28 @@ def stable_digest(*objs: Any) -> str:
 # The cache proper
 # ----------------------------------------------------------------------
 class ResultCache:
-    """Two-layer (memory LRU + optional disk) pickled-value store."""
+    """In-memory LRU of pickled values."""
 
-    def __init__(self, maxsize: int = 256, directory: str | os.PathLike | None = None):
+    def __init__(self, maxsize: int = 256):
         self.maxsize = maxsize
-        self.directory = directory
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        #: Disk writes that landed on an already-existing entry — i.e. a
-        #: concurrent (or earlier) writer stored the same key. The
-        #: tmp-file + ``os.replace`` protocol makes each such collision
-        #: harmless: a reader sees either the old complete pickle or the
-        #: new complete pickle, never a torn mixture.
-        self.collisions = 0
         self._mem: OrderedDict[str, bytes] = OrderedDict()
         self._lock = threading.Lock()
-
-    def _disk_dir(self) -> Path | None:
-        root = self.directory or os.environ.get(CACHE_DIR_ENV, "").strip()
-        return Path(root) if root else None
-
-    def _disk_path(self, key: str) -> Path | None:
-        root = self._disk_dir()
-        return root / f"{key}.pkl" if root else None
 
     def get(self, key: str, default: Any = None) -> Any:
         """The cached value for *key* (unpickled fresh), else *default*.
 
-        A corrupted entry — a disk file truncated by a crash mid-write on
-        a non-atomic filesystem, bit rot, or a stale pickle referencing a
-        class that no longer unpickles — is treated as a miss: the bad
-        bytes are evicted (memory entry dropped, disk file unlinked) so
-        the value is recomputed and re-stored cleanly instead of the
-        same poisoned blob crashing every future read.
+        An entry that no longer unpickles (bit rot, or a pickle that
+        references a class that no longer loads) is treated as a miss:
+        it is evicted, so the value is recomputed and re-stored cleanly
+        instead of the same poisoned blob failing every future read.
         """
-        from_disk = False
         with self._lock:
             blob = self._mem.get(key)
             if blob is not None:
                 self._mem.move_to_end(key)
-        path = self._disk_path(key)
-        if blob is None and path is not None and path.is_file():
-            try:
-                blob = path.read_bytes()
-                from_disk = True
-            except OSError:
-                blob = None
         if blob is None:
             self.misses += 1
             return default
@@ -204,121 +134,25 @@ class ResultCache:
             self.misses += 1
             with self._lock:
                 self._mem.pop(key, None)
-            if from_disk and path is not None:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
             return default
-        if from_disk:
-            self._remember(key, blob)
         self.hits += 1
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store *value* under *key* in memory and (if configured) disk."""
+        """Store *value* under *key*, evicting the least recent entry
+        beyond ``maxsize``."""
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self._remember(key, blob)
-        path = self._disk_path(key)
-        if path is not None:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                if path.exists():
-                    # Another writer (process or thread) beat us to this
-                    # key; the atomic replace below prevents any reader
-                    # from ever seeing a torn mixture of the two writes.
-                    with self._lock:
-                        self.collisions += 1
-                os.replace(tmp, path)  # atomic: readers never see partials
-            except OSError:
-                pass  # disk layer is best-effort
-
-    def _remember(self, key: str, blob: bytes) -> None:
         with self._lock:
             self._mem[key] = blob
             self._mem.move_to_end(key)
             while len(self._mem) > self.maxsize:
                 self._mem.popitem(last=False)
 
-    def clear(self, memory: bool = True, disk: bool = False) -> None:
-        if memory:
-            with self._lock:
-                self._mem.clear()
-            self.hits = self.misses = self.corrupt = self.collisions = 0
-        if disk:
-            root = self._disk_dir()
-            if root is not None and root.is_dir():
-                for path in root.glob("*.pkl"):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-
     def info(self) -> dict[str, Any]:
-        root = self._disk_dir()
         return {
             "entries": len(self._mem),
             "maxsize": self.maxsize,
             "hits": self.hits,
             "misses": self.misses,
             "corrupt": self.corrupt,
-            "collisions": self.collisions,
-            "disk_dir": str(root) if root else None,
         }
-
-
-#: The process-wide cache every memoised entry point shares.
-DEFAULT_CACHE = ResultCache()
-
-
-# ----------------------------------------------------------------------
-# Memoisation decorator
-# ----------------------------------------------------------------------
-def memoize(
-    fn: Callable | None = None,
-    *,
-    salt: str = "",
-    ignore: tuple[str, ...] = (),
-    cache: ResultCache | None = None,
-) -> Callable:
-    """Memoise *fn* through the content-addressed cache.
-
-    The key covers the function's qualified name, :data:`CODE_SALT`,
-    *salt*, and the bound call arguments (defaults applied) minus any
-    parameter named in *ignore* — list there the knobs that cannot
-    change the result, e.g. ``workers``. The wrapper grows a reserved
-    ``use_cache`` keyword: ``False`` bypasses the cache for that call
-    (``None`` defers to the ``REPRO_CACHE`` gate).
-    """
-
-    def deco(f: Callable) -> Callable:
-        qualname = f"{f.__module__}.{f.__qualname__}"
-        sig = inspect.signature(f)
-        store = cache if cache is not None else DEFAULT_CACHE
-
-        @functools.wraps(f)
-        def wrapper(*args: Any, use_cache: bool | None = None, **kwargs: Any) -> Any:
-            if use_cache is False or (use_cache is None and not cache_enabled()):
-                return f(*args, **kwargs)
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            keyed = {
-                name: val
-                for name, val in bound.arguments.items()
-                if name not in ignore
-            }
-            key = stable_digest(CODE_SALT, salt, qualname, keyed)
-            hit = store.get(key, _MISS)
-            if hit is not _MISS:
-                return hit
-            out = f(*args, **kwargs)
-            store.put(key, out)
-            return out
-
-        wrapper.__wrapped__ = f
-        return wrapper
-
-    return deco(fn) if fn is not None else deco

@@ -2,14 +2,9 @@
 
 Commands
 --------
-``report [names...] [--workers N] [--no-cache] [--resume] ...``
+``report [names...]``
     Regenerate paper tables/figures (default: all) and print the
-    paper-vs-measured report. Results are served from the content-
-    addressed cache when available; ``--no-cache`` (or ``REPRO_CACHE=0``)
-    forces a bit-identical cold recomputation. ``--checkpoint-dir``
-    (or ``REPRO_CHECKPOINT_DIR``) journals every completed experiment;
-    ``--resume`` replays a prior journal after an interrupted run.
-    ``--retries`` / ``--task-timeout`` harden individual experiments.
+    paper-vs-measured report.
 ``campaign [--trials N] [--mode fp32|fp32c] ...``
     Run the randomized datapath fault-injection campaign through the
     ABFT-guarded GEMM and print the outcome table. Exits nonzero if any
@@ -51,20 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="regenerate paper tables/figures")
     rep.add_argument("names", nargs="*", help="experiment names (default: all)")
-    rep.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: REPRO_WORKERS or serial)")
-    rep.add_argument("--no-cache", action="store_true", dest="no_cache",
-                     help="bypass the result cache (bit-identical, just slower)")
-    rep.add_argument("--checkpoint-dir", default=None, dest="checkpoint_dir",
-                     help="journal completed experiments here "
-                          "(default: REPRO_CHECKPOINT_DIR)")
-    rep.add_argument("--resume", action="store_true",
-                     help="replay the checkpoint journal before computing")
-    rep.add_argument("--retries", type=int, default=None,
-                     help="retries per failed experiment (default: 0)")
-    rep.add_argument("--task-timeout", type=float, default=None, dest="task_timeout",
-                     help="per-experiment timeout in seconds "
-                          "(default: none)")
 
     gemm = sub.add_parser("gemm", help="model one GEMM problem")
     gemm.add_argument("--m", type=int, required=True)
@@ -76,9 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["a100", "a100_emulation", "h100", "mi100"])
 
     sub.add_parser("synthesis", help="print the Table III model")
-    acc = sub.add_parser("accuracy", help="run the Section V-B study")
-    acc.add_argument("--no-cache", action="store_true", dest="no_cache",
-                     help="bypass the result cache")
+    sub.add_parser("accuracy", help="run the Section V-B study")
     sub.add_parser("design-space", help="Section IV-C design points")
 
     peaks = sub.add_parser("peaks", help="device peak throughput (Table I)")
@@ -201,21 +180,7 @@ def _cmd_report(args) -> int:
     if unknown:
         print(f"unknown experiments {unknown}; available: {sorted(ALL_EXPERIMENTS)}")
         return 2
-    if args.no_cache:
-        # Through the environment so worker processes and nested
-        # memoised calls (fig4/fig5, accuracy studies) see it too.
-        import os
-
-        os.environ["REPRO_CACHE"] = "0"
-    results = run_all(
-        args.names or None,
-        workers=args.workers,
-        checkpoint=args.checkpoint_dir,
-        resume=args.resume,
-        retries=args.retries,
-        timeout=args.task_timeout,
-    )
-    print(render_report(results))
+    print(render_report(run_all(args.names or None)))
     return 0
 
 
@@ -256,13 +221,9 @@ def _cmd_synthesis(_args) -> int:
     return 0
 
 
-def _cmd_accuracy(args) -> int:
+def _cmd_accuracy(_args) -> int:
     from .accuracy import cgemm_accuracy_study, sgemm_accuracy_study
 
-    if args.no_cache:
-        import os
-
-        os.environ["REPRO_CACHE"] = "0"
     print("FP32 GEMM implementations vs float64 reference:")
     for r in sgemm_accuracy_study():
         print(f"  {r.name:12s} matching_bits={r.matching_bits:5.1f}  "
@@ -473,9 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Exit codes: ``0`` success; ``1`` execution failure (an experiment or
     campaign failed); ``2`` usage error (argparse or unknown names);
-    ``130`` interrupted (SIGINT) — no traceback, and any checkpoint
-    journal retains everything completed before the interrupt (each
-    record is flushed and fsynced as it is appended).
+    ``130`` interrupted (SIGINT) — one line on stderr, no traceback.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -16,7 +16,7 @@ from .experiments import (
     table3_synthesis,
 )
 from .export import export_csv, export_json, rows_to_csv_text
-from .runner import ALL_EXPERIMENTS, register_experiment, render_report, run_all
+from .runner import ALL_EXPERIMENTS, render_report, run_all
 
 __all__ = [
     "ExperimentResult",
@@ -33,7 +33,6 @@ __all__ = [
     "fig9_knn",
     "accuracy_claims",
     "ALL_EXPERIMENTS",
-    "register_experiment",
     "run_all",
     "render_report",
     "export_csv",

@@ -13,7 +13,6 @@ from typing import Any
 import numpy as np
 
 from ..accuracy.study import cgemm_accuracy_study, sgemm_accuracy_study
-from ..cache import memoize
 from ..apps.dnn.training import figure7
 from ..apps.fft.perf import fft_speedups
 from ..apps.knn.perf import figure9
@@ -186,13 +185,8 @@ def table3_synthesis() -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Figure 4
 # ----------------------------------------------------------------------
-@memoize
 def fig4_gemm_speedups(sizes: list[int] | None = None) -> ExperimentResult:
-    """SGEMM + CGEMM speedups over the SIMT baselines across sizes.
-
-    Memoised per size list: repeated report renders and sweeps replay
-    the cached rows (``use_cache=False`` recomputes).
-    """
+    """SGEMM + CGEMM speedups over the SIMT baselines across sizes."""
     gpu = a100_emulation()
     sizes = sizes or GEMM_SIZES
     rows = []
@@ -256,12 +250,8 @@ def fig4_gemm_speedups(sizes: list[int] | None = None) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Figure 5
 # ----------------------------------------------------------------------
-@memoize
 def fig5_energy_and_peak(size: int = 8192) -> ExperimentResult:
-    """Relative energy vs the FP32-MXU references + %% of theoretical peak.
-
-    Memoised per problem size, like :func:`fig4_gemm_speedups`.
-    """
+    """Relative energy vs the FP32-MXU references + % of theoretical peak."""
     gpu = a100_emulation()
     model = EnergyModel()
     p = GemmProblem(size, size, size)

@@ -1,9 +1,9 @@
 """Process-based parallel execution engine for the functional models.
 
-The emulation workloads are embarrassingly parallel at three natural
-grains: the column blocks of a large GEMM, independent GEMM
-implementations of an accuracy sweep, and independent experiments of the
-full paper report. This module provides the one executor they all share.
+Two callers leave the process through it: the tiled GEMM driver, whose
+column blocks of a large GEMM are independent, and the serving layer,
+whose batched jobs are. This module provides the one executor they
+share.
 
 Work is distributed with a :class:`concurrent.futures.ProcessPoolExecutor`
 (numpy releases the GIL only inside BLAS; everything else in the emulator
@@ -22,15 +22,15 @@ Two throughput features sit on top of that contract, neither of which
 changes a single output bit:
 
 **Persistent worker pool.** The executor is created lazily on the first
-parallel call and reused by every subsequent one, so GEMM fan-outs,
-``run_all`` and the accuracy sweeps stop paying process spawn + teardown
-per call. :func:`shutdown` releases it explicitly (also registered with
+parallel call and reused by every subsequent one, so GEMM fan-outs and
+served batches stop paying process spawn + teardown per call.
+:func:`shutdown` releases it explicitly (also registered with
 ``atexit``); a process that forks after the pool exists gets a fresh pool
 of its own on first use (the inherited handle owns no worker processes).
 Inside a pool worker, :func:`parallel_map` always runs serially: the
-grains nest (``run_all`` dispatches accuracy studies that are themselves
-parallel callers), and one level of process fan-out is all a machine has
-cores for.
+callers nest (a served job runs a tiled GEMM, which is itself a parallel
+caller), and one level of process fan-out is all a machine has cores
+for.
 
 **Zero-copy operand transfer.** ndarrays of at least :data:`SHM_MIN_BYTES`
 inside a work item are shipped through POSIX shared memory instead of
@@ -53,9 +53,7 @@ every allowed attempt surface as structured
 their results with ``return_failures=True``, or carried by a single
 :class:`~repro.resilience.failures.ParallelTaskError` otherwise. The
 policy is inert unless a call asks for it, leaving the fast paths
-bit-for-bit untouched; an ``on_result`` callback observes each completed
-task (index, result) as soon as it is produced, which is what the
-checkpoint journal hooks into.
+bit-for-bit untouched.
 """
 
 from __future__ import annotations
@@ -183,10 +181,10 @@ def _note_pool_event(kind: str) -> None:
         _pool_failure_streak = 0
 
 #: True inside a pool worker process. Nested ``parallel_map`` calls there
-#: run serially: a task that fans out again (``run_all`` dispatching an
-#: accuracy study which itself consults ``REPRO_WORKERS``) would otherwise
-#: fork a grandchild pool from a forked worker, which deadlocks on the
-#: executor queues inherited mid-operation.
+#: run serially: a task that fans out again (a served job whose tiled GEMM
+#: consults ``REPRO_WORKERS``) would otherwise fork a grandchild pool from
+#: a forked worker, which deadlocks on the executor queues inherited
+#: mid-operation.
 _in_worker = False
 
 
@@ -472,12 +470,8 @@ def _annotate(exc: BaseException, index: int) -> None:
             pass
 
 
-def _serial_plain(
-    fn: Callable[[_T], _R],
-    work: Sequence[_T],
-    on_result: Callable[[int, Any], None] | None,
-) -> list[_R]:
-    """The pre-resilience serial path, plus annotation + streaming."""
+def _serial_plain(fn: Callable[[_T], _R], work: Sequence[_T]) -> list[_R]:
+    """The pre-resilience serial path, plus annotation."""
     results: list[_R] = []
     for i, item in enumerate(work):
         try:
@@ -486,8 +480,6 @@ def _serial_plain(
             _annotate(exc, i)
             raise
         results.append(out)
-        if on_result is not None:
-            on_result(i, out)
     return results
 
 
@@ -495,7 +487,6 @@ def _serial_resilient(
     fn: Callable[[_T], _R],
     work: Sequence[_T],
     policy: RetryPolicy,
-    on_result: Callable[[int, Any], None] | None,
     return_failures: bool,
 ) -> list[Any]:
     """In-process retry loop (used at ``workers=1`` and inside pool
@@ -521,8 +512,6 @@ def _serial_resilient(
                     break
                 raise ParallelTaskError([failure]) from exc
             results[i] = out
-            if on_result is not None:
-                on_result(i, out)
             break
     return results
 
@@ -532,7 +521,6 @@ def _resilient_map(
     payload: Sequence[Any],
     n_workers: int,
     policy: RetryPolicy,
-    on_result: Callable[[int, Any], None] | None,
     return_failures: bool,
 ) -> list[Any]:
     """Pool execution with per-task deadline, retry, and pool respawn.
@@ -600,8 +588,6 @@ def _resilient_map(
             else:
                 results[i] = out
                 _note_pool_event("ok")
-                if on_result is not None:
-                    on_result(i, out)
         if hung:
             # Deadline exceeded: the workers running these tasks are
             # stuck in user code and cannot be cancelled — kill them.
@@ -632,7 +618,6 @@ def parallel_map(
     retries: int | None = None,
     backoff: float | None = None,
     return_failures: bool = False,
-    on_result: Callable[[int, Any], None] | None = None,
 ) -> list[_R]:
     """Map *fn* over *items*, preserving order.
 
@@ -660,9 +645,6 @@ def parallel_map(
         Return terminal :class:`TaskFailure` records in place of the
         failed tasks' results instead of raising
         :class:`ParallelTaskError`.
-    ``on_result``
-        ``on_result(index, result)`` observes every completed task as
-        soon as its result is available (the checkpoint journal hook).
 
     When the resolved policy is active, each task is submitted on its own
     so failures are attributed to exact items; the inert-policy fast
@@ -677,12 +659,12 @@ def parallel_map(
 
     if _in_worker:
         if resilient:
-            return _serial_resilient(fn, work, policy, on_result, return_failures)
-        return _serial_plain(fn, work, on_result)
+            return _serial_resilient(fn, work, policy, return_failures)
+        return _serial_plain(fn, work)
     if not resilient and (n_workers <= 1 or len(work) <= 1):
-        return _serial_plain(fn, work, on_result)
+        return _serial_plain(fn, work)
     if resilient and policy.timeout is None and (n_workers <= 1 or len(work) <= 1):
-        return _serial_resilient(fn, work, policy, on_result, return_failures)
+        return _serial_resilient(fn, work, policy, return_failures)
     n_workers = max(1, min(n_workers, len(work)))
 
     segments: _Segments = {}
@@ -693,12 +675,10 @@ def parallel_map(
         if segments:  # only wrap when something actually moved to shm
             payload, call = encoded, _ShmTask(fn)
         if resilient:
-            return _resilient_map(
-                call, payload, n_workers, policy, on_result, return_failures
-            )
+            return _resilient_map(call, payload, n_workers, policy, return_failures)
         try:
             pool = _get_pool(n_workers)
-            out = _drain(pool.map(call, payload), on_result)
+            out = _drain(pool.map(call, payload))
             _note_pool_event("ok")
             return out
         except BrokenProcessPool:
@@ -712,17 +692,13 @@ def parallel_map(
         _release(segments)
 
 
-def _drain(
-    result_iter: Iterable[_R], on_result: Callable[[int, Any], None] | None
-) -> list[_R]:
-    """Collect ``Executor.map`` output in order, streaming to *on_result*
-    and naming the failing task when the iterator raises."""
+def _drain(result_iter: Iterable[_R]) -> list[_R]:
+    """Collect ``Executor.map`` output in order, naming the failing task
+    when the iterator raises."""
     results: list[_R] = []
     try:
         for out in result_iter:
             results.append(out)
-            if on_result is not None:
-                on_result(len(results) - 1, out)
     except BrokenProcessPool:
         raise
     except Exception as exc:

@@ -1,12 +1,10 @@
-"""Resilience subsystem: fault-tolerant execution, checkpointing, ABFT.
+"""Resilience subsystem: fault-tolerant execution and ABFT.
 
-Four layers, one theme — a long numerical campaign must survive its
+Three layers, one theme — a long numerical campaign must survive its
 environment:
 
 - :mod:`repro.resilience.failures` — structured task failures and the
   retry/timeout policy consumed by :func:`repro.parallel.parallel_map`.
-- :mod:`repro.resilience.checkpoint` — crash-tolerant JSONL journal
-  behind ``run_all --resume`` and ``REPRO_CHECKPOINT_DIR``.
 - :mod:`repro.resilience.abft` — Huang–Abraham row/column checksum
   guards adapted to rounded emulated arithmetic, wrapped around the
   tiled GEMM drivers (``REPRO_ABFT=1`` / ``abft=True``).
@@ -29,7 +27,6 @@ from .abft import (
     resolve_abft,
     sdc_threshold,
 )
-from .checkpoint import CHECKPOINT_ENV, CheckpointJournal
 from .failures import ParallelTaskError, RetryPolicy, TaskFailure, resolve_policy
 
 __all__ = [
@@ -42,8 +39,6 @@ __all__ = [
     "guarded_gemm",
     "resolve_abft",
     "sdc_threshold",
-    "CHECKPOINT_ENV",
-    "CheckpointJournal",
     "ParallelTaskError",
     "RetryPolicy",
     "TaskFailure",

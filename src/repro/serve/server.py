@@ -17,8 +17,9 @@ on the repo's emulation stack with the full robustness kit engaged:
   bit-identical per matrix to a lone request. Every group, coalesced or
   alone, reaches the pool through one ``parallel_map`` dispatch.
 * **Content-addressed cache** (:mod:`repro.cache`): repeat payloads are
-  served from the cache; at full fidelity the cached result is ABFT
-  re-verified before it leaves the building.
+  served from an in-memory LRU that lasts as long as the server; at full
+  fidelity the cached result is ABFT re-verified before it leaves the
+  building.
 * **Deadlines**: each request's remaining budget propagates into
   :func:`repro.parallel.parallel_map` timeouts, so a hung worker is
   killed and the pool respawned instead of the request hanging.

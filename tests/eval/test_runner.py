@@ -1,19 +1,11 @@
-"""run_all caching semantics and the report renderer."""
+"""run_all and the report renderer."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import DEFAULT_CACHE
 from repro.eval import runner
 from repro.eval.experiments import ExperimentResult
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache():
-    DEFAULT_CACHE.clear()
-    yield
-    DEFAULT_CACHE.clear()
 
 
 def _stub_result(name: str) -> ExperimentResult:
@@ -22,13 +14,7 @@ def _stub_result(name: str) -> ExperimentResult:
 
 @pytest.fixture
 def counting_experiments(monkeypatch):
-    """Replace the experiment registry with counting stubs.
-
-    Pins REPRO_WORKERS to serial: pool workers hold the real registry
-    (monkeypatching only rewrites this process), so the stubs must not
-    be resolved in a worker.
-    """
-    monkeypatch.setenv("REPRO_WORKERS", "1")
+    """Replace the experiment registry with counting stubs."""
     calls: dict[str, int] = {"e1": 0, "e2": 0}
 
     def make(name):
@@ -36,7 +22,6 @@ def counting_experiments(monkeypatch):
             calls[name] += 1
             return _stub_result(name)
 
-        exp.__qualname__ = f"stub_{name}"
         return exp
 
     monkeypatch.setattr(
@@ -45,38 +30,18 @@ def counting_experiments(monkeypatch):
     return calls
 
 
-class TestRunAllCache:
-    def test_second_sweep_hits_cache(self, counting_experiments):
-        first = runner.run_all(workers=1)
-        second = runner.run_all(workers=1)
-        assert counting_experiments == {"e1": 1, "e2": 1}
-        assert first == second
-
-    def test_use_cache_false_recomputes_identically(self, counting_experiments):
-        first = runner.run_all(workers=1)
-        cold = runner.run_all(workers=1, use_cache=False)
-        assert counting_experiments == {"e1": 2, "e2": 2}
-        assert first == cold
-
-    def test_env_gate_disables(self, counting_experiments, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        runner.run_all(workers=1)
-        runner.run_all(workers=1)
-        assert counting_experiments == {"e1": 2, "e2": 2}
-
-    def test_partial_hit_computes_only_misses(self, counting_experiments):
-        runner.run_all(only=["e1"], workers=1)
-        out = runner.run_all(workers=1)  # e1 cached, e2 computed
-        assert counting_experiments == {"e1": 1, "e2": 1}
-        assert list(out) == ["e1", "e2"]
-
+class TestRunAll:
     def test_selection_order_preserved(self, counting_experiments):
-        out = runner.run_all(only=["e2", "e1"], workers=1)
+        out = runner.run_all(only=["e2", "e1"])
         assert list(out) == ["e2", "e1"]
+        assert counting_experiments == {"e1": 1, "e2": 1}
 
-    def test_cached_result_is_mutation_safe(self, counting_experiments):
-        runner.run_all(workers=1)["e1"].rows.append({"junk": 0.0})
-        assert runner.run_all(workers=1)["e1"].rows == [{"x": 1.0}]
+    def test_every_sweep_computes_afresh(self, counting_experiments):
+        first = runner.run_all()
+        first["e1"].rows.append({"junk": 0.0})
+        second = runner.run_all()
+        assert counting_experiments == {"e1": 2, "e2": 2}
+        assert second["e1"].rows == [{"x": 1.0}]
 
 
 class TestRenderReport:

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accuracy.study import BITLEVEL_SGEMM_IMPLS, sgemm_accuracy_study
 from repro.gemm.tiled import mxu_cgemm, mxu_sgemm
 from repro.mxu import fused, vectorized
 from repro.mxu.bitlevel import bit_level_chain
@@ -270,15 +269,6 @@ class TestGemmEngineIdentity:
         vec = mxu_cgemm(a, b, mxu=BitLevelMXU())
         monkeypatch.setenv("REPRO_BITLEVEL", "scalar")
         assert biteq(mxu_cgemm(a, b, mxu=BitLevelMXU()), vec)
-
-    def test_study_workers_identical_bitlevel(self):
-        # The bit-level roster through the accuracy-study fan-out: the
-        # result must not depend on the worker count.
-        serial = sgemm_accuracy_study(
-            m=6, n=6, k=12, impls=BITLEVEL_SGEMM_IMPLS, workers=1, use_cache=False)
-        fanned = sgemm_accuracy_study(
-            m=6, n=6, k=12, impls=BITLEVEL_SGEMM_IMPLS, workers=4, use_cache=False)
-        assert serial == fanned
 
 
 class TestFaultInjectionParity:

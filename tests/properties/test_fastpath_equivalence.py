@@ -18,10 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accuracy.study import sgemm_accuracy_study
 from repro.arith.accumulator import aligned_sum, aligned_sum_groups
 from repro.arith.exact import exact_dot
-from repro.eval.runner import run_all
 from repro.gemm.schemes import tensorop_sgemm_3xtf32
 from repro.gemm.tiled import TiledGEMM, mxu_cgemm, mxu_sgemm
 from repro.mxu import fused
@@ -477,19 +475,6 @@ class TestBatchedAndParallel:
         bc = b + 1j * rng.standard_normal(b.shape)
         assert biteq(mxu_cgemm(ac, bc, workers=1), mxu_cgemm(ac, bc, workers=4))
 
-    def test_run_all_workers_identical(self):
-        # use_cache=False so the second sweep really exercises the
-        # parallel path instead of replaying the first from cache.
-        serial = run_all(only=["table1", "fig2"], workers=1, use_cache=False)
-        fanned = run_all(only=["table1", "fig2"], workers=4, use_cache=False)
-        assert list(serial) == list(fanned)
-        for name in serial:
-            assert serial[name] == fanned[name]
-
-    def test_accuracy_study_workers_identical(self):
-        serial = sgemm_accuracy_study(m=8, n=8, k=16, workers=1, use_cache=False)
-        fanned = sgemm_accuracy_study(m=8, n=8, k=16, workers=4, use_cache=False)
-        assert serial == fanned
 
 
 def _units(level):

@@ -191,6 +191,25 @@ class TestServingFidelity:
         hits = with_server(ServeConfig(port=0), scenario)
         assert hits >= 1
 
+    def test_cache_lasts_one_server_only(self, rng, tmp_path, monkeypatch):
+        # A restarted server must compute afresh, never replay results a
+        # previous server (maybe of older code) left behind, even with
+        # the old cache-directory variable set.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        a = rng.standard_normal((8, 8))
+        b = rng.standard_normal((8, 8))
+
+        def answer(times: int) -> Callable[[GemmServer], list[bool]]:
+            def scenario(server: GemmServer) -> list[bool]:
+                with client_for(server) as client:
+                    return [client.gemm(a, b)["cached"] for _ in range(times)]
+
+            return scenario
+
+        assert with_server(ServeConfig(port=0), answer(2)) == [False, True]
+        assert with_server(ServeConfig(port=0), answer(1)) == [False]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestProtocolRobustness:
     def test_structured_errors_for_bad_requests(self):

@@ -1,24 +1,10 @@
-"""The content-addressed result cache: digests, layers, memoisation."""
+"""Content addressing and the in-memory result cache."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.cache import (
-    DEFAULT_CACHE,
-    ResultCache,
-    cache_enabled,
-    memoize,
-    stable_digest,
-)
-
-
-@pytest.fixture(autouse=True)
-def _isolated_default_cache():
-    DEFAULT_CACHE.clear()
-    yield
-    DEFAULT_CACHE.clear()
+from repro.cache import ResultCache, stable_digest
 
 
 class TestStableDigest:
@@ -47,7 +33,7 @@ class TestStableDigest:
 
     def test_callables_keyed_by_qualname(self):
         assert stable_digest(stable_digest) == stable_digest(stable_digest)
-        assert stable_digest(stable_digest) != stable_digest(memoize)
+        assert stable_digest(stable_digest) != stable_digest(ResultCache)
 
     def test_containers(self):
         assert stable_digest([1, 2]) != stable_digest((1, 2))
@@ -78,174 +64,26 @@ class TestResultCache:
         assert c.get("b") is None
         assert c.get("a") == 1 and c.get("c") == 3
 
-    def test_disk_layer_roundtrip(self, tmp_path):
-        writer = ResultCache(directory=tmp_path)
-        writer.put("deadbeef", {"rows": [1, 2]})
-        reader = ResultCache(directory=tmp_path)  # fresh process stand-in
-        assert reader.get("deadbeef") == {"rows": [1, 2]}
-
-    def test_disk_layer_via_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        ResultCache().put("cafe", 42)
-        assert (tmp_path / "cafe.pkl").is_file()
-        assert ResultCache().get("cafe") == 42
-
-    def test_clear_disk(self, tmp_path):
-        c = ResultCache(directory=tmp_path)
+    def test_info(self):
+        c = ResultCache(maxsize=8)
         c.put("k", 1)
-        c.clear(disk=True)
-        assert c.get("k") is None
-
-    def test_info(self, tmp_path):
-        c = ResultCache(maxsize=8, directory=tmp_path)
-        c.put("k", 1)
+        c.get("k")
+        c.get("absent")
         info = c.info()
         assert info["entries"] == 1 and info["maxsize"] == 8
-        assert info["disk_dir"] == str(tmp_path)
-
-    def test_disk_writes_are_atomic_renames(self, tmp_path):
-        # The publish step is tmp-file + os.replace: at no point may a
-        # partially written pickle sit at the final path, and no *.tmp
-        # droppings may survive a successful put.
-        c = ResultCache(directory=tmp_path)
-        c.put("k", list(range(1000)))
-        leftovers = [p for p in tmp_path.iterdir() if not p.name.endswith(".pkl")]
-        assert leftovers == []
-        assert ResultCache(directory=tmp_path).get("k") == list(range(1000))
-
-    def test_collision_counter_counts_prevented_overwrites(self, tmp_path):
-        c = ResultCache(directory=tmp_path)
-        assert c.info()["collisions"] == 0
-        c.put("k", 1)
-        assert c.info()["collisions"] == 0
-        c.put("k", 1)  # same digest already on disk: a prevented overwrite
-        c.put("k", 1)
-        assert c.info()["collisions"] == 2
-        c.clear()
-        assert c.info()["collisions"] == 0
-
-    def test_memory_only_cache_never_counts_collisions(self):
-        c = ResultCache()
-        c.put("k", 1)
-        c.put("k", 2)
-        assert c.info()["collisions"] == 0
-
-
-class TestCacheEnabled:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert cache_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "False", "OFF"])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_CACHE", value)
-        assert not cache_enabled()
-
-
-class TestMemoize:
-    def test_second_call_cached(self):
-        calls = []
-
-        @memoize
-        def fn(x, y=2):
-            calls.append((x, y))
-            return x * y
-
-        assert fn(3) == 6
-        assert fn(3) == 6
-        assert fn(3, y=2) == 6  # defaults normalised: same key
-        assert calls == [(3, 2)]
-        assert fn(4) == 8 and len(calls) == 2
-
-    def test_ignore_excludes_knob_from_key(self):
-        calls = []
-
-        @memoize(ignore=("workers",))
-        def fn(x, workers=1):
-            calls.append(x)
-            return x + 1
-
-        assert fn(1, workers=1) == fn(1, workers=8) == 2
-        assert calls == [1]
-
-    def test_use_cache_false_bypasses(self):
-        calls = []
-
-        @memoize
-        def fn(x):
-            calls.append(x)
-            return x
-
-        fn(1)
-        fn(1, use_cache=False)
-        assert calls == [1, 1]
-
-    def test_env_gate_bypasses(self, monkeypatch):
-        calls = []
-
-        @memoize
-        def fn(x):
-            calls.append(x)
-            return x
-
-        fn(1)
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        fn(1)
-        assert calls == [1, 1]
-
-    def test_hit_is_mutation_safe(self):
-        @memoize
-        def fn():
-            return {"rows": [1]}
-
-        fn()["rows"].append(2)
-        assert fn() == {"rows": [1]}
-
-    def test_ndarray_args(self, rng):
-        calls = []
-
-        @memoize
-        def fn(a):
-            calls.append(1)
-            return a.sum()
-
-        a = rng.normal(size=(8, 8))
-        assert fn(a) == fn(a.copy())
-        assert len(calls) == 1
-        fn(a + 1)
-        assert len(calls) == 2
+        assert info["hits"] == 1 and info["misses"] == 1
 
 
 class TestCorruptionRecovery:
     """Corrupted entries are misses (evicted), never crashes."""
 
-    def _disk_cache(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
+    def test_recovers_by_recomputing(self):
+        cache = ResultCache()
         cache.put("key", {"value": [1, 2, 3]})
-        cache.clear(memory=True)  # force the next get through the disk layer
-        return cache, tmp_path / "key.pkl"
-
-    def test_truncated_disk_entry_is_miss_and_evicted(self, tmp_path):
-        cache, path = self._disk_cache(tmp_path)
-        path.write_bytes(path.read_bytes()[:4])  # torn mid-write
-        assert cache.get("key", "MISS") == "MISS"
-        assert not path.exists()
-        assert cache.corrupt == 1 and cache.misses == 1
-
-    def test_garbage_disk_entry_is_miss_and_evicted(self, tmp_path):
-        cache, path = self._disk_cache(tmp_path)
-        path.write_bytes(b"\x00\xffnot a pickle at all")
-        assert cache.get("key", None) is None
-        assert not path.exists()
-        assert cache.corrupt == 1
-
-    def test_recovers_by_recomputing(self, tmp_path):
-        cache, path = self._disk_cache(tmp_path)
-        path.write_bytes(b"")  # zero-length file (crash before any byte)
+        cache._mem["key"] = b""  # zero-length blob
         assert cache.get("key", "MISS") == "MISS"
         cache.put("key", "fresh")
         assert cache.get("key") == "fresh"
-        assert path.exists()  # clean re-store reached disk again
 
     def test_corrupt_memory_entry_is_evicted(self):
         cache = ResultCache()
@@ -255,28 +93,11 @@ class TestCorruptionRecovery:
         assert "key" not in cache._mem
         assert cache.corrupt == 1
 
-    def test_intact_entries_unaffected(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
+    def test_intact_entries_unaffected(self):
+        cache = ResultCache()
         cache.put("good", 42)
         cache.put("bad", 43)
-        (tmp_path / "bad.pkl").write_bytes(b"junk")
-        cache.clear(memory=True)
+        cache._mem["bad"] = b"junk"
         assert cache.get("good") == 42
         assert cache.get("bad", "MISS") == "MISS"
         assert cache.info()["corrupt"] == 1
-
-    def test_memoize_recomputes_after_corruption(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-
-        @memoize
-        def fn(x):
-            calls.append(x)
-            return x * 2
-
-        assert fn(3) == 6
-        DEFAULT_CACHE.clear(memory=True)
-        for entry in tmp_path.glob("*.pkl"):
-            entry.write_bytes(entry.read_bytes()[:3])
-        assert fn(3) == 6  # recomputed, not crashed
-        assert calls == [3, 3]

@@ -116,7 +116,7 @@ if __name__ == "__main__":
 
 
 def _nested_fanout(x):
-    """A task that is itself a parallel caller (run_all -> accuracy shape)."""
+    """A task that is itself a parallel caller (a served job's tiled GEMM)."""
     import os
 
     before = parallel.pool_info()["spawns"]
@@ -420,15 +420,6 @@ class TestResilientExecution:
         with pytest.raises(ParallelTaskError):
             parallel_map(_flaky, items, workers=2, retries=1, backoff=0.0)
         assert set(os.listdir("/dev/shm")) - before == set()
-
-    def test_on_result_streams_each_completion(self):
-        seen: list[tuple[int, int]] = []
-        got = parallel_map(
-            _double, [3, 4, 5], workers=2,
-            on_result=lambda i, r: seen.append((i, r)),
-        )
-        assert got == [6, 8, 10]
-        assert sorted(seen) == [(0, 6), (1, 8), (2, 10)]
 
     def test_inert_policy_keeps_fast_path(self):
         # one Executor.map over every task, not one submit per task

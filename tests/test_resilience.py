@@ -1,13 +1,6 @@
-"""The resilience subsystem: ABFT guards, campaigns, checkpoint/resume."""
+"""The resilience subsystem: ABFT guards, campaigns, retry jitter."""
 
 from __future__ import annotations
-
-import hashlib
-import os
-import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +13,10 @@ from repro.mxu.modes import MXUMode
 from repro.resilience import (
     AbftConfig,
     AbftUncorrectedError,
-    CheckpointJournal,
     resolve_abft,
     sdc_threshold,
 )
 from repro.resilience.campaign import CampaignConfig, Outcome, run_campaign
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -301,226 +291,8 @@ class TestCampaign:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint journal
+# Retry jitter
 # ----------------------------------------------------------------------
-class TestCheckpointJournal:
-    def test_round_trip(self, tmp_path, rng):
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        payload = {"arr": rng.normal(size=(6, 6)), "n": 3}
-        journal.append("exp", "key123", payload)
-        loaded = journal.load()
-        assert set(loaded) == {"exp"}
-        key, value = loaded["exp"]
-        assert key == "key123"
-        np.testing.assert_array_equal(value["arr"], payload["arr"])
-        assert journal.skipped_lines == 0
-
-    def test_later_entries_win(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        journal.append("exp", "k", "old")
-        journal.append("exp", "k", "new")
-        assert journal.load()["exp"] == ("k", "new")
-
-    def test_torn_tail_is_skipped(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        journal.append("a", "ka", 1)
-        journal.append("b", "kb", 2)
-        text = journal.path.read_text()
-        journal.path.write_text(text + text.splitlines()[0][:37])  # torn line
-        loaded = journal.load()
-        assert set(loaded) == {"a", "b"}
-        assert journal.skipped_lines == 1
-
-    def test_checksum_mismatch_is_skipped(self, tmp_path):
-        import json
-
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        journal.append("a", "ka", [1, 2])
-        record = json.loads(journal.path.read_text())
-        record["sha256"] = "0" * 64
-        journal.path.write_text(json.dumps(record) + "\n")
-        assert journal.load() == {}
-        assert journal.skipped_lines == 1
-
-    def test_resolve(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-        assert CheckpointJournal.resolve() is None
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        journal = CheckpointJournal.resolve()
-        assert journal.path == tmp_path / "run_all.jsonl"
-        explicit = CheckpointJournal.resolve(tmp_path / "x.jsonl")
-        assert explicit.path == tmp_path / "x.jsonl"
-        assert CheckpointJournal.resolve(journal) is journal
-
-    def test_clear(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        journal.clear()  # absent: no-op
-        journal.append("a", "k", 1)
-        journal.clear()
-        assert not journal.path.exists() and journal.load() == {}
-
-    def test_append_creates_missing_parent_dirs(self, tmp_path):
-        # Regression: a journal pointed at a not-yet-existing directory
-        # (fresh checkpoint root, first run) must create it instead of
-        # failing the first append.
-        journal = CheckpointJournal(tmp_path / "deep" / "nested" / "j.jsonl")
-        journal.append("exp", "k", {"x": 1})
-        assert journal.path.is_file()
-        assert journal.load()["exp"] == ("k", {"x": 1})
-
-    def test_rotate_retires_journal_to_numbered_sibling(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        assert journal.rotate() is None  # nothing to rotate
-        journal.append("a", "k", 1)
-        first = journal.rotate()
-        assert first == tmp_path / "j.jsonl.1"
-        assert first.is_file() and not journal.path.exists()
-        # The live path is immediately reusable and rotation never
-        # clobbers an earlier generation.
-        journal.append("b", "k", 2)
-        second = journal.rotate()
-        assert second == tmp_path / "j.jsonl.2"
-        assert first.is_file() and second.is_file()
-        assert CheckpointJournal(first).load() == {"a": ("k", 1)}
-        assert CheckpointJournal(second).load() == {"b": ("k", 2)}
-
-    def test_rotate_skips_occupied_generation_numbers(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "j.jsonl")
-        (tmp_path / "j.jsonl.1").write_text("occupied\n")
-        journal.append("a", "k", 1)
-        assert journal.rotate() == tmp_path / "j.jsonl.2"
-        assert (tmp_path / "j.jsonl.1").read_text() == "occupied\n"
-
-
-# ----------------------------------------------------------------------
-# run_all killed mid-flight, then resumed
-# ----------------------------------------------------------------------
-_RESUME_SCRIPT = '''
-import hashlib, os, pathlib, pickle, sys
-import numpy as np
-
-sys.path.insert(0, {src!r})
-from repro.eval import runner
-from repro.gemm.tiled import mxu_sgemm
-
-ROOT = pathlib.Path({root!r})
-
-
-def _mark(name):
-    p = ROOT / ("ran-" + name)
-    p.write_text(str(int(p.read_text()) + 1) if p.exists() else "1")
-
-
-def _gemm(seed):
-    rng = np.random.default_rng(seed)
-    return mxu_sgemm(rng.uniform(-1, 1, (12, 8)), rng.uniform(-1, 1, (8, 10)))
-
-
-def exp_alpha():
-    _mark("alpha")
-    return _gemm(0)
-
-
-def exp_beta():
-    _mark("beta")
-    return {{"beta": _gemm(1)}}
-
-
-def exp_gamma():
-    _mark("gamma")
-    if os.environ.get("RESILIENCE_CRASH") == "1":
-        os._exit(9)  # simulated hard kill mid-sweep: no teardown runs
-    return _gemm(2)
-
-
-def exp_delta():
-    _mark("delta")
-    return [3, _gemm(3)]
-
-
-runner.ALL_EXPERIMENTS.clear()
-for name, fn in [("alpha", exp_alpha), ("beta", exp_beta),
-                 ("gamma", exp_gamma), ("delta", exp_delta)]:
-    runner.register_experiment(name, fn)
-
-results = runner.run_all(
-    workers=1,
-    use_cache=False,
-    checkpoint=str(ROOT / "ckpt"),
-    resume=os.environ.get("RESILIENCE_RESUME") == "1",
-)
-# One digest per experiment: per-value pickles are canonical, whereas a
-# pickle of the whole dict also encodes memoised structure sharing that
-# legitimately differs between freshly computed and journal-replayed runs.
-for name in sorted(results):
-    print(name, hashlib.sha256(pickle.dumps(results[name])).hexdigest())
-'''
-
-
-class TestRunAllResume:
-    def _run(self, script, tmp_path, crash, resume):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC
-        env["RESILIENCE_CRASH"] = "1" if crash else "0"
-        env["RESILIENCE_RESUME"] = "1" if resume else "0"
-        env.pop("REPRO_WORKERS", None)
-        env.pop("REPRO_CHECKPOINT_DIR", None)
-        return subprocess.run(
-            [sys.executable, str(script)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-
-    def test_killed_sweep_resumes_bit_identical(self, tmp_path):
-        script = tmp_path / "sweep.py"
-        script.write_text(_RESUME_SCRIPT.format(src=SRC, root=str(tmp_path)))
-
-        crashed = self._run(script, tmp_path, crash=True, resume=False)
-        assert crashed.returncode == 9, crashed.stderr
-        journal = CheckpointJournal(tmp_path / "ckpt" / "run_all.jsonl")
-        assert set(journal.load()) == {"alpha", "beta"}  # durable progress
-
-        resumed = self._run(script, tmp_path, crash=False, resume=True)
-        assert resumed.returncode == 0, resumed.stderr
-        # alpha/beta were replayed from the journal, not recomputed
-        assert (tmp_path / "ran-alpha").read_text() == "1"
-        assert (tmp_path / "ran-beta").read_text() == "1"
-        assert (tmp_path / "ran-delta").read_text() == "1"
-
-        # a fresh uninterrupted sweep produces bit-identical results
-        clean_root = tmp_path / "clean"
-        clean_root.mkdir()
-        clean_script = clean_root / "sweep.py"
-        clean_script.write_text(
-            _RESUME_SCRIPT.format(src=SRC, root=str(clean_root))
-        )
-        reference = self._run(clean_script, tmp_path, crash=False, resume=False)
-        assert reference.returncode == 0, reference.stderr
-        assert resumed.stdout.strip() == reference.stdout.strip()
-
-    def test_resume_without_journal_recomputes_everything(self, tmp_path):
-        script = tmp_path / "sweep.py"
-        script.write_text(_RESUME_SCRIPT.format(src=SRC, root=str(tmp_path)))
-        done = self._run(script, tmp_path, crash=False, resume=True)
-        assert done.returncode == 0, done.stderr
-        for name in ("alpha", "beta", "gamma", "delta"):
-            assert (tmp_path / f"ran-{name}").read_text() == "1"
-
-
-def test_sha256_is_the_hash_used_by_the_journal(tmp_path):
-    # guards against silent hash swaps that would invalidate old journals
-    journal = CheckpointJournal(tmp_path / "j.jsonl")
-    journal.append("x", "k", b"payload")
-    import base64
-    import json
-
-    record = json.loads(journal.path.read_text())
-    blob = base64.b64decode(record["blob"])
-    assert hashlib.sha256(blob).hexdigest() == record["sha256"]
-
-
 class TestJitterDeterminism:
     """Regression: retry-backoff jitter must be seeded (lint rule DT203).
 
